@@ -4,9 +4,12 @@ The order-m Casimir operator is the sum of all elementary operators over
 tuples in {1..n}^m, so its eigenvalue is the corresponding sum of
 proper-cycle products.  Because an elementary eigenvalue depends only on
 the relative ordering of its tuple, the sum can be grouped by
-order-isomorphism class: one cycle analysis per pattern, then one
-substitution per choice of actual values.  Both routes produce identical
-exact polynomials; the patterned one just evaluates far fewer formulas.
+order-isomorphism class: each pattern's product is expanded once in its
+rank variables, and every choice of actual values is one substitution
+(MPoly.substitute) of those variables.  The rho-shift is one more
+substitution, applied once to the whole sum.  Both routes produce
+identical exact polynomials; the patterned one just evaluates far fewer
+formulas.
 
 This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
@@ -23,13 +26,12 @@ from fractions import Fraction
 from .jetoracle import build_inverse_matrix, eigenvalue_from_norms, gram_schmidt_norms
 from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
 from .tuplegraph import (
-    INF,
     IndexTuple,
     SignConvention,
     elementary_eigenvalue,
-    enumerate_proper_cycles,
+    parameter,
+    proper_cycle_factors,
     relative_order,
-    shifted_parameter,
 )
 
 BASES = ("monomial", "power-sum")
@@ -59,13 +61,6 @@ class CasimirRequest:
         return self.m > self.n
 
 
-def _parameter_table(n: int, shifted: bool) -> list[MPoly | None]:
-    table: list[MPoly | None] = [None]
-    for v in range(1, n + 1):
-        table.append(shifted_parameter(v, n) if shifted else alpha(v, n))
-    return table
-
-
 def casimir_eigenvalue(req: CasimirRequest) -> MPoly:
     """Sum of elementary eigenvalues over all of {1..n}^m (the naive route)."""
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -91,37 +86,34 @@ def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
 def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
     """Same sum as casimir_eigenvalue, grouped by relative-order pattern.
 
-    Proper cycles are enumerated once per pattern; each member of the
-    class is then a plain substitution of its distinct values into the
-    pattern's factor structure.  Zero patterns (some rank below the
-    first) are skipped wholesale.
+    Each nonzero pattern's product of proper-cycle factors is expanded
+    once as a polynomial in its ell rank variables; each member of the
+    class is then the substitution of rank k by the variable of its k-th
+    smallest value.  The sum is taken in the parameters x_v, which are
+    then replaced once by their rho-shifts when req.shifted.  Zero
+    patterns (some rank below the first) are skipped wholesale.
     """
     n, m = req.n, req.m
-    params = _parameter_table(n, req.shifted)
     negate = req.sign is SignConvention.ALTERNATING and m % 2 == 1
+    variables = [alpha(v, n) for v in range(1, n + 1)]
     acc: dict[tuple[int, ...], Fraction] = {}
     for pattern in _rank_patterns(m, n):
         if min(pattern) < pattern[0]:
             continue
         ell = max(pattern)
-        structure = [
-            (cycle.v1, cycle.v2, cycle.base > pattern[0])
-            for cycle in enumerate_proper_cycles(IndexTuple(pattern, ell))
-        ]
+        product = MPoly.one(ell)
+        for factor in proper_cycle_factors(IndexTuple(pattern, ell), lambda k: alpha(k, ell)):
+            product = product * factor
+        if negate:
+            product = -product
         for values in itertools.combinations(range(1, n + 1), ell):
-            product = MPoly.one(n)
-            for v1_rank, v2_rank, plus_one in structure:
-                factor = -params[values[v1_rank - 1]]
-                if v2_rank != INF:
-                    factor = factor + params[values[v2_rank - 1]]
-                if plus_one:
-                    factor = factor + 1
-                product = product * factor
-            if negate:
-                product = -product
-            for exps, coeff in product.terms.items():
+            image = product.substitute([variables[v - 1] for v in values])
+            for exps, coeff in image.terms.items():
                 acc[exps] = acc.get(exps, Fraction(0)) + coeff
-    return MPoly(n, acc)
+    total = MPoly(n, acc)
+    if req.shifted:
+        total = total.substitute([parameter(v, n, True) for v in range(1, n + 1)])
+    return total
 
 
 def closed_form(m: int) -> ClosedForm:

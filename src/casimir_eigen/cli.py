@@ -29,15 +29,9 @@ from .casimir import (
     closed_form,
     verify_tuples,
 )
-from .ratpoly import ClosedForm, MPoly, PowerSumPoly, format_mpoly, format_rat
+from .ratpoly import ClosedForm, MPoly, PowerSumPoly, format_mpoly, to_power_sum
 from .tables import eigenvalue_table
-from .tuplegraph import (
-    INF,
-    IndexTuple,
-    SignConvention,
-    elementary_eigenvalue,
-    enumerate_cycles,
-)
+from .tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, enumerate_cycles
 
 
 # -- canonical JSON ----------------------------------------------------------
@@ -143,7 +137,7 @@ def _cmd_elementary(args) -> int:
                     "sublist": list(c.sublist),
                     "proper": c.proper,
                     "v1": c.v1,
-                    "v2": None if c.v2 == INF else c.v2,
+                    "v2": c.v2,
                 }
                 for c in cycles
             ],
@@ -158,7 +152,7 @@ def _cmd_elementary(args) -> int:
             "(" + ",".join(str(x) for x in c.sublist) + ")",
             "yes" if c.proper else "no",
             str(c.v1),
-            "inf" if c.v2 == INF else str(c.v2),
+            "inf" if c.v2 is None else str(c.v2),
         )
         for c in cycles
     ]
@@ -180,37 +174,20 @@ def _cmd_casimir(args) -> int:
     )
     value = casimir_eigenvalue_patterned(request)
     note = "m > n lies outside the standard range 1 <= m <= n" if request.outside_standard_range else None
-    if request.basis == "power-sum":
-        from .ratpoly import to_power_sum
-
-        reduced = to_power_sum(value, request.n)
-        if args.json:
-            obj = {
-                "m": request.m,
-                "n": request.n,
-                "shifted": request.shifted,
-                "basis": request.basis,
-                "eigenvalue": power_sum_to_obj(reduced),
-            }
-            if note:
-                obj["note"] = note
-            print(_dump(obj))
-            return 0
-        print(f"eigenvalue: {reduced}")
-    else:
-        if args.json:
-            obj = {
-                "m": request.m,
-                "n": request.n,
-                "shifted": request.shifted,
-                "basis": request.basis,
-                "eigenvalue": mpoly_to_obj(value),
-            }
-            if note:
-                obj["note"] = note
-            print(_dump(obj))
-            return 0
-        print(f"eigenvalue: {_format_value(value, args.latex)}")
+    reduced = to_power_sum(value, request.n) if request.basis == "power-sum" else None
+    if args.json:
+        obj = {
+            "m": request.m,
+            "n": request.n,
+            "shifted": request.shifted,
+            "basis": request.basis,
+            "eigenvalue": mpoly_to_obj(value) if reduced is None else power_sum_to_obj(reduced),
+        }
+        if note:
+            obj["note"] = note
+        print(_dump(obj))
+        return 0
+    print(f"eigenvalue: {_format_value(value, args.latex) if reduced is None else reduced}")
     if note:
         print(f"note: {note}")
     return 0

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratpoly import MPoly, alpha
-from .tuplegraph import IndexTuple, RelOrder, enumerate_paths, relative_order, shifted_parameter
+from .ratpoly import MPoly
+from .tuplegraph import IndexTuple, RelOrder, enumerate_paths, parameter, relative_order
 
 
 class NotInvertibleError(ValueError):
@@ -291,10 +291,6 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
     return norms
 
 
-def _exponent_base(value: int, n: int, shifted: bool) -> MPoly:
-    return shifted_parameter(value, n) if shifted else alpha(value, n)
-
-
 def eigenvalue_from_norms(
     norms: Sequence[Jet], order: RelOrder, t: IndexTuple, shifted: bool = False
 ) -> MPoly:
@@ -302,7 +298,7 @@ def eigenvalue_from_norms(
     n = t.n
     product = Jet.one(t.m)
     for rank, norm in enumerate(norms, start=1):
-        beta = _exponent_base(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
+        beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
         product = product * norm.power(beta)
     top = product.full_coefficient()
     return top if isinstance(top, MPoly) else MPoly.const(n, top)

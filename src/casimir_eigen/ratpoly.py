@@ -17,12 +17,9 @@ reductions everything else is expressed in:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-# Coefficient field: arbitrary-precision rationals in lowest terms with
-# positive denominator, which is exactly what fractions.Fraction stores.
-Rat = Fraction
 
 Exponent = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -40,6 +37,16 @@ def _term_order_key(exps: Exponent) -> tuple:
     # Graded lexicographic, descending: higher total degree first, then
     # lexicographically larger exponent vector first.
     return (-sum(exps), tuple(-e for e in exps))
+
+
+def _mul_terms(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """Product of two term dicts; cancelled coefficients may be left as zeros."""
+    out: dict[Exponent, Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return out
 
 
 class MPoly:
@@ -130,12 +137,7 @@ class MPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in rhs.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = out.get(exps, Fraction(0)) + ca * cb
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, _mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -159,6 +161,35 @@ class MPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def substitute(self, images: Sequence[MPoly]) -> MPoly:
+        """The ring homomorphism sending variable i to ``images[i]``.
+
+        All images must lie in one ring, which is the ring of the result.
+        Powers of each image are computed once per call and every term is
+        accumulated into one dict.  A polynomial without variables has
+        nothing to send and is returned as it is.
+        """
+        if len(images) != self.nvars:
+            raise ValueError(f"need {self.nvars} images, got {len(images)}")
+        if not images:
+            return self
+        nvars = images[0].nvars
+        if any(img.nvars != nvars for img in images):
+            raise ValueError("images must all have the same nvars")
+        one = {(0,) * nvars: Fraction(1)}
+        powers: list[list[dict[Exponent, Fraction]]] = [[one] for _ in images]
+        out: dict[Exponent, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            term = {(0,) * nvars: coeff}
+            for img, pows, e in zip(images, powers, exps):
+                if e:
+                    while len(pows) <= e:
+                        pows.append(_mul_terms(pows[-1], img.terms))
+                    term = _mul_terms(term, pows[e])
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + c
+        return MPoly(nvars, out)
 
     # -- queries -----------------------------------------------------------
 
@@ -220,27 +251,30 @@ def _format_monomial(exps: Exponent, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
+def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (positive, body) pairs as ``x + y - z``; no terms at all is ``0``."""
+    pieces: list[str] = []
+    for positive, body in terms:
+        if not pieces:
+            pieces.append(body if positive else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if positive else f"- {body}")
+    return " ".join(pieces) if pieces else "0"
+
+
+def _signed_term(coeff: Fraction, mono: str) -> tuple[bool, str]:
+    """Sign and body of coeff*mono, dropping a unit coefficient."""
+    mag = format_rat(abs(coeff))
+    if not mono:
+        return coeff > 0, mag
+    return coeff > 0, mono if abs(coeff) == 1 else f"{mag}*{mono}"
+
+
 def format_mpoly(p: MPoly, names: Sequence[str] | None = None) -> str:
     """Canonical human-readable form, e.g. ``a1*a5 - a2*a5 - a1 + a2``."""
-    if not p.terms:
-        return "0"
     if names is None:
         names = [f"a{i + 1}" for i in range(p.nvars)]
-    pieces: list[str] = []
-    for exps, coeff in p.sorted_terms():
-        mono = _format_monomial(exps, names)
-        mag = format_rat(abs(coeff))
-        if not mono:
-            body = mag
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _join_signed(_signed_term(c, _format_monomial(e, names)) for e, c in p.sorted_terms())
 
 
 def eliminate_last_var(p: MPoly) -> MPoly:
@@ -253,16 +287,8 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     if p.nvars == 0:
         return p
     m = p.nvars - 1
-    neg_sum = MPoly(m, {tuple(1 if j == i else 0 for j in range(m)): Fraction(-1) for i in range(m)})
-    max_e = max((e[-1] for e in p.terms), default=0)
-    pows = [MPoly.one(m)]
-    for _ in range(max_e):
-        pows.append(pows[-1] * neg_sum)
-    out = MPoly.zero(m)
-    for exps, coeff in p.terms.items():
-        head = MPoly(m, {exps[:-1]: coeff})
-        out = out + head * pows[exps[-1]]
-    return out
+    head = [MPoly.variable(m, i) for i in range(m)]
+    return p.substitute(head + [-sum(head, MPoly.zero(m))])
 
 
 # -- power-sum basis -------------------------------------------------------
@@ -320,23 +346,7 @@ class PowerSumPoly:
         return out
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for lam, coeff in self.sorted_items():
-            mono = format_partition(lam)
-            mag = format_rat(abs(coeff))
-            if not mono:
-                body = mag
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _join_signed(_signed_term(c, format_partition(lam)) for lam, c in self.sorted_items())
 
     def __repr__(self) -> str:
         return f"PowerSumPoly({self!s})"
@@ -468,30 +478,16 @@ def format_coeff_in_n(coeffs: Sequence[Fraction]) -> str:
         return format_rat(trimmed[0])
     den = 1
     for c in trimmed:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     numer = [c * den for c in trimmed]
-    terms = []
-    for k in range(len(numer) - 1, -1, -1):
-        c = numer[k]
-        if not c:
-            continue
-        mono = "n" if k == 1 else f"n^{k}" if k > 1 else ""
-        mag = str(abs(c.numerator)) if (abs(c) != 1 or not mono) else ""
-        body = f"{mag}*{mono}" if (mag and mono) else (mag or mono)
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    head = " ".join(terms)
+    head = _join_signed(
+        _signed_term(c, "n" if k == 1 else f"n^{k}" if k > 1 else "")
+        for k, c in reversed(list(enumerate(numer)))
+        if c
+    )
     if den == 1:
         return head
     return f"({head})/{den}" if len([c for c in numer if c]) > 1 else f"{head}/{den}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class ClosedForm:
@@ -533,20 +529,16 @@ class ClosedForm:
         return PowerSumPoly({lam: _poly_in_n_eval(cs, n) for lam, cs in self.coeffs.items()})
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for lam, cs in self.sorted_items():
-            positive = cs[-1] > 0  # sign of the leading coefficient in n
-            body = format_coeff_in_n(cs if positive else [-c for c in cs])
-            mono = format_partition(lam)
-            if mono:
-                body = mono if body == "1" else f"{body}*{mono}"
-            if not pieces:
-                pieces.append(body if positive else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if positive else f"- {body}")
-        return " ".join(pieces)
+        return _join_signed(self._signed_item(lam, cs) for lam, cs in self.sorted_items())
+
+    @staticmethod
+    def _signed_item(lam: Partition, cs: tuple[Fraction, ...]) -> tuple[bool, str]:
+        positive = cs[-1] > 0  # sign of the leading coefficient in n
+        body = format_coeff_in_n(cs if positive else [-c for c in cs])
+        mono = format_partition(lam)
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        return positive, body
 
     def __repr__(self) -> str:
         return f"ClosedForm({self!s})"

@@ -2,9 +2,12 @@
 
 For orders 2 and 3 every tuple (i1,...,im) falls into one of a handful of
 relative-order cases, and the shifted eigenvalue of each case is a short
-product of linear forms in the symbols a_{ij}, (n+1)/2 and ij.  This
-module generates those rows from representative tuples, renders them, and
-can instantiate any row at concrete indices and rank for exact checking.
+product of linear factors.  A factor is a degree-1 MPoly over the 2m+1
+symbols a_i1..a_im, (n+1)/2, i1..im, built by the same proper-cycle rule
+as the fast path (tuplegraph.proper_cycle_factors).  This module
+generates those rows from representative tuples, renders them with
+format_mpoly, and instantiates any row at concrete indices and rank by
+substitution, for exact checking.
 
 One order-3 case ("i1 < i2 = i3") circulates in print with a different
 closed form than the one exact computation gives; that row carries both
@@ -17,106 +20,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .ratpoly import MPoly, alpha, format_rat
-from .tuplegraph import INF, IndexTuple, enumerate_proper_cycles, relative_order
+from .ratpoly import MPoly, alpha, format_mpoly
+from .tuplegraph import IndexTuple, proper_cycle_factors, relative_order
 
 
-@dataclass(frozen=True)
-class LinForm:
-    """Linear form c_a . a_{ij} + c_h . (n+1)/2 + c_i . ij + const, per position j."""
+def _symbol_names(m: int) -> list[str]:
+    return [f"a_i{j}" for j in range(1, m + 1)] + ["(n+1)/2"] + [f"i{j}" for j in range(1, m + 1)]
 
-    m: int
-    alphas: tuple[Fraction, ...]
-    half: Fraction
-    indices: tuple[Fraction, ...]
-    const: Fraction
 
-    @classmethod
-    def zero(cls, m: int) -> LinForm:
-        z = (Fraction(0),) * m
-        return cls(m, z, Fraction(0), z, Fraction(0))
+def shifted_symbol(m: int, j: int) -> MPoly:
+    """The shifted parameter at position j, a_ij + (n+1)/2 - ij, over the 2m+1 symbols."""
+    a_ij, half, ij = (MPoly.variable(2 * m + 1, k) for k in (j - 1, m, m + j))
+    return a_ij + half - ij
 
-    @classmethod
-    def constant(cls, m: int, value) -> LinForm:
-        z = (Fraction(0),) * m
-        return cls(m, z, Fraction(0), z, Fraction(value))
 
-    @classmethod
-    def shifted_at(cls, m: int, j: int) -> LinForm:
-        """The shifted parameter at position j: a_{ij} + (n+1)/2 - ij."""
-        alphas = tuple(Fraction(1 if k == j else 0) for k in range(1, m + 1))
-        indices = tuple(Fraction(-1 if k == j else 0) for k in range(1, m + 1))
-        return cls(m, alphas, Fraction(1), indices, Fraction(0))
+def _coefficient_vector(form: MPoly) -> tuple[Fraction, ...]:
+    """Coefficients of the symbols in generator order, then the constant."""
+    d = form.nvars
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    return tuple(form.terms.get(e, Fraction(0)) for e in units + [(0,) * d])
 
-    def _map(self, fn) -> LinForm:
-        return LinForm(
-            self.m,
-            tuple(fn(c) for c in self.alphas),
-            fn(self.half),
-            tuple(fn(c) for c in self.indices),
-            fn(self.const),
-        )
 
-    def __neg__(self) -> LinForm:
-        return self._map(lambda c: -c)
-
-    def __add__(self, other) -> LinForm:
-        if isinstance(other, (int, Fraction)):
-            other = LinForm.constant(self.m, other)
-        if self.m != other.m:
-            raise ValueError("mixed arities")
-        return LinForm(
-            self.m,
-            tuple(a + b for a, b in zip(self.alphas, other.alphas)),
-            self.half + other.half,
-            tuple(a + b for a, b in zip(self.indices, other.indices)),
-            self.const + other.const,
-        )
-
-    def __sub__(self, other) -> LinForm:
-        if isinstance(other, (int, Fraction)):
-            other = LinForm.constant(self.m, other)
-        return self + (-other)
-
-    def _coefficients(self) -> tuple[Fraction, ...]:
-        return self.alphas + (self.half,) + self.indices + (self.const,)
-
-    def leading_sign(self) -> int:
-        for c in self._coefficients():
-            if c:
-                return 1 if c > 0 else -1
-        return 0
-
-    def evaluate(self, entries: Sequence[int], n: int) -> MPoly:
-        """Instantiate at concrete 1-based indices and rank."""
-        if len(entries) != self.m:
-            raise ValueError(f"need {self.m} indices, got {len(entries)}")
-        out = MPoly.const(n, self.const + self.half * Fraction(n + 1, 2))
-        for j, (ca, ci) in enumerate(zip(self.alphas, self.indices)):
-            if ca:
-                out = out + ca * alpha(entries[j], n)
-            if ci:
-                out = out + ci * entries[j]
-        return out
-
-    def render(self) -> str:
-        labels = (
-            [f"a_i{j}" for j in range(1, self.m + 1)]
-            + ["(n+1)/2"]
-            + [f"i{j}" for j in range(1, self.m + 1)]
-            + [""]
-        )
-        pieces = []
-        for c, label in zip(self._coefficients(), labels):
-            if not c:
-                continue
-            mag = format_rat(abs(c))
-            body = label if (abs(c) == 1 and label) else (f"{mag}*{label}" if label else mag)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces) if pieces else "0"
+def _render_factor(form: MPoly) -> str:
+    return format_mpoly(form, names=_symbol_names(form.nvars // 2))
 
 
 @dataclass(frozen=True)
@@ -124,18 +50,19 @@ class FactoredValue:
     """sign * product of normalized linear factors with multiplicities."""
 
     sign: int
-    factors: tuple[tuple[LinForm, int], ...]
+    factors: tuple[tuple[MPoly, int], ...]
 
     @classmethod
-    def from_factors(cls, factors: Sequence[LinForm], sign: int = 1) -> FactoredValue:
+    def from_factors(cls, factors: Sequence[MPoly], sign: int = 1) -> FactoredValue:
+        """Group equal factors, each normalized so that its first term is positive."""
         normalized = []
         for f in factors:
-            if f.leading_sign() < 0:
+            if f.sorted_terms()[0][1] < 0:
                 f = -f
                 sign = -sign
             normalized.append(f)
-        normalized.sort(key=lambda f: f._coefficients())
-        grouped: list[tuple[LinForm, int]] = []
+        normalized.sort(key=_coefficient_vector)
+        grouped: list[tuple[MPoly, int]] = []
         for f in normalized:
             if grouped and grouped[-1][0] == f:
                 grouped[-1] = (f, grouped[-1][1] + 1)
@@ -144,19 +71,25 @@ class FactoredValue:
         return cls(sign=sign, factors=tuple(grouped))
 
     def evaluate(self, entries: Sequence[int], n: int) -> MPoly:
+        """Instantiate at concrete 1-based indices and rank: a_ij, (n+1)/2, ij by value."""
+        images = (
+            [alpha(i, n) for i in entries]
+            + [MPoly.const(n, Fraction(n + 1, 2))]
+            + [MPoly.const(n, i) for i in entries]
+        )
         out = MPoly.const(n, self.sign)
         for form, mult in self.factors:
-            out = out * form.evaluate(entries, n) ** mult
+            out = out * form.substitute(images) ** mult
         return out
 
     def render(self) -> str:
         if not self.factors:
             return str(self.sign)
         if len(self.factors) == 1 and self.factors[0][1] == 1:
-            form = self.factors[0][0] if self.sign > 0 else -self.factors[0][0]
-            return form.render()
+            form = self.factors[0][0]
+            return _render_factor(form if self.sign > 0 else -form)
         body = "*".join(
-            f"({form.render()})" + (f"^{mult}" if mult > 1 else "")
+            f"({_render_factor(form)})" + (f"^{mult}" if mult > 1 else "")
             for form, mult in self.factors
         )
         return body if self.sign > 0 else f"-{body}"
@@ -174,14 +107,7 @@ def symbolic_shifted_eigenvalue(representative: tuple[int, ...]) -> FactoredValu
     order = relative_order(t)
     if order.values != tuple(range(1, order.ell + 1)):
         raise ValueError("representative must use the values 1..ell")
-    factors = []
-    for cycle in enumerate_proper_cycles(t):
-        factor = -LinForm.shifted_at(m, order.sigma[cycle.v1 - 1])
-        if cycle.v2 != INF:
-            factor = factor + LinForm.shifted_at(m, order.sigma[int(cycle.v2) - 1])
-        if cycle.base > representative[0]:
-            factor = factor + 1
-        factors.append(factor)
+    factors = proper_cycle_factors(t, lambda v: shifted_symbol(m, order.sigma[v - 1]))
     sign = -1 if m % 2 else 1  # alternating convention
     return FactoredValue.from_factors(factors, sign=sign)
 
@@ -214,10 +140,8 @@ class TableRow:
 def _printed_order3_variant() -> FactoredValue:
     # The circulated form for "i1 < i2 = i3": (b1 - b2) * (1 - b1) in the
     # shifted parameters, versus the computed (b1 - b2) * (1 - b2).
-    b1 = LinForm.shifted_at(3, 1)
-    b2 = LinForm.shifted_at(3, 2)
-    one = LinForm.constant(3, 1)
-    return FactoredValue.from_factors([b1 - b2, one - b1])
+    b1, b2 = shifted_symbol(3, 1), shifted_symbol(3, 2)
+    return FactoredValue.from_factors([b1 - b2, 1 - b1])
 
 
 def order2_rows() -> list[TableRow]:

@@ -17,14 +17,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .ratpoly import MPoly, alpha
-
-# Marker for "no second minimum": the cycle's value set is a singleton.
-# A float cannot collide with a genuine parameter index, and the
-# substitution x_INF -> 0 happens at factor construction.
-INF = float("inf")
 
 
 class SignConvention(enum.Enum):
@@ -108,14 +103,14 @@ def relative_order(t: IndexTuple) -> RelOrder:
     return RelOrder(ell=len(distinct), rho=rho, sigma=tuple(sigma), values=tuple(distinct))
 
 
-def min_pair(values: Sequence[int]) -> tuple[int, int | float]:
-    """First and second minimum of the value set; v2 is INF for singletons."""
+def min_pair(values: Sequence[int]) -> tuple[int, int | None]:
+    """First and second minimum of the value set; v2 is None for singletons."""
     if not values:
         raise ValueError("min_pair needs a non-empty sequence")
     distinct = set(values)
     v1 = min(distinct)
     rest = distinct - {v1}
-    return v1, (min(rest) if rest else INF)
+    return v1, (min(rest) if rest else None)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class CycleRecord:
     base: int
     proper: bool
     v1: int
-    v2: int | float
+    v2: int | None
     sublist: tuple[int, ...]
 
 
@@ -143,7 +138,7 @@ class ProperCycle:
     end_pos: int
     base: int
     v1: int
-    v2: int | float
+    v2: int | None
 
 
 def enumerate_cycles(t: IndexTuple) -> list[CycleRecord]:
@@ -186,16 +181,30 @@ def enumerate_proper_cycles(t: IndexTuple) -> list[ProperCycle]:
     ]
 
 
-def shifted_parameter(value: int, n: int) -> MPoly:
-    """a_value + (n+1)/2 - value, the rho-shifted Langlands parameter."""
-    return alpha(value, n) + Fraction(n + 1, 2) - value
+def parameter(value: int, n: int, shifted: bool) -> MPoly:
+    """The Langlands parameter a_value, or its rho-shift a_value + (n+1)/2 - value."""
+    x = alpha(value, n)
+    return x + Fraction(n + 1, 2) - value if shifted else x
 
 
-def _parameter(value: int | float, n: int, shifted: bool) -> MPoly:
-    if value == INF:
-        return MPoly.zero(n)
-    assert isinstance(value, int)
-    return shifted_parameter(value, n) if shifted else alpha(value, n)
+def proper_cycle_factors(t: IndexTuple, x: Callable[[int], MPoly]) -> list[MPoly]:
+    """One linear factor per proper cycle of I, in order of start position.
+
+    The factor is -x(v1) + x(v2), plus 1 when the cycle's base exceeds
+    i1; a cycle without a second minimum contributes x(v2) = 0.  ``x``
+    maps a value of the tuple to its parameter in whatever ring the
+    caller works in.
+    """
+    i1 = t.entries[0]
+    factors = []
+    for cyc in enumerate_proper_cycles(t):
+        factor = -x(cyc.v1)
+        if cyc.v2 is not None:
+            factor = factor + x(cyc.v2)
+        if cyc.base > i1:
+            factor = factor + 1
+        factors.append(factor)
+    return factors
 
 
 def elementary_eigenvalue(
@@ -206,19 +215,14 @@ def elementary_eigenvalue(
     """Eigenvalue of the elementary operator for the tuple, as a polynomial.
 
     Zero whenever some entry is smaller than i1.  Otherwise the product
-    over proper cycles of (-x_{v1} + x_{v2}), with +1 added for cycles
-    whose base exceeds i1; x is the plain parameter or its rho-shift, and
-    x_INF = 0 in either mode.  ALTERNATING multiplies by (-1)^m.
+    of the proper-cycle factors, with x the plain parameter or its
+    rho-shift.  ALTERNATING multiplies by (-1)^m.
     """
     n = t.n
-    i1 = t.entries[0]
-    if any(i < i1 for i in t.entries):
+    if any(i < t.entries[0] for i in t.entries):
         return MPoly.zero(n)
     result = MPoly.one(n)
-    for cyc in enumerate_proper_cycles(t):
-        factor = -_parameter(cyc.v1, n, shifted) + _parameter(cyc.v2, n, shifted)
-        if cyc.base > i1:
-            factor = factor + 1
+    for factor in proper_cycle_factors(t, lambda v: parameter(v, n, shifted)):
         result = result * factor
     if sign is SignConvention.ALTERNATING and t.m % 2:
         result = -result
@@ -228,17 +232,6 @@ def elementary_eigenvalue(
 def _edge_ends(t: IndexTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     closed = t.closed()
     return closed[:-1], closed[1:]  # tails, heads of edges 1..m
-
-
-def edge_kinds(t: IndexTuple) -> tuple[bool, ...]:
-    """Loop flag per edge j = 1..m: True when i_j = i_{j+1}.
-
-    Loop edges carry weight -t_j/(1+t_j), plain edges -t_j.  The two
-    coincide once t_j^2 = 0, and both have derivative -1 at the origin,
-    which is why the matrix builder and path counting treat them alike.
-    """
-    tails, heads = _edge_ends(t)
-    return tuple(a == b for a, b in zip(tails, heads))
 
 
 def enumerate_paths(t: IndexTuple, v: int, w: int) -> list[tuple[int, ...]]:
@@ -263,21 +256,3 @@ def enumerate_paths(t: IndexTuple, v: int, w: int) -> list[tuple[int, ...]]:
 
     extend(v, 1, [])
     return sorted(found)
-
-
-def degree_balance(t: IndexTuple, edges: Iterable[int], v: int) -> int:
-    """Indegree minus outdegree of vertex v in the chosen edge subset.
-
-    A path from v to w with v != w needs balance -1 at v, +1 at w and 0
-    elsewhere, which makes this a cheap pre-filter for path enumeration.
-    """
-    tails, heads = _edge_ends(t)
-    balance = 0
-    for j in edges:
-        if not 1 <= j <= t.m:
-            raise ValueError(f"edge index {j} outside 1..{t.m}")
-        if heads[j - 1] == v:
-            balance += 1
-        if tails[j - 1] == v:
-            balance -= 1
-    return balance

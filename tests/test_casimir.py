@@ -84,10 +84,14 @@ class TestCasimirSum:
 
 class TestPatterned:
     def test_matches_naive(self):
-        for m in range(1, 4):
-            for n in range(1, 6):
-                request = CasimirRequest(m=m, n=n)
-                assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
+        # m <= 4 at every n <= 5, then (5,5) and (5,3), which lies outside m <= n
+        for m, n in [(m, n) for m in range(1, 5) for n in range(1, 6)] + [(5, 5), (5, 3)]:
+            request = CasimirRequest(m=m, n=n)
+            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
+        # raw parameters under the alternating sign, at odd m where the sign matters
+        for m, n in [(3, 4), (5, 4)]:
+            request = CasimirRequest(m=m, n=n, shifted=False, sign=SignConvention.ALTERNATING)
+            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
 
     def test_matches_naive_unshifted_and_literal(self):
         for m, n in [(2, 3), (3, 4)]:

@@ -170,3 +170,41 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["casimir", "--m", "2"])
         assert info.value.code == 2
+
+
+# Full stdout of `tables`, pinned byte for byte.
+TABLES_GOLDEN = {
+    (2, "md"): (
+        "eigenvalues of order-2 elementary operators (shifted parameters)\n"
+        "| case | eigenvalue |\n"
+        "|---|---|\n"
+        "| i1 > i2 | 0 |\n"
+        "| i1 = i2 | (a_i1 + (n+1)/2 - i1)^2 |\n"
+        "| i1 < i2 | -a_i1 + a_i2 + i1 - i2 |\n"
+    ),
+    (2, "json"): (
+        '{"m":2,"rows":[{"case":"i1 > i2","value":"0","printed":null,"discrepancy":false},{"case":"i1 = i2","value":"(a_i1 + (n+1)/2 - i1)^2","printed":null,"discrepancy":false},{"case":"i1 < i2","value":"-a_i1 + a_i2 + i1 - i2","printed":null,"discrepancy":false}]}\n'
+    ),
+    (3, "md"): (
+        "eigenvalues of order-3 elementary operators (shifted parameters)\n"
+        "| case | eigenvalue |\n"
+        "|---|---|\n"
+        "| i1 > i2 | 0 |\n"
+        "| i1 > i3 | 0 |\n"
+        "| i1 < i2 < i3 | a_i1 - a_i2 - i1 + i2 |\n"
+        "| i1 < i3 < i2 | a_i1 - a_i3 - i1 + i3 |\n"
+        "| i1 = i2 < i3 | -(a_i1 - a_i3 - i1 + i3)*(a_i1 + (n+1)/2 - i1) |\n"
+        "| i1 = i3 < i2 | -(a_i1 - a_i2 - i1 + i2)*(a_i1 + (n+1)/2 - i1) |\n"
+        "| i1 < i2 = i3 | computed: -(a_i2 + (n+1)/2 - i2 - 1)*(a_i1 - a_i2 - i1 + i2) ; printed: -(a_i1 - a_i2 - i1 + i2)*(a_i1 + (n+1)/2 - i1 - 1) **DISCREPANCY** |\n"
+        "| i1 = i2 = i3 | (a_i1 + (n+1)/2 - i1)^3 |\n"
+    ),
+    (3, "json"): (
+        '{"m":3,"rows":[{"case":"i1 > i2","value":"0","printed":null,"discrepancy":false},{"case":"i1 > i3","value":"0","printed":null,"discrepancy":false},{"case":"i1 < i2 < i3","value":"a_i1 - a_i2 - i1 + i2","printed":null,"discrepancy":false},{"case":"i1 < i3 < i2","value":"a_i1 - a_i3 - i1 + i3","printed":null,"discrepancy":false},{"case":"i1 = i2 < i3","value":"-(a_i1 - a_i3 - i1 + i3)*(a_i1 + (n+1)/2 - i1)","printed":null,"discrepancy":false},{"case":"i1 = i3 < i2","value":"-(a_i1 - a_i2 - i1 + i2)*(a_i1 + (n+1)/2 - i1)","printed":null,"discrepancy":false},{"case":"i1 < i2 = i3","value":"-(a_i2 + (n+1)/2 - i2 - 1)*(a_i1 - a_i2 - i1 + i2)","printed":"-(a_i1 - a_i2 - i1 + i2)*(a_i1 + (n+1)/2 - i1 - 1)","discrepancy":true},{"case":"i1 = i2 = i3","value":"(a_i1 + (n+1)/2 - i1)^3","printed":null,"discrepancy":false}]}\n'
+    ),
+}
+
+@pytest.mark.parametrize("m, fmt", sorted(TABLES_GOLDEN))
+def test_tables_golden_stdout(capsys, m, fmt):
+    code, out = run_cli(capsys, "tables", "--m", str(m), "--format", fmt)
+    assert code == 0
+    assert out == TABLES_GOLDEN[(m, fmt)]

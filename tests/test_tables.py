@@ -8,31 +8,34 @@ import pytest
 from casimir_eigen.ratpoly import MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tables import (
     FactoredValue,
-    LinForm,
     classify,
     eigenvalue_table,
     order3_rows,
+    shifted_symbol,
     symbolic_shifted_eigenvalue,
 )
 from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue
 
 
 class TestLinForm:
+    """Table factors: degree-1 MPolys over a_i1..a_im, (n+1)/2, i1..im."""
+
     def test_shifted_parameter_render(self):
-        assert LinForm.shifted_at(2, 1).render() == "a_i1 + (n+1)/2 - i1"
+        assert FactoredValue.from_factors([shifted_symbol(2, 1)]).render() == "a_i1 + (n+1)/2 - i1"
 
     def test_difference_cancels_shift(self):
-        diff = LinForm.shifted_at(2, 1) - LinForm.shifted_at(2, 2)
-        assert diff.render() == "a_i1 - a_i2 - i1 + i2"
+        diff = shifted_symbol(2, 1) - shifted_symbol(2, 2)
+        assert FactoredValue.from_factors([diff]).render() == "a_i1 - a_i2 - i1 + i2"
 
     def test_evaluate(self):
-        form = LinForm.shifted_at(2, 1)
+        form = FactoredValue.from_factors([shifted_symbol(2, 1)])
         assert form.evaluate((3, 1), 4) == alpha(3, 4) + F(5, 2) - 3
 
     def test_leading_sign(self):
-        assert LinForm.shifted_at(2, 1).leading_sign() == 1
-        assert (-LinForm.shifted_at(2, 1)).leading_sign() == -1
-        assert LinForm.zero(2).leading_sign() == 0
+        b1 = shifted_symbol(2, 1)
+        assert FactoredValue.from_factors([b1]) == FactoredValue(sign=1, factors=((b1, 1),))
+        assert FactoredValue.from_factors([-b1]) == FactoredValue(sign=-1, factors=((b1, 1),))
+        assert FactoredValue.from_factors([-b1, -b1], sign=-1).sign == -1
 
 
 class TestRows:

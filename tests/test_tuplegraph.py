@@ -8,11 +8,8 @@ import pytest
 
 from casimir_eigen.ratpoly import MPoly, alpha
 from casimir_eigen.tuplegraph import (
-    INF,
     IndexTuple,
     SignConvention,
-    degree_balance,
-    edge_kinds,
     elementary_eigenvalue,
     enumerate_cycles,
     enumerate_paths,
@@ -95,7 +92,7 @@ class TestMinPair:
         assert min_pair((9, 2, 5, 5, 9)) == (2, 5)
 
     def test_singleton_value_set(self):
-        assert min_pair((5, 5)) == (5, INF)
+        assert min_pair((5, 5)) == (5, None)
 
     def test_full_worked_cycle(self):
         assert min_pair((1, 9, 2, 5, 5, 9, 6, 8, 4, 5, 1)) == (1, 2)
@@ -112,11 +109,11 @@ class TestCycles:
         assert table == [
             (1, 11, True, 1, 2),
             (2, 6, False, 2, 5),
-            (4, 5, True, 5, INF),
+            (4, 5, True, 5, None),
             (5, 10, False, 4, 5),
         ]
         proper = enumerate_proper_cycles(WORKED)
-        assert [(c.v1, c.v2) for c in proper] == [(1, 2), (5, INF)]
+        assert [(c.v1, c.v2) for c in proper] == [(1, 2), (5, None)]
 
     def test_repeated_base_is_not_proper(self):
         t = IndexTuple((1, 1), 1)
@@ -142,7 +139,7 @@ class TestCycles:
                 interior = closed[c.start_pos : c.end_pos - 1]
                 assert all(x > c.base for x in interior)
                 values = set(closed[c.start_pos - 1 : c.end_pos])
-                assert (c.v2 == INF) == (len(values) == 1)
+                assert (c.v2 is None) == (len(values) == 1)
 
 
 class TestElementaryEigenvalue:
@@ -234,44 +231,3 @@ class TestPaths:
             for v in range(1, 5):
                 for w in range(1, 5):
                     assert enumerate_paths(t, v, w) == brute_force_paths(t, v, w)
-
-    def test_balance_necessary_condition(self):
-        rng = random.Random(43)
-        for _ in range(30):
-            m = rng.randint(1, 6)
-            entries = tuple(rng.randint(1, 4) for _ in range(m))
-            t = IndexTuple(entries, 4)
-            for v in range(1, 5):
-                for w in range(1, 5):
-                    for path in enumerate_paths(t, v, w):
-                        if not path:
-                            continue
-                        if v != w:
-                            assert degree_balance(t, path, v) == -1
-                            assert degree_balance(t, path, w) == 1
-                        others = set(range(1, 5)) - {v, w}
-                        for u in others:
-                            assert degree_balance(t, path, u) == 0
-
-
-class TestDegreeBalance:
-    def test_examples(self):
-        t = IndexTuple((1, 2), 2)
-        assert degree_balance(t, {1}, 1) == -1
-        assert degree_balance(t, {1, 2}, 1) == 0
-        assert degree_balance(IndexTuple((1, 1), 1), {1}, 1) == 0
-
-    def test_bad_edge_index(self):
-        with pytest.raises(ValueError):
-            degree_balance(IndexTuple((1, 2), 2), {3}, 1)
-
-
-class TestEdgeKinds:
-    def test_loops_detected(self):
-        assert edge_kinds(IndexTuple((1, 1), 1)) == (True, True)
-        assert edge_kinds(IndexTuple((1, 2), 2)) == (False, False)
-        # closing edge from the last entry back to the first
-        assert edge_kinds(IndexTuple((1, 2, 2), 2)) == (False, True, False)
-        assert edge_kinds(WORKED) == (
-            False, False, False, True, False, False, False, False, False, False,
-        )
