@@ -4,12 +4,13 @@ The order-m Casimir operator is the sum of all elementary operators over
 tuples in {1..n}^m, so its eigenvalue is the corresponding sum of
 proper-cycle products.  Because an elementary eigenvalue depends only on
 the relative ordering of its tuple, the sum can be grouped by
-order-isomorphism class: each pattern's product is expanded once in its
-rank variables, and every choice of actual values is one substitution
-(MPoly.substitute) of those variables.  The rho-shift is one more
-substitution, applied once to the whole sum.  Both routes produce
-identical exact polynomials; the patterned one just evaluates far fewer
-formulas.
+order-isomorphism class: the products of all patterns with ell distinct
+values are summed once into one integer polynomial in ell rank variables,
+shared by every rank n in the process, and every choice of ell actual
+values only renames those variables, which moves exponents and multiplies
+nothing.  The rho-shift is one substitution (MPoly.substitute), applied
+once to the whole sum.  Both routes produce identical exact polynomials;
+the patterned one just evaluates far fewer formulas.
 
 This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
@@ -18,10 +19,12 @@ sign conventions and in both the plain and rho-shifted modes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .jetoracle import build_inverse_matrix, eigenvalue_from_norms, gram_schmidt_norms
 from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
@@ -35,6 +38,9 @@ from .tuplegraph import (
 )
 
 BASES = ("monomial", "power-sum")
+
+# Terms of an integer polynomial: (exponent tuple, nonzero int coefficient) pairs.
+IntTerms = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -83,33 +89,56 @@ def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
     return patterns
 
 
-def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
-    """Same sum as casimir_eigenvalue, grouped by relative-order pattern.
+@functools.lru_cache(maxsize=None)
+def _pattern_sums(m: int, max_ell: int, negate: bool) -> tuple[tuple[int, IntTerms], ...]:
+    """(ell, P_ell) for ell = 1..max_ell: the sum of every nonzero rank pattern's product.
 
-    Each nonzero pattern's product of proper-cycle factors is expanded
-    once as a polynomial in its ell rank variables; each member of the
-    class is then the substitution of rank k by the variable of its k-th
-    smallest value.  The sum is taken in the parameters x_v, which are
-    then replaced once by their rho-shifts when req.shifted.  Zero
-    patterns (some rank below the first) are skipped wholesale.
+    P_ell is given by the (exponents, coefficient) terms of one polynomial
+    in the ell rank variables, negated when ``negate``.  Every proper-cycle
+    factor is +-x plus 0 or 1, so the coefficients are integers.  Cached
+    per process: the sample ranks of closed_form share one computation.
     """
-    n, m = req.n, req.m
-    negate = req.sign is SignConvention.ALTERNATING and m % 2 == 1
-    variables = [alpha(v, n) for v in range(1, n + 1)]
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for pattern in _rank_patterns(m, n):
+    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_ell + 1)]
+    for pattern in _rank_patterns(m, max_ell):
         if min(pattern) < pattern[0]:
             continue
         ell = max(pattern)
         product = MPoly.one(ell)
         for factor in proper_cycle_factors(IndexTuple(pattern, ell), lambda k: alpha(k, ell)):
             product = product * factor
-        if negate:
-            product = -product
-        for values in itertools.combinations(range(1, n + 1), ell):
-            image = product.substitute([variables[v - 1] for v in values])
-            for exps, coeff in image.terms.items():
-                acc[exps] = acc.get(exps, Fraction(0)) + coeff
+        terms = acc[ell]
+        for exps, coeff in product.terms.items():
+            assert coeff.denominator == 1, "proper-cycle factors have integer coefficients"
+            c = -coeff.numerator if negate else coeff.numerator
+            terms[exps] = terms.get(exps, 0) + c
+    return tuple((ell, tuple((e, c) for e, c in acc[ell].items() if c)) for ell in range(1, max_ell + 1))
+
+
+def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
+    """Same sum as casimir_eigenvalue, grouped by relative-order pattern.
+
+    The nonzero patterns with ell distinct values sum to one integer
+    polynomial P_ell in ell rank variables (see _pattern_sums).  Each
+    choice of ell values v_1 < ... < v_ell from 1..n contributes P_ell
+    with rank k renamed to x_{v_k}, which only moves exponents: the sum is
+    Gessel's monomial quasisymmetric sum.  It is taken in the parameters
+    x_v, which are then replaced once by their rho-shifts when
+    req.shifted.  Zero patterns (some rank below the first) are skipped
+    wholesale.
+    """
+    n, m = req.n, req.m
+    negate = req.sign is SignConvention.ALTERNATING and m % 2 == 1
+    acc: dict[tuple[int, ...], int] = {}
+    for ell, terms in _pattern_sums(m, min(m, n), negate):
+        padded = [(exps + (0,), c) for exps, c in terms]
+        for values in itertools.combinations(range(n), ell):
+            # position v takes the exponent of rank k when v = values[k], else the pad 0
+            slots = [ell] * n
+            for k, v in enumerate(values):
+                slots[v] = k
+            for exps, c in padded:
+                key = tuple(map(exps.__getitem__, slots))
+                acc[key] = acc.get(key, 0) + c
     total = MPoly(n, acc)
     if req.shifted:
         total = total.substitute([parameter(v, n, True) for v in range(1, n + 1)])
@@ -222,21 +251,37 @@ class VerifyReport:
         return None
 
 
-def _select_tuples(m: int, n: int, selection: Selection) -> tuple[list[tuple[int, ...]], str]:
+def _select_tuples(m: int, n: int, selection: Selection) -> tuple[Iterable[tuple[int, ...]], str]:
+    """The tuples to verify, in sorted order, and a label for the report.
+
+    No branch builds the n^m population: full grids are streamed, and a
+    sample of at most 200,000 draws indices from ``range`` (random.sample
+    reads only its length and items, so the draw is the one a list of all
+    tuples would give) and decodes each index into its tuple.
+    """
     total = n**m
+    grid = itertools.product(range(1, n + 1), repeat=m)
     if isinstance(selection, Exhaustive):
-        return list(itertools.product(range(1, n + 1), repeat=m)), "exhaustive"
+        return grid, "exhaustive"
     label = f"random(count={selection.count}, seed={selection.seed})"
     if selection.count >= total:
-        return list(itertools.product(range(1, n + 1), repeat=m)), label
+        return grid, label
     rng = random.Random(selection.seed)
     if total <= 200_000:
-        population = list(itertools.product(range(1, n + 1), repeat=m))
-        return sorted(rng.sample(population, selection.count)), label
+        return sorted(_tuple_at(j, m, n) for j in rng.sample(range(total), selection.count)), label
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < selection.count:
         chosen.add(tuple(rng.randint(1, n) for _ in range(m)))
     return sorted(chosen), label
+
+
+def _tuple_at(index: int, m: int, n: int) -> tuple[int, ...]:
+    """Entry ``index`` of product(range(1, n + 1), repeat=m): its m base-n digits plus 1."""
+    digits = []
+    for _ in range(m):
+        index, digit = divmod(index, n)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
 
 
 def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:

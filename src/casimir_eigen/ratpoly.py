@@ -434,12 +434,15 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     degree = p.total_degree()
     basis = _partitions_parts_ge2(degree)
     target = eliminate_last_var(p)
-    images = []
-    for lam in basis:
-        q = MPoly.one(n)
-        for k in lam:
-            q = q * power_sum(k, n)
-        images.append(eliminate_last_var(q))
+    # eliminate_last_var is a ring homomorphism, so the image of p_lambda is
+    # the image of p_lambda without its last part times the image of p_k.
+    # In ascending weight, every prefix is built before it is needed.
+    part_images = {k: eliminate_last_var(power_sum(k, n)) for k in range(2, degree + 1)}
+    by_partition: dict[Partition, MPoly] = {(): MPoly.one(n - 1)}
+    for lam in sorted(basis, key=sum):
+        if lam:
+            by_partition[lam] = by_partition[lam[:-1]] * part_images[lam[-1]]
+    images = [by_partition[lam] for lam in basis]
     monomials = set(target.terms)
     for img in images:
         monomials.update(img.terms)

@@ -6,10 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below is then not collected
+    st = None
+
 from casimir_eigen.casimir import (
     CasimirRequest,
     Exhaustive,
     RandomSample,
+    _select_tuples,
     casimir_eigenvalue,
     casimir_eigenvalue_patterned,
     closed_form,
@@ -36,6 +43,22 @@ CLOSED_FORMS = {
         }
     ),
 }
+
+# m=5, beyond the orders the paper tabulates.  Recorded when the patterned sum
+# still substituted every value choice, so it does not lean on the relabelling.
+CLOSED_FORM_5_TEXT = (
+    "p5 - 3*n/2*p4 + 1/2*p2^2 + (3*n^2 + 5)/6*p3 + (n^3 - 4*n)/6*p2 + (n^6 + 10*n^4 - 11*n^2)/720"
+)
+CLOSED_FORM_5 = ClosedForm(
+    {
+        (5,): (F(1),),
+        (4,): (0, F(-3, 2)),
+        (2, 2): (F(1, 2),),
+        (3,): (F(5, 6), 0, F(1, 2)),
+        (2,): (0, F(-2, 3), 0, F(1, 6)),
+        (): (0, 0, F(-11, 720), 0, F(1, 72), 0, F(1, 720)),
+    }
+)
 
 
 class TestCasimirSum:
@@ -98,6 +121,25 @@ class TestPatterned:
             request = CasimirRequest(m=m, n=n, shifted=False, sign=SignConvention.LITERAL)
             assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
 
+    @pytest.mark.parametrize("shifted", [True, False])
+    @pytest.mark.parametrize("sign", list(SignConvention))
+    def test_matches_naive_order_five_rank_six(self, shifted, sign):
+        request = CasimirRequest(m=5, n=6, shifted=shifted, sign=sign)
+        assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+
+    if st is not None:
+
+        @settings(max_examples=80, deadline=None)
+        @given(
+            m=st.integers(1, 4),
+            n=st.integers(1, 5),
+            shifted=st.booleans(),
+            sign=st.sampled_from(list(SignConvention)),
+        )
+        def test_matches_naive_property(self, m, n, shifted, sign):
+            request = CasimirRequest(m=m, n=n, shifted=shifted, sign=sign)
+            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+
     def test_descending_pairs_are_skipped_as_one_pattern(self):
         # the (2,1) rank pattern covers all n(n-1)/2 descending pairs at once;
         # the resulting sum still matches, so nothing is lost by skipping them
@@ -116,6 +158,12 @@ class TestClosedForm:
             for n in range(m, 2 * m + 3):
                 direct = to_power_sum(casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n)), n)
                 assert form.at(n) == direct
+
+    def test_order_five(self):
+        form = closed_form(5)
+        assert form == CLOSED_FORM_5
+        assert str(form) == CLOSED_FORM_5_TEXT
+        assert form.at(5) == to_power_sum(casimir_eigenvalue(CasimirRequest(5, 5)), 5)
 
     def test_rendering(self):
         assert str(closed_form(2)) == "p2 - (n^3 - n)/12"
@@ -164,6 +212,11 @@ class TestVerify:
         entries = [r.entries for r in first.records]
         assert entries == sorted(entries)
         assert len(set(entries)) == 10
+
+    def test_random_selection_draws_as_from_the_full_population(self):
+        tuples, _ = _select_tuples(6, 7, RandomSample(100, 5))
+        population = list(itertools.product(range(1, 8), repeat=6))
+        assert list(tuples) == sorted(random.Random(5).sample(population, 100))
 
     def test_random_count_covering_everything(self):
         report = verify_tuples(2, 2, RandomSample(100, 1))

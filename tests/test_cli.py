@@ -79,6 +79,29 @@ class TestCasimir:
         _, out = run_cli(capsys, "casimir", "--m", "3", "--n", "2", "--basis", "power-sum")
         assert "outside the standard range" in out
 
+    def test_power_sum_not_unique_below_order_text(self, capsys):
+        code, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--basis", "power-sum")
+        assert code == 0
+        assert out == (
+            "eigenvalue: p4 + 1/2*p2 - 3/8\n"
+            "note: m > n lies outside the standard range 1 <= m <= n\n"
+            "note: the power-sum form is not unique when n < m; free coefficients are set to 0\n"
+        )
+
+    def test_power_sum_not_unique_below_order_json(self, capsys):
+        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--basis", "power-sum", "--json")
+        obj = json.loads(out)
+        assert obj["canonical"] is False
+        assert obj["note"] == "m > n lies outside the standard range 1 <= m <= n"
+
+    def test_canonical_outputs_carry_no_label(self, capsys):
+        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "4", "--basis", "power-sum", "--json")
+        assert "canonical" not in json.loads(out)
+        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--json")  # monomials are unique
+        assert "canonical" not in json.loads(out)
+        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "4", "--basis", "power-sum")
+        assert "not unique" not in out
+
 
 class TestClosedForm:
     def test_m2_text(self, capsys):

@@ -121,6 +121,13 @@ class TestPowerSumReduction:
         with pytest.raises(ValueError):
             to_power_sum(power_sum(2, 3), 4)
 
+    def test_every_partition_recovered(self):
+        # n >= weight makes the form unique, so each p_lambda must come back as itself,
+        # including those with distinct parts such as p3*p2
+        n = 5
+        q = PowerSumPoly({lam: k + 1 for k, lam in enumerate([(5,), (4,), (3, 2), (3,), (2, 2), (2,), ()])})
+        assert to_power_sum(q.expand(n), n) == q
+
     def test_round_trip_lands_in_p1_ideal(self):
         # expand(to_power_sum(p)) - p must vanish under a_n := -(a1+...+a_{n-1})
         rng = random.Random(23)
