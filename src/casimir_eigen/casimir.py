@@ -14,7 +14,9 @@ the patterned one just evaluates far fewer formulas.
 
 This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
-sign conventions and in both the plain and rho-shifted modes.
+sign conventions and in both the plain and rho-shifted modes.  The oracle
+runs once per relative-order pattern and is specialised to each tuple by
+substitution.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .jetoracle import build_inverse_matrix, eigenvalue_from_norms, gram_schmidt_norms
+from .jetoracle import oracle_eigenvalue
 from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
 from .tuplegraph import (
     IndexTuple,
@@ -289,20 +291,28 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
 
     Each tuple is checked in both the plain and the rho-shifted mode, so
     a convention only counts as matching when it reproduces the oracle in
-    both.  Gram norms are computed once per tuple and shared between the
-    two extractions.
+    both.  The oracle reads a tuple only through its relative order, so it
+    runs once per distinct pattern rho in this call, on the pattern tuple
+    itself: that gives the eigenvalue as a polynomial in the ell rank
+    variables.  Each tuple's two oracle values are this polynomial with
+    rank k replaced by the plain or the rho-shifted parameter of its k-th
+    smallest value, which is exact because the oracle's power stage uses
+    ring operations only.  The fast path still runs on every tuple.
     """
     tuples, label = _select_tuples(m, n, selection)
+    flip = -1 if m % 2 else 1
+    pattern_oracles: dict[tuple[int, ...], MPoly] = {}
     records = []
     for entries in tuples:
         t = IndexTuple(entries, n)
-        norms = gram_schmidt_norms(build_inverse_matrix(t))
         order = relative_order(t)
-        oracle_raw = eigenvalue_from_norms(norms, order, t, False)
-        oracle_shifted = eigenvalue_from_norms(norms, order, t, True)
+        pattern_oracle = pattern_oracles.get(order.rho)
+        if pattern_oracle is None:
+            pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
+        oracle_raw = pattern_oracle.substitute([parameter(v, n, False) for v in order.values])
+        oracle_shifted = pattern_oracle.substitute([parameter(v, n, True) for v in order.values])
         fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING)
         fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING)
-        flip = -1 if m % 2 else 1
         records.append(
             TupleComparison(
                 entries=entries,

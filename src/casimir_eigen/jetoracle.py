@@ -12,9 +12,15 @@ becomes exact polynomial arithmetic.  The truncation is sound because
 each t_j occurs in exactly one matrix factor and only the full monomial
 is extracted at the end: every discarded term carries some t_j^2.
 
-Coefficients are duck-typed: the matrix/Gram phase runs on plain ints,
-and polynomials in the Langlands parameters only enter through the
-exponents in the final power stage.
+Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
+the matrix entries are +-1 path counts, and every Gram norm has constant
+term 1, so inverting it never leaves the integers.  Polynomials in the
+Langlands parameters only enter through the exponents -x/2 of the final
+power stage, which uses ring operations alone.  The oracle therefore
+depends on a tuple only through its relative order rho: the eigenvalue
+of the pattern tuple rho, taken in its rank variables, becomes the
+eigenvalue of every tuple with that pattern under the substitution
+rank k -> parameter of the k-th smallest value (see verify_tuples).
 """
 
 from __future__ import annotations
@@ -166,7 +172,8 @@ class Jet:
         """Exact inverse via the terminating geometric series.
 
         Writes self = c0 * (1 + nu) with nu nilpotent; the series for
-        (1 + nu)^-1 stops after at most m terms.
+        (1 + nu)^-1 stops after at most m terms.  A unit constant term
+        c0 = +-1 is its own inverse, so an integer jet stays integral.
         """
         c0 = self.constant_term
         if isinstance(c0, MPoly):
@@ -175,7 +182,7 @@ class Jet:
             c0 = c0.eval_at([0] * c0.nvars)
         if not c0:
             raise NotInvertibleError("constant term is zero")
-        c0_inv = Fraction(1) / Fraction(c0)
+        c0_inv = int(c0) if c0 in (1, -1) else Fraction(1) / Fraction(c0)
         nu = (self * c0_inv) - 1
         result = Jet.one(self.m)
         term = Jet.one(self.m)

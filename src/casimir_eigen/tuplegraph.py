@@ -15,6 +15,7 @@ computation by (-1)^m, and the jet oracle arbitrates (see jetoracle).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -181,8 +182,12 @@ def enumerate_proper_cycles(t: IndexTuple) -> list[ProperCycle]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
 def parameter(value: int, n: int, shifted: bool) -> MPoly:
-    """The Langlands parameter a_value, or its rho-shift a_value + (n+1)/2 - value."""
+    """The Langlands parameter a_value, or its rho-shift a_value + (n+1)/2 - value.
+
+    Cached: MPoly is immutable, so every caller can share one value.
+    """
     x = alpha(value, n)
     return x + Fraction(n + 1, 2) - value if shifted else x
 

@@ -12,6 +12,7 @@ try:
 except ImportError:  # the property test below is then not collected
     st = None
 
+from casimir_eigen import jetoracle
 from casimir_eigen.casimir import (
     CasimirRequest,
     Exhaustive,
@@ -22,6 +23,7 @@ from casimir_eigen.casimir import (
     closed_form,
     verify_tuples,
 )
+from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue
 
@@ -217,6 +219,32 @@ class TestVerify:
         tuples, _ = _select_tuples(6, 7, RandomSample(100, 5))
         population = list(itertools.product(range(1, 8), repeat=6))
         assert list(tuples) == sorted(random.Random(5).sample(population, 100))
+
+    @pytest.mark.parametrize(
+        "m, n, selection",
+        [(4, 5, Exhaustive()), (3, 4, Exhaustive()), (6, 7, RandomSample(120, 23))],
+    )
+    def test_pattern_oracle_relabelling_is_exact(self, m, n, selection):
+        for record in verify_tuples(m, n, selection).records:
+            t = IndexTuple(record.entries, n)
+            assert record.oracle_raw.nvars == record.oracle_shifted.nvars == n
+            assert record.oracle_raw == oracle_eigenvalue(t), record.entries
+            assert record.oracle_shifted == oracle_eigenvalue(t, shifted=True), record.entries
+
+    def test_oracle_runs_once_per_rank_pattern(self, monkeypatch):
+        calls = []
+        gram_schmidt_norms = jetoracle.gram_schmidt_norms
+
+        def counting(matrix):
+            calls.append(matrix.size)
+            return gram_schmidt_norms(matrix)
+
+        monkeypatch.setattr(jetoracle, "gram_schmidt_norms", counting)
+        report = verify_tuples(4, 5, Exhaustive())
+        assert report.total == 625
+        # surjections of 4 positions onto 1..ell for ell = 1..4: 1 + 14 + 36 + 24
+        assert len(calls) == 75
+        assert not report.mismatches
 
     def test_random_count_covering_everything(self):
         report = verify_tuples(2, 2, RandomSample(100, 1))

@@ -99,6 +99,19 @@ class TestJetInverse:
         with pytest.raises(NotInvertibleError):
             Jet.t(2, 1).inv()
 
+    @pytest.mark.parametrize("c0", [1, -1])
+    def test_unit_constant_keeps_integers(self, c0):
+        x = Jet(3, {0: c0, 0b001: 2, 0b110: -3, 0b111: 5})
+        inverse = x.inv()
+        assert all(type(c) is int for c in inverse.coeffs.values())
+        assert x * inverse == Jet.one(3)
+
+    def test_nonunit_constant_gives_exact_fractions(self):
+        x = Jet(2, {0: 2, 0b01: 1, 0b11: 3})
+        inverse = x.inv()
+        assert inverse == Jet(2, {0: F(1, 2), 0b01: F(-1, 4), 0b11: F(-3, 4)})
+        assert x * inverse == Jet.one(2)
+
 
 class TestJetPower:
     def test_first_order(self):
@@ -184,6 +197,12 @@ class TestGramSchmidt:
     def test_single_loop_norm(self):
         norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1,), 1)))
         assert norms == [1 - 2 * Jet.t(1, 1)]
+
+    def test_norms_stay_integral(self):
+        norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1, 3, 2, 3, 1, 2), 3)))
+        assert len(norms) == 3
+        assert all(type(c) is int for norm in norms for c in norm.coeffs.values())
+        assert any(len(norm.coeffs) > 1 for norm in norms[1:])
 
     def test_orthogonality_against_brute_force(self):
         # The Gram matrix of the orthogonalized columns must be diagonal;

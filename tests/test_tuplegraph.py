@@ -15,6 +15,7 @@ from casimir_eigen.tuplegraph import (
     enumerate_paths,
     enumerate_proper_cycles,
     min_pair,
+    parameter,
     relative_order,
 )
 
@@ -140,6 +141,17 @@ class TestCycles:
                 assert all(x > c.base for x in interior)
                 values = set(closed[c.start_pos - 1 : c.end_pos])
                 assert (c.v2 is None) == (len(values) == 1)
+
+
+class TestParameter:
+    def test_values(self):
+        assert parameter(2, 5, False) == alpha(2, 5)
+        assert parameter(2, 5, True) == alpha(2, 5) + 1
+        assert parameter(5, 5, True) == alpha(5, 5) - 2
+
+    def test_shared_across_calls(self):
+        assert parameter(3, 7, True) is parameter(3, 7, True)
+        assert parameter(3, 7, True) is not parameter(3, 7, False)
 
 
 class TestElementaryEigenvalue:
