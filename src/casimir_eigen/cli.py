@@ -111,17 +111,13 @@ def _format_value(p: MPoly, latex: bool) -> str:
     return format_mpoly_latex(p) if latex else format_mpoly(p)
 
 
-def _sign_of(name: str) -> SignConvention:
-    return SignConvention(name)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_elementary(args) -> int:
     t = IndexTuple.parse(args.tuple, n=args.n)
     shifted = not args.raw
-    value = elementary_eigenvalue(t, shifted=shifted, sign=_sign_of(args.sign))
+    value = elementary_eigenvalue(t, shifted=shifted, sign=SignConvention(args.sign))
     cycles = enumerate_cycles(t)
     if args.json:
         obj = {
@@ -156,8 +152,8 @@ def _cmd_elementary(args) -> int:
         )
         for c in cycles
     ]
-    widths = [max(len(r[k]) for r in rows + [("positions", "sub-list", "proper", "v1", "v2")]) for k in range(5)]
     header = ("positions", "sub-list", "proper", "v1", "v2")
+    widths = [max(len(r[k]) for r in rows + [header]) for k in range(5)]
     print("  " + "  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
         print("  " + "  ".join(x.ljust(w) for x, w in zip(r, widths)))
@@ -170,7 +166,7 @@ def _cmd_casimir(args) -> int:
         n=args.n,
         shifted=not args.raw,
         basis=args.basis,
-        sign=_sign_of(args.sign),
+        sign=SignConvention(args.sign),
     )
     value = casimir_eigenvalue_patterned(request)
     note = "m > n lies outside the standard range 1 <= m <= n" if request.outside_standard_range else None
@@ -228,24 +224,25 @@ def _cmd_verify(args) -> int:
         if ok:
             print("OK: fast path agrees with the oracle under the alternating convention")
         else:
-            failing = [r.entries for r in report.records if not r.match_alternating]
+            failing = [r.entries for r in report.records if not r.pattern.match_alternating]
             print(f"MISMATCH under the alternating convention: {failing[:10]}")
     return 0 if ok else 1
 
 
 def _cmd_tables(args) -> int:
     rows = eigenvalue_table(args.m)
+    values = [row.computed.render() if row.computed else "0" for row in rows]
     if args.format == "json":
         obj = {
             "m": args.m,
             "rows": [
                 {
                     "case": row.label,
-                    "value": row.computed.render() if row.computed else "0",
+                    "value": value,
                     "printed": row.variant.render() if row.variant else None,
                     "discrepancy": row.discrepancy,
                 }
-                for row in rows
+                for row, value in zip(rows, values)
             ],
         }
         print(_dump(obj))
@@ -253,8 +250,7 @@ def _cmd_tables(args) -> int:
     print(f"eigenvalues of order-{args.m} elementary operators (shifted parameters)")
     print("| case | eigenvalue |")
     print("|---|---|")
-    for row in rows:
-        value = row.computed.render() if row.computed else "0"
+    for row, value in zip(rows, values):
         if row.discrepancy:
             value = f"computed: {value} ; printed: {row.variant.render()} **DISCREPANCY**"
         print(f"| {row.label} | {value} |")

@@ -131,17 +131,6 @@ class CycleRecord:
     sublist: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProperCycle:
-    """One factor of the fast eigenvalue product: base = v1 by construction."""
-
-    start_pos: int
-    end_pos: int
-    base: int
-    v1: int
-    v2: int | None
-
-
 def enumerate_cycles(t: IndexTuple) -> list[CycleRecord]:
     """All cycles between consecutive occurrences of a value, by start position.
 
@@ -173,13 +162,9 @@ def enumerate_cycles(t: IndexTuple) -> list[CycleRecord]:
     return records
 
 
-def enumerate_proper_cycles(t: IndexTuple) -> list[ProperCycle]:
-    """The proper cycles of I = (i1,...,im,i1), in order of start position."""
-    return [
-        ProperCycle(start_pos=r.start_pos, end_pos=r.end_pos, base=r.base, v1=r.v1, v2=r.v2)
-        for r in enumerate_cycles(t)
-        if r.proper
-    ]
+def enumerate_proper_cycles(t: IndexTuple) -> list[CycleRecord]:
+    """The proper cycles of I = (i1,...,im,i1), in order of start position; base = v1 in each."""
+    return [r for r in enumerate_cycles(t) if r.proper]
 
 
 @functools.lru_cache(maxsize=None)

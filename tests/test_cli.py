@@ -134,6 +134,19 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--random", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "3", "--n", "0", "--exhaustive"], "rank n must be >= 1"),
+            (["--m", "3", "--n", "-2", "--random", "5", "--seed", "1"], "rank n must be >= 1"),
+            (["--m", "0", "--n", "3", "--exhaustive"], "order m must be >= 1"),
+        ],
+    )
+    def test_order_or_rank_below_one_exits_2(self, capsys, argv, message):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
 
 class TestTables:
     def test_m2_rows(self, capsys):
