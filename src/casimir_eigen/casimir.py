@@ -13,11 +13,10 @@ once to the whole sum.  Both routes produce identical exact polynomials;
 the patterned one just evaluates far fewer formulas.
 
 This module also hosts the cross-validation driver that compares the
-fast proper-cycle path against the jet oracle under both sign
-conventions.  Both routes depend on a tuple only through its relative
-order, so each pattern is compared once, in its rank variables, and that
-one comparison decides the verdicts of every tuple with the pattern in
-both the plain and the rho-shifted mode.
+fast proper-cycle path against the jet oracle tuple by tuple, under both
+sign conventions and in both the plain and rho-shifted modes.  The oracle
+runs once per relative-order pattern and is specialised to each tuple by
+substitution.
 """
 
 from __future__ import annotations
@@ -46,6 +45,16 @@ BASES = ("monomial", "power-sum")
 IntTerms = tuple[tuple[tuple[int, ...], int], ...]
 
 
+def _check_order(m: int) -> None:
+    if m < 1:
+        raise ValueError("order m must be >= 1")
+
+
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError("rank n must be >= 1")
+
+
 @dataclass(frozen=True)
 class CasimirRequest:
     """What to compute: order m, rank n, shift/sign/basis options."""
@@ -57,10 +66,8 @@ class CasimirRequest:
     sign: SignConvention = SignConvention.ALTERNATING
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("order m must be >= 1")
-        if self.n < 1:
-            raise ValueError("rank n must be >= 1")
+        _check_order(self.m)
+        _check_rank(self.n)
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
 
@@ -156,8 +163,7 @@ def closed_form(m: int) -> ClosedForm:
     a polynomial in n of degree at most m+1.  The result reproduces each
     sampled rank exactly (interpolate_in_n enforces this).
     """
-    if m < 1:
-        raise ValueError("order m must be >= 1")
+    _check_order(m)
     samples = []
     for n in range(m, 2 * m + 3):
         request = CasimirRequest(m=m, n=n)
@@ -189,23 +195,20 @@ Selection = Exhaustive | RandomSample
 
 
 @dataclass(frozen=True)
-class PatternComparison:
-    """The fast path against the oracle on one relative-order pattern, in its rank variables."""
-
-    rho: tuple[int, ...]
-    fast: MPoly  # alternating convention
-    oracle: MPoly
-    match_literal: bool
-    match_alternating: bool
-    is_zero: bool
-
-
-@dataclass(frozen=True)
 class TupleComparison:
-    """One tuple and the comparison of its relative-order pattern, which decides its verdicts."""
+    """One tuple's fast values against the oracle, in both modes."""
 
     entries: tuple[int, ...]
-    pattern: PatternComparison
+    oracle_raw: MPoly
+    oracle_shifted: MPoly
+    fast_raw: MPoly  # alternating convention
+    fast_shifted: MPoly
+    match_literal: bool
+    match_alternating: bool
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.oracle_raw and not self.oracle_shifted
 
 
 @dataclass(frozen=True)
@@ -223,20 +226,20 @@ class VerifyReport:
 
     @property
     def zero(self) -> int:
-        return sum(1 for r in self.records if r.pattern.is_zero)
+        return sum(1 for r in self.records if r.is_zero)
 
     @property
     def match_literal(self) -> int:
-        return sum(1 for r in self.records if r.pattern.match_literal)
+        return sum(1 for r in self.records if r.match_literal)
 
     @property
     def match_alternating(self) -> int:
-        return sum(1 for r in self.records if r.pattern.match_alternating)
+        return sum(1 for r in self.records if r.match_alternating)
 
     @property
     def mismatches(self) -> list[tuple[int, ...]]:
         """Tuples matching under neither convention."""
-        return [r.entries for r in self.records if not (r.pattern.match_literal or r.pattern.match_alternating)]
+        return [r.entries for r in self.records if not (r.match_literal or r.match_alternating)]
 
     def consistent_convention(self) -> str | None:
         """The convention matching every nonzero tuple, if there is one.
@@ -245,9 +248,9 @@ class VerifyReport:
         (always the case for even m), otherwise the single surviving
         convention, otherwise None.
         """
-        nonzero = [r.pattern for r in self.records if not r.pattern.is_zero]
-        literal = all(p.match_literal for p in nonzero)
-        alternating = all(p.match_alternating for p in nonzero)
+        nonzero = [r for r in self.records if not r.is_zero]
+        literal = all(r.match_literal for r in nonzero)
+        alternating = all(r.match_alternating for r in nonzero)
         if literal and alternating:
             return "both"
         if alternating:
@@ -291,43 +294,43 @@ def _tuple_at(index: int, m: int, n: int) -> tuple[int, ...]:
 
 
 def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
-    """Compare the proper-cycle product against the jet oracle, once per relative-order pattern.
+    """Compare the proper-cycle product against the jet oracle, tuple by tuple.
 
-    A convention counts as matching a tuple when it reproduces the oracle
-    in both the plain and the rho-shifted mode.  Both routes read a tuple
-    only through its pattern rho: the fast path through comparisons of
-    its entries (cycles, v1/v2, base > i1, the zero branch), the oracle
-    through build_inverse_matrix.  So each distinct rho in this call is
-    compared once, on the pattern tuple IndexTuple(rho, ell) in plain
-    mode, as polynomials in the ell rank variables.  The verdicts are
-    exact: for a tuple with values v_1 < ... < v_ell, its plain values are
-    the pattern's under the ring map x_k -> a_{v_k}, which is injective,
-    and its shifted values are those under the rho-shift automorphism
-    a_v -> a_v + (n+1)/2 - v.  So fast = oracle, fast = -oracle and
-    oracle = 0 each hold on the pattern exactly when they hold on the
-    tuple in both modes.
+    Each tuple is checked in both the plain and the rho-shifted mode, so
+    a convention only counts as matching when it reproduces the oracle in
+    both.  The oracle reads a tuple only through its relative order, so it
+    runs once per distinct pattern rho in this call, on the pattern tuple
+    itself: that gives the eigenvalue as a polynomial in the ell rank
+    variables.  Each tuple's two oracle values are this polynomial with
+    rank k replaced by the plain or the rho-shifted parameter of its k-th
+    smallest value, which is exact because the oracle's power stage uses
+    ring operations only.  The fast path still runs on every tuple.
     """
-    if m < 1:
-        raise ValueError("order m must be >= 1")
-    if n < 1:
-        raise ValueError("rank n must be >= 1")
+    _check_order(m)
+    _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)
     flip = -1 if m % 2 else 1
-    patterns: dict[tuple[int, ...], PatternComparison] = {}
+    pattern_oracles: dict[tuple[int, ...], MPoly] = {}
     records = []
     for entries in tuples:
-        rho = relative_order(IndexTuple(entries, n)).rho
-        pattern = patterns.get(rho)
-        if pattern is None:
-            t = IndexTuple(rho, max(rho))
-            fast, oracle = elementary_eigenvalue(t), oracle_eigenvalue(t)
-            pattern = patterns[rho] = PatternComparison(
-                rho=rho,
-                fast=fast,
-                oracle=oracle,
-                match_literal=flip * fast == oracle,
-                match_alternating=fast == oracle,
-                is_zero=not oracle,
+        t = IndexTuple(entries, n)
+        order = relative_order(t)
+        pattern_oracle = pattern_oracles.get(order.rho)
+        if pattern_oracle is None:
+            pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
+        oracle_raw = pattern_oracle.substitute([parameter(v, n, False) for v in order.values])
+        oracle_shifted = pattern_oracle.substitute([parameter(v, n, True) for v in order.values])
+        fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING)
+        fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING)
+        records.append(
+            TupleComparison(
+                entries=entries,
+                oracle_raw=oracle_raw,
+                oracle_shifted=oracle_shifted,
+                fast_raw=fast_raw,
+                fast_shifted=fast_shifted,
+                match_literal=(flip * fast_raw == oracle_raw and flip * fast_shifted == oracle_shifted),
+                match_alternating=(fast_raw == oracle_raw and fast_shifted == oracle_shifted),
             )
-        records.append(TupleComparison(entries=entries, pattern=pattern))
+        )
     return VerifyReport(m=m, n=n, selection=label, records=tuple(records))

@@ -18,9 +18,9 @@ term 1, so inverting it never leaves the integers.  Polynomials in the
 Langlands parameters only enter through the exponents -x/2 of the final
 power stage, which uses ring operations alone.  The oracle therefore
 depends on a tuple only through its relative order rho: the eigenvalue
-of every tuple with that pattern is the eigenvalue of the pattern tuple
-rho, taken in its rank variables, with rank k renamed to the parameter
-of the k-th smallest value.  verify_tuples compares once per pattern.
+of the pattern tuple rho, taken in its rank variables, becomes the
+eigenvalue of every tuple with that pattern under the substitution
+rank k -> parameter of the k-th smallest value (see verify_tuples).
 """
 
 from __future__ import annotations
