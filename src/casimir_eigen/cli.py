@@ -224,7 +224,7 @@ def _cmd_verify(args) -> int:
         if ok:
             print("OK: fast path agrees with the oracle under the alternating convention")
         else:
-            failing = [r.entries for r in report.records if not r.pattern.match_alternating]
+            failing = [r.entries for r in report.records if not r.match_alternating]
             print(f"MISMATCH under the alternating convention: {failing[:10]}")
     return 0 if ok else 1
 

@@ -10,13 +10,21 @@ reductions everything else is expressed in:
 
   * ``to_power_sum``: rewrite a polynomial that is symmetric modulo the
     relation a1 + ... + aN = 0 as a rational combination of power sums
-    p_k = sum(a_i^k) with parts k >= 2,
+    p_k = sum(a_i^k) with parts k >= 2.  After a_N is eliminated, every
+    power-sum product is invariant under permuting the remaining
+    variables, so the polynomial must be too (checked exactly on two
+    generators of the symmetric group), and then it suffices to match
+    coefficients at the monomials a^lam with lam a partition: one linear
+    equation per partition instead of one per monomial.  The coefficients
+    of the eliminated power sums there are counted combinatorially and
+    memoised,
   * ``interpolate_in_n``: exact Lagrange interpolation of per-partition
     coefficients as univariate polynomials in the rank symbol n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -366,20 +374,73 @@ def _partition_order_key(lam: Partition) -> tuple:
     return (-sum(lam), tuple(-p for p in lam))
 
 
-def _partitions_parts_ge2(max_weight: int) -> list[Partition]:
-    """All partitions with parts >= 2 and weight <= max_weight, plus ()."""
+def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) -> list[Partition]:
+    """Partitions with parts >= min_part, weight <= max_weight and at most max_len parts, plus ()."""
     out: list[Partition] = [()]
 
     def grow(remaining: int, max_part: int, acc: tuple[int, ...]) -> None:
-        for k in range(min(remaining, max_part), 1, -1):
+        if len(acc) == max_len:
+            return
+        for k in range(min(remaining, max_part), min_part - 1, -1):
             out.append(acc + (k,))
             grow(remaining - k, k, acc + (k,))
 
     grow(max_weight, max_weight, ())
-    return sorted(set(out), key=_partition_order_key)
+    return sorted(out, key=_partition_order_key)
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _bounded_vectors(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """Vectors v with 0 <= v[i] <= bounds[i] whose entries sum to total."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, bounds[0]) + 1):
+        for rest in _bounded_vectors(total - first, bounds[1:]):
+            yield (first, *rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_coeff(mu: Partition, lam: Partition) -> int:
+    """Coefficient of a^lam in eliminate_last_var(p_mu), in any N >= len(lam) variables.
+
+    p_k becomes sum_j a_j^k + (-(a_1 + ... + a_N))^k, so the last part k of
+    mu either sits on one position of lam or is spread over positions as a
+    vector v with weight (-1)^k multinomial(k; v).  The other parts of mu
+    must make up lam - v, whose coefficient depends only on its sorted
+    parts because every image is invariant under permuting a_1..a_N.
+    """
+    if sum(mu) != sum(lam):
+        return 0
+    if not mu:
+        return 1
+    k = mu[-1]
+    total = 0
+    for v in _bounded_vectors(k, lam):
+        weight = (-1) ** k * math.factorial(k)
+        for x in v:
+            weight //= math.factorial(x)
+        if k in v:
+            weight += 1
+        rest = tuple(sorted((x - y for x, y in zip(lam, v) if x != y), reverse=True))
+        total += weight * _reduced_coeff(mu[:-1], rest)
+    return total
+
+
+def _is_symmetric(p: MPoly) -> bool:
+    """Whether ``p`` is invariant under every permutation of its variables.
+
+    The transposition (1 2) and the cycle (1 2 ... N) generate S_N, so two
+    exponent permutations decide it exactly.
+    """
+    if p.nvars < 2:
+        return True
+    swapped = {(e[1], e[0], *e[2:]): c for e, c in p.terms.items()}
+    rotated = {(*e[1:], e[0]): c for e, c in p.terms.items()}
+    return swapped == p.terms == rotated
+
+
+def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Exact Gaussian elimination; returns one solution or None if inconsistent.
 
     Underdetermined systems get free variables set to zero.
@@ -424,6 +485,17 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     sum(a_i) = 0; a representation exists iff ``p`` is symmetric modulo
     that relation, and it is unique whenever n >= deg(p).
 
+    Modulo p1 means after ``eliminate_last_var``, in N = n - 1 variables.
+    Every image of a p_mu there is invariant under permuting a_1..a_N, so
+    a target that is not invariant has no representation, and for one that
+    is, a combination equals it exactly when the two agree at every
+    monomial a^lam with lam a partition.  So the system has one row per
+    partition of weight <= deg with at most N parts, not one per monomial.
+    Its columns have the null space of the full system, and
+    ``_solve_linear`` picks pivot columns from the null space alone, so
+    when n < deg the free coefficients are set to 0 exactly as they would
+    be over every monomial.
+
     Raises:
         NotSymmetricError: no representation exists.
     """
@@ -431,24 +503,14 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
         raise ValueError(f"polynomial has nvars={p.nvars}, expected {n}")
     if not p.terms:
         return PowerSumPoly.zero()
-    degree = p.total_degree()
-    basis = _partitions_parts_ge2(degree)
     target = eliminate_last_var(p)
-    # eliminate_last_var is a ring homomorphism, so the image of p_lambda is
-    # the image of p_lambda without its last part times the image of p_k.
-    # In ascending weight, every prefix is built before it is needed.
-    part_images = {k: eliminate_last_var(power_sum(k, n)) for k in range(2, degree + 1)}
-    by_partition: dict[Partition, MPoly] = {(): MPoly.one(n - 1)}
-    for lam in sorted(basis, key=sum):
-        if lam:
-            by_partition[lam] = by_partition[lam[:-1]] * part_images[lam[-1]]
-    images = [by_partition[lam] for lam in basis]
-    monomials = set(target.terms)
-    for img in images:
-        monomials.update(img.terms)
-    mono_list = sorted(monomials, key=_term_order_key)
-    rows = [[img.terms.get(mono, Fraction(0)) for img in images] for mono in mono_list]
-    rhs = [target.terms.get(mono, Fraction(0)) for mono in mono_list]
+    if not _is_symmetric(target):
+        raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
+    degree = p.total_degree()
+    basis = _partitions(degree, min_part=2)
+    rows_at = _partitions(degree, max_len=target.nvars)
+    rows = [[_reduced_coeff(mu, lam) for mu in basis] for lam in rows_at]
+    rhs = [target.terms.get(lam + (0,) * (target.nvars - len(lam)), Fraction(0)) for lam in rows_at]
     solution = _solve_linear(rows, rhs)
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")

@@ -51,6 +51,10 @@ CLOSED_FORMS = {
 CLOSED_FORM_5_TEXT = (
     "p5 - 3*n/2*p4 + 1/2*p2^2 + (3*n^2 + 5)/6*p3 + (n^3 - 4*n)/6*p2 + (n^6 + 10*n^4 - 11*n^2)/720"
 )
+CLOSED_FORM_6_TEXT = (
+    "p6 - 2*n*p5 + p3*p2 + (5*n^2 + 5)/4*p4 - n*p2^2 - (n^3 + 19*n)/12*p3"
+    " - (7*n^4 - 22*n^2 - 9)/48*p2 + (5*n^7 - 49*n^5 + 35*n^3 + 9*n)/4032"
+)
 CLOSED_FORM_5 = ClosedForm(
     {
         (5,): (F(1),),
@@ -166,6 +170,9 @@ class TestClosedForm:
         assert form == CLOSED_FORM_5
         assert str(form) == CLOSED_FORM_5_TEXT
         assert form.at(5) == to_power_sum(casimir_eigenvalue(CasimirRequest(5, 5)), 5)
+
+    def test_order_six(self):
+        assert str(closed_form(6)) == CLOSED_FORM_6_TEXT
 
     def test_rendering(self):
         assert str(closed_form(2)) == "p2 - (n^3 - n)/12"

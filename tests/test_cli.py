@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from casimir_eigen import casimir
 from casimir_eigen.cli import (
     emit_polynomial_json,
     main,
@@ -129,6 +130,13 @@ class TestVerify:
         assert set(obj) == {"total", "zero", "match_literal", "match_alternating", "mismatch"}
         assert obj["total"] == 9
         assert obj["mismatch"] == []
+
+    def test_mismatch_is_printed_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign: MPoly.zero(t.n))
+        code, out = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--exhaustive")
+        assert code == 1
+        assert "consistent convention: NONE" in out
+        assert "MISMATCH under the alternating convention: [(1, 1), (1, 2), (2, 2)]" in out
 
     def test_random_without_seed_exits_2(self, capsys):
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--random", "3")

@@ -6,12 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
 from casimir_eigen.ratpoly import (
     ClosedForm,
     InterpolationInconsistentError,
     MPoly,
     NotSymmetricError,
     PowerSumPoly,
+    _partitions,
+    _reduced_coeff,
+    _solve_linear,
     alpha,
     eliminate_last_var,
     format_coeff_in_n,
@@ -20,6 +24,7 @@ from casimir_eigen.ratpoly import (
     power_sum,
     to_power_sum,
 )
+from casimir_eigen.tuplegraph import SignConvention
 
 
 def random_mpoly(rng, nvars, max_deg=3, max_terms=5):
@@ -28,6 +33,43 @@ def random_mpoly(rng, nvars, max_deg=3, max_terms=5):
         exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         terms[exps] = F(rng.randint(-9, 9), rng.randint(1, 9))
     return MPoly(nvars, terms)
+
+
+def symmetrise(p):
+    n = p.nvars
+    out = MPoly.zero(n)
+    for perm in itertools.permutations(range(n)):
+        out = out + MPoly(n, {tuple(exps[i] for i in perm): c for exps, c in p.terms.items()})
+    return out
+
+
+def dense_to_power_sum(p, n):
+    """Reference reduction: one row per monomial of every eliminated image."""
+    if not p.terms:
+        return PowerSumPoly.zero()
+    degree = p.total_degree()
+    basis = _partitions(degree, min_part=2)
+    target = eliminate_last_var(p)
+    images = []
+    for lam in basis:
+        image = MPoly.one(n)
+        for k in lam:
+            image = image * power_sum(k, n)
+        images.append(eliminate_last_var(image))
+    monomials = set(target.terms).union(*(img.terms for img in images))
+    rows = [[img.terms.get(mono, F(0)) for img in images] for mono in monomials]
+    rhs = [target.terms.get(mono, F(0)) for mono in monomials]
+    solution = _solve_linear(rows, rhs)
+    if solution is None:
+        raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
+    return PowerSumPoly({lam: c for lam, c in zip(basis, solution) if c})
+
+
+def outcome(reduce, p, n):
+    try:
+        return reduce(p, n)
+    except NotSymmetricError:
+        return NotSymmetricError
 
 
 class TestArithmetic:
@@ -133,16 +175,67 @@ class TestPowerSumReduction:
         rng = random.Random(23)
         for n in (3, 4):
             for _ in range(10):
-                base = random_mpoly(rng, n, max_deg=2, max_terms=3)
                 # Symmetrize so a representation exists.
-                sym = MPoly.zero(n)
-                for perm in itertools.permutations(range(n)):
-                    for exps, coeff in base.terms.items():
-                        permuted = tuple(exps[perm[i]] for i in range(n))
-                        sym = sym + MPoly(n, {permuted: coeff})
+                sym = symmetrise(random_mpoly(rng, n, max_deg=2, max_terms=3))
                 q = to_power_sum(sym, n)
                 diff = q.expand(n) - sym
                 assert eliminate_last_var(diff) == MPoly.zero(n - 1)
+
+
+class TestPartitionRows:
+    """to_power_sum solves one row per partition; the dense solver is the reference."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_casimir_sums_match_the_dense_solver(self, m):
+        for n, sign, shifted in itertools.product(range(1, 8), SignConvention, (True, False)):
+            p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, shifted=shifted, sign=sign))
+            assert outcome(to_power_sum, p, n) == outcome(dense_to_power_sum, p, n), (n, sign, shifted)
+
+    def test_random_polynomials_match_the_dense_solver(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for i in range(150):
+            n = rng.randint(1, 4)
+            p = random_mpoly(rng, n, max_deg=2)
+            if i % 3:
+                p = symmetrise(p)
+            if i % 3 == 2:  # symmetric only modulo p1
+                p = p + power_sum(1, n) * random_mpoly(rng, n, max_deg=2, max_terms=3)
+            expected = outcome(dense_to_power_sum, p, n)
+            assert outcome(to_power_sum, p, n) == expected, (n, p)
+            outcomes.add((i % 3, expected is NotSymmetricError))
+        # left unsymmetrised, some reduce and some fail; symmetrised, all reduce
+        assert outcomes == {(0, False), (0, True), (1, False), (2, False)}
+
+    @pytest.mark.parametrize(
+        "n, exponents",
+        [
+            (3, [(1, 2, 0)]),
+            (4, [(0, 0, 2, 0)]),  # invariant under (1 2) only
+            (4, [(1, 2, 0, 0), (0, 1, 2, 0), (2, 0, 1, 0)]),  # invariant under (1 2 3) only
+        ],
+    )
+    def test_asymmetric_terms_off_the_partition_rows_rejected(self, n, exponents):
+        # no exponent is a partition, so the partition rows alone stay consistent
+        with pytest.raises(NotSymmetricError):
+            to_power_sum(power_sum(2, n) + MPoly(n, dict.fromkeys(exponents, 1)), n)
+
+    def test_column_entries_match_the_eliminated_power_sums(self):
+        for nvars in range(1, 5):
+            for mu in _partitions(6):
+                image = MPoly.one(nvars + 1)
+                for k in mu:
+                    image = image * power_sum(k, nvars + 1)
+                image = eliminate_last_var(image)
+                for lam in _partitions(6, max_len=nvars):
+                    padded = lam + (0,) * (nvars - len(lam))
+                    assert _reduced_coeff(mu, lam) == image.terms.get(padded, 0), (nvars, mu, lam)
+
+    def test_partition_generator(self):
+        assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]
+        assert len(_partitions(4)) == 12
+        assert _partitions(3, max_len=1) == [(3,), (2,), (1,), ()]
+        assert _partitions(3, max_len=0) == [()]
 
 
 class TestInterpolation:
