@@ -33,13 +33,12 @@ from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
 from .tuplegraph import (
     IndexTuple,
     SignConvention,
+    _check_rank,
     elementary_eigenvalue,
     parameter,
     proper_cycle_factors,
     relative_order,
 )
-
-BASES = ("monomial", "power-sum")
 
 # Terms of an integer polynomial: (exponent tuple, nonzero int coefficient) pairs.
 IntTerms = tuple[tuple[tuple[int, ...], int], ...]
@@ -50,26 +49,18 @@ def _check_order(m: int) -> None:
         raise ValueError("order m must be >= 1")
 
 
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError("rank n must be >= 1")
-
-
 @dataclass(frozen=True)
 class CasimirRequest:
-    """What to compute: order m, rank n, shift/sign/basis options."""
+    """What to compute: order m, rank n, shift and sign options."""
 
     m: int
     n: int
     shifted: bool = True
-    basis: str = "monomial"
     sign: SignConvention = SignConvention.ALTERNATING
 
     def __post_init__(self):
         _check_order(self.m)
         _check_rank(self.n)
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
 
     @property
     def outside_standard_range(self) -> bool:
@@ -90,12 +81,25 @@ def casimir_eigenvalue(req: CasimirRequest) -> MPoly:
 
 
 def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
-    """All rank tuples: surjections from positions onto {1..ell}, ell <= max_ell."""
-    patterns = []
+    """The nonzero rank tuples: surjections onto {1..ell}, ell <= max_ell, with first entry 1.
+
+    Grown from (1,) in lexicographic order, placing a value only while the
+    positions left can still take every value not yet used.
+    """
+    patterns: list[tuple[int, ...]] = []
+
+    def grow(prefix: tuple[int, ...], unused: frozenset[int], ell: int) -> None:
+        if len(prefix) == m:
+            patterns.append(prefix)
+            return
+        room = m - len(prefix) - 1
+        for v in range(1, ell + 1):
+            rest = unused - {v}
+            if len(rest) <= room:
+                grow(prefix + (v,), rest, ell)
+
     for ell in range(1, min(m, max_ell) + 1):
-        for candidate in itertools.product(range(1, ell + 1), repeat=m):
-            if len(set(candidate)) == ell:
-                patterns.append(candidate)
+        grow((1,), frozenset(range(2, ell + 1)), ell)
     return patterns
 
 
@@ -110,8 +114,6 @@ def _pattern_sums(m: int, max_ell: int, negate: bool) -> tuple[tuple[int, IntTer
     """
     acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_ell + 1)]
     for pattern in _rank_patterns(m, max_ell):
-        if min(pattern) < pattern[0]:
-            continue
         ell = max(pattern)
         product = MPoly.one(ell)
         for factor in proper_cycle_factors(IndexTuple(pattern, ell), lambda k: alpha(k, ell)):
@@ -133,8 +135,8 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
     with rank k renamed to x_{v_k}, which only moves exponents: the sum is
     Gessel's monomial quasisymmetric sum.  It is taken in the parameters
     x_v, which are then replaced once by their rho-shifts when
-    req.shifted.  Zero patterns (some rank below the first) are skipped
-    wholesale.
+    req.shifted.  Zero patterns (some rank below the first) are never
+    generated.
     """
     n, m = req.n, req.m
     negate = req.sign is SignConvention.ALTERNATING and m % 2 == 1
@@ -159,9 +161,10 @@ def closed_form(m: int) -> ClosedForm:
     """Eigenvalue of the order-m Casimir operator with rank n left symbolic.
 
     Computes the shifted sum exactly for n = m .. 2m+2, reduces each to
-    the power-sum basis, and interpolates every partition coefficient as
-    a polynomial in n of degree at most m+1.  The result reproduces each
-    sampled rank exactly (interpolate_in_n enforces this).
+    the power-sum basis, and fits every partition coefficient as a
+    polynomial in n of degree at most m+1 through all m+3 samples.  The
+    result reproduces each sampled rank exactly (interpolate_in_n solves
+    and checks every rank with the exact solver behind to_power_sum).
     """
     _check_order(m)
     samples = []

@@ -165,12 +165,11 @@ def _cmd_casimir(args) -> int:
         m=args.m,
         n=args.n,
         shifted=not args.raw,
-        basis=args.basis,
         sign=SignConvention(args.sign),
     )
     value = casimir_eigenvalue_patterned(request)
     note = "m > n lies outside the standard range 1 <= m <= n" if request.outside_standard_range else None
-    reduced = to_power_sum(value, request.n) if request.basis == "power-sum" else None
+    reduced = to_power_sum(value, request.n) if args.basis == "power-sum" else None
     # With n < m the power sums of weight <= m are dependent on the hyperplane
     # p1 = 0, and to_power_sum returns the solution with free coefficients 0.
     canonical = reduced is None or not request.outside_standard_range
@@ -179,7 +178,7 @@ def _cmd_casimir(args) -> int:
             "m": request.m,
             "n": request.n,
             "shifted": request.shifted,
-            "basis": request.basis,
+            "basis": args.basis,
             "eigenvalue": mpoly_to_obj(value) if reduced is None else power_sum_to_obj(reduced),
         }
         if note:

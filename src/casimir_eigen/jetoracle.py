@@ -34,7 +34,7 @@ from .tuplegraph import IndexTuple, RelOrder, enumerate_paths, parameter, relati
 
 
 class NotInvertibleError(ValueError):
-    """Jet has no inverse: its constant term is zero or non-constant."""
+    """Jet has no inverse: its constant term is zero."""
 
 
 class Jet:
@@ -171,15 +171,12 @@ class Jet:
     def inv(self) -> Jet:
         """Exact inverse via the terminating geometric series.
 
-        Writes self = c0 * (1 + nu) with nu nilpotent; the series for
-        (1 + nu)^-1 stops after at most m terms.  A unit constant term
-        c0 = +-1 is its own inverse, so an integer jet stays integral.
+        Writes self = c0 * (1 + nu) with c0 rational and nu nilpotent; the
+        series for (1 + nu)^-1 stops after at most m terms.  A unit
+        constant term c0 = +-1 is its own inverse, so an integer jet stays
+        integral.
         """
         c0 = self.constant_term
-        if isinstance(c0, MPoly):
-            if c0.total_degree() > 0 or not c0:
-                raise NotInvertibleError("constant term is not an invertible rational")
-            c0 = c0.eval_at([0] * c0.nvars)
         if not c0:
             raise NotInvertibleError("constant term is zero")
         c0_inv = int(c0) if c0 in (1, -1) else Fraction(1) / Fraction(c0)

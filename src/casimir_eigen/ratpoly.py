@@ -18,8 +18,8 @@ reductions everything else is expressed in:
     equation per partition instead of one per monomial.  The coefficients
     of the eliminated power sums there are counted combinatorially and
     memoised,
-  * ``interpolate_in_n``: exact Lagrange interpolation of per-partition
-    coefficients as univariate polynomials in the rank symbol n.
+  * ``interpolate_in_n``: an exact fit of per-partition coefficients as
+    univariate polynomials in the rank symbol n, through every sample.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class InterpolationInconsistentError(ValueError):
 
 def _term_order_key(exps: Exponent) -> tuple:
     # Graded lexicographic, descending: higher total degree first, then
-    # lexicographically larger exponent vector first.
+    # lexicographically larger exponent vector first.  Also orders partitions.
     return (-sum(exps), tuple(-e for e in exps))
 
 
@@ -341,7 +341,7 @@ class PowerSumPoly:
         return bool(self.coeffs)
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda kv: _partition_order_key(kv[0]))
+        return sorted(self.coeffs.items(), key=lambda kv: _term_order_key(kv[0]))
 
     def expand(self, nvars: int) -> MPoly:
         """Write the combination out as an explicit polynomial in a1..aN."""
@@ -369,11 +369,6 @@ def format_partition(lam: Partition) -> str:
     return "*".join(pieces)
 
 
-def _partition_order_key(lam: Partition) -> tuple:
-    # Descending weight, then descending lexicographic parts; () sorts last.
-    return (-sum(lam), tuple(-p for p in lam))
-
-
 def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) -> list[Partition]:
     """Partitions with parts >= min_part, weight <= max_weight and at most max_len parts, plus ()."""
     out: list[Partition] = [()]
@@ -386,7 +381,7 @@ def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) 
             grow(remaining - k, k, acc + (k,))
 
     grow(max_weight, max_weight, ())
-    return sorted(out, key=_partition_order_key)
+    return sorted(out, key=_term_order_key)
 
 
 def _bounded_vectors(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -587,7 +582,7 @@ class ClosedForm:
         return bool(self.coeffs)
 
     def sorted_items(self) -> list[tuple[Partition, tuple[Fraction, ...]]]:
-        return sorted(self.coeffs.items(), key=lambda kv: _partition_order_key(kv[0]))
+        return sorted(self.coeffs.items(), key=lambda kv: _term_order_key(kv[0]))
 
     def at(self, n: int) -> PowerSumPoly:
         """Evaluate every coefficient at a concrete rank n."""
@@ -609,38 +604,15 @@ class ClosedForm:
         return f"ClosedForm({self!s})"
 
 
-def _mul_by_x_minus(poly: list[Fraction], root: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(poly) + 1)
-    for d, c in enumerate(poly):
-        out[d + 1] += c
-        out[d] -= root * c
-    return out
-
-
-def _lagrange(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Exact interpolating polynomial through (xs, ys), ascending coefficients."""
-    k = len(xs)
-    acc = [Fraction(0)] * k
-    for i in range(k):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if j != i:
-                numer = _mul_by_x_minus(numer, Fraction(xs[j]))
-                denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for d, c in enumerate(numer):
-            acc[d] += scale * c
-    return acc
-
-
 def interpolate_in_n(
     samples: Sequence[tuple[int, PowerSumPoly]], degree_bound: int
 ) -> ClosedForm:
     """Fit each partition coefficient as a polynomial in n of degree <= degree_bound.
 
-    Interpolates through the first degree_bound + 1 samples and demands
-    that every remaining sample is reproduced exactly.
+    Each fit solves the Vandermonde system of all samples with
+    ``_solve_linear``, which checks its solution against every row.  With
+    distinct ranks and at least degree_bound + 1 of them the columns are
+    independent, so the fit is the unique interpolant through every sample.
 
     Raises:
         ValueError: fewer than degree_bound + 1 distinct sample ranks.
@@ -653,21 +625,15 @@ def interpolate_in_n(
         raise ValueError(
             f"need at least {degree_bound + 1} samples for degree bound {degree_bound}, got {len(samples)}"
         )
-    support: set[Partition] = set()
-    for _, q in samples:
-        support.update(q.coeffs)
-    out: dict[Partition, tuple[Fraction, ...]] = {}
-    head = samples[: degree_bound + 1]
-    for lam in sorted(support, key=_partition_order_key):
-        xs = [n for n, _ in head]
-        ys = [q.coeffs.get(lam, Fraction(0)) for _, q in head]
-        coeffs = _trim(_lagrange(xs, ys))
-        for n, q in samples:
-            if _poly_in_n_eval(coeffs, n) != q.coeffs.get(lam, Fraction(0)):
-                raise InterpolationInconsistentError(
-                    f"coefficient of {format_partition(lam) or '1'} does not fit a "
-                    f"degree-{degree_bound} polynomial in n (fails at n={n})"
-                )
-        if coeffs:
-            out[lam] = coeffs
+    support = sorted({lam for _, q in samples for lam in q.coeffs}, key=_term_order_key)
+    rows = [[n**k for k in range(degree_bound + 1)] for n in ns]
+    out: dict[Partition, list[Fraction]] = {}
+    for lam in support:
+        coeffs = _solve_linear(rows, [q.coeffs.get(lam, Fraction(0)) for _, q in samples])
+        if coeffs is None:
+            raise InterpolationInconsistentError(
+                f"coefficient of {format_partition(lam) or '1'} does not fit a "
+                f"degree-{degree_bound} polynomial in n"
+            )
+        out[lam] = coeffs
     return ClosedForm(out)

@@ -35,6 +35,11 @@ class SignConvention(enum.Enum):
     ALTERNATING = "alternating"
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError("rank n must be >= 1")
+
+
 @dataclass(frozen=True)
 class IndexTuple:
     """The tuple (i1,...,im) with ambient rank n; entries are 1-based."""
@@ -45,8 +50,7 @@ class IndexTuple:
     def __post_init__(self):
         if len(self.entries) < 1:
             raise ValueError("index tuple needs at least one entry")
-        if self.n < 1:
-            raise ValueError("rank n must be >= 1")
+        _check_rank(self.n)
         for i in self.entries:
             if not 1 <= i <= self.n:
                 raise ValueError(f"entry {i} outside 1..{self.n}")

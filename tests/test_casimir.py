@@ -93,8 +93,6 @@ class TestCasimirSum:
             CasimirRequest(m=0, n=3)
         with pytest.raises(ValueError):
             CasimirRequest(m=2, n=0)
-        with pytest.raises(ValueError):
-            CasimirRequest(m=2, n=2, basis="monomials")
         assert CasimirRequest(m=5, n=3).outside_standard_range
 
     def test_permutation_symmetry_at_zero_sum_points(self):

@@ -215,6 +215,11 @@ class TestUsageErrors:
             main(["casimir", "--m", "2"])
         assert info.value.code == 2
 
+    def test_unknown_basis(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["casimir", "--m", "2", "--n", "2", "--basis", "monomials"])
+        assert info.value.code == 2
+
 
 # Full stdout of `tables`, pinned byte for byte.
 TABLES_GOLDEN = {

@@ -275,6 +275,31 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_in_n(samples, 3)
 
+    def test_random_closed_forms_recovered_and_perturbations_rejected(self):
+        rng = random.Random(8)
+        partitions = [(), (2,), (3,), (2, 2), (4, 2), (3, 3, 2)]
+
+        def random_coeff_in_n(degree_bound):
+            return [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, degree_bound + 1))]
+
+        for degree_bound in range(7):
+            for extra in range(4):
+                for _ in range(3):
+                    support = rng.sample(partitions, rng.randint(1, len(partitions)))
+                    expected = ClosedForm({lam: random_coeff_in_n(degree_bound) for lam in support})
+                    ranks = sorted(rng.sample(range(2, 40), degree_bound + 1 + extra))
+                    samples = [(n, expected.at(n)) for n in ranks]
+                    assert interpolate_in_n(samples, degree_bound) == expected
+                    if not extra:
+                        continue  # d + 1 samples fit any values
+                    for pos in (0, len(samples) // 2, len(samples) - 1):
+                        n, q = samples[pos]
+                        lam = rng.choice(partitions)
+                        bump = F(rng.choice([-1, 1]), rng.randint(1, 5))
+                        bumped = PowerSumPoly({**q.coeffs, lam: q.coeffs.get(lam, 0) + bump})
+                        with pytest.raises(InterpolationInconsistentError):
+                            interpolate_in_n(samples[:pos] + [(n, bumped)] + samples[pos + 1 :], degree_bound)
+
 
 class TestFormatting:
     def test_zero(self):
