@@ -21,6 +21,13 @@ depends on a tuple only through its relative order rho: the eigenvalue
 of the pattern tuple rho, taken in its rank variables, becomes the
 eigenvalue of every tuple with that pattern under the substitution
 rank k -> parameter of the k-th smallest value (see verify_tuples).
+
+All jet multiplication goes through one kernel, ``_add_product``, which
+accumulates sign * a * b into a single dict and skips overlapping masks.
+``Jet.__mul__``, the Gram inner products, the Gram-Schmidt projection
+update and the matrix factor update all accumulate through it, and each
+builds its result once, with the unchecked ``Jet._trusted``: ring
+operations on valid jets cannot produce an invalid mask.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ class Jet:
     never stored.  Coefficient values may be int, Fraction, or MPoly:
     multiplication of two terms with overlapping masks vanishes, which is
     the whole point of the truncation.
+
+    The public constructor checks every mask.  Ring operations build their
+    results through ``_trusted``, which only drops zeros: it relies on every
+    mask being below 2^m, which holds because sums keep the masks of their
+    operands and ``_add_product`` only forms unions of disjoint ones.
     """
 
     __slots__ = ("m", "coeffs")
@@ -61,6 +73,14 @@ class Jet:
                 clean[mask] = c
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, m: int, coeffs: dict[int, object]) -> Jet:
+        """Wrap ``coeffs`` without checks, dropping zeros; see the class docstring."""
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "m", m)
+        object.__setattr__(jet, "coeffs", {mask: c for mask, c in coeffs.items() if c})
+        return jet
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -111,20 +131,19 @@ class Jet:
             raise ValueError(f"jet variable count mismatch: {self.m} vs {other.m}")
 
     def __add__(self, other) -> Jet:
+        out = dict(self.coeffs)
         if isinstance(other, Jet):
             self._check(other)
-            out = dict(self.coeffs)
             for mask, c in other.coeffs.items():
                 out[mask] = out[mask] + c if mask in out else c
-            return Jet(self.m, out)
-        out = dict(self.coeffs)
-        out[0] = out[0] + other if 0 in out else other
-        return Jet(self.m, out)
+        else:
+            out[0] = out[0] + other if 0 in out else other
+        return Jet._trusted(self.m, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Jet:
-        return Jet(self.m, {mask: -c for mask, c in self.coeffs.items()})
+        return Jet._trusted(self.m, {mask: -c for mask, c in self.coeffs.items()})
 
     def __sub__(self, other) -> Jet:
         return self + (-other if isinstance(other, Jet) else -1 * other)
@@ -135,16 +154,8 @@ class Jet:
     def __mul__(self, other) -> Jet:
         if isinstance(other, Jet):
             self._check(other)
-            out: dict[int, object] = {}
-            for s1, c1 in self.coeffs.items():
-                for s2, c2 in other.coeffs.items():
-                    if s1 & s2:
-                        continue  # some t_j^2: dies in the truncation
-                    mask = s1 | s2
-                    prod = c1 * c2
-                    out[mask] = out[mask] + prod if mask in out else prod
-            return Jet(self.m, out)
-        return Jet(self.m, {mask: c * other for mask, c in self.coeffs.items()})
+            return Jet._trusted(self.m, _add_product({}, self.coeffs, other.coeffs))
+        return Jet._trusted(self.m, {mask: c * other for mask, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -183,11 +194,11 @@ class Jet:
         nu = (self * c0_inv) - 1
         result = Jet.one(self.m)
         term = Jet.one(self.m)
-        for _ in range(self.m):
-            term = term * nu
+        for k in range(1, self.m + 1):
+            term = term * nu  # nu^k
             if not term:
                 break
-            result = result - term if _ % 2 == 0 else result + term
+            result = result - term if k % 2 else result + term
         return result * c0_inv
 
     def power(self, beta: MPoly) -> Jet:
@@ -229,6 +240,32 @@ class Jet:
     __repr__ = __str__
 
 
+def _add_product(
+    out: dict[int, object], a: dict[int, object], b: dict[int, object], sign: int = 1
+) -> dict[int, object]:
+    """Accumulate sign * a * b into ``out`` and return it; a, b are coefficient dicts.
+
+    The one loop over mask pairs.  A pair with overlapping masks carries
+    some t_j^2 and dies in the truncation, so it is skipped.  Entries that
+    cancel stay in ``out`` as zeros until ``Jet._trusted`` drops them.
+    """
+    for s1, c1 in a.items():
+        if sign != 1:
+            c1 = sign * c1
+        for s2, c2 in b.items():
+            if s1 & s2:
+                continue
+            mask = s1 | s2
+            prod = c1 * c2
+            out[mask] = out[mask] + prod if mask in out else prod
+    return out
+
+
+def _minus_product(r: Jet, a: Jet, b: Jet) -> Jet:
+    """r - a * b, accumulated into one dict."""
+    return Jet._trusted(r.m, _add_product(dict(r.coeffs), a.coeffs, b.coeffs, -1))
+
+
 @dataclass(frozen=True)
 class JetMatrix:
     """Square matrix of jets; constant part is the identity by construction."""
@@ -259,16 +296,16 @@ def build_inverse_matrix(t: IndexTuple) -> JetMatrix:
         a, b = rho[j - 1], rho[j]
         tj = Jet.t(m, j)
         # right-multiplying by (I - t_j E_{a,b}) replaces col_b by col_b - t_j col_a
-        cols[b - 1] = [cb - tj * ca for cb, ca in zip(cols[b - 1], cols[a - 1])]
+        cols[b - 1] = [_minus_product(cb, tj, ca) for cb, ca in zip(cols[b - 1], cols[a - 1])]
     rows = tuple(tuple(cols[c][r] for c in range(ell)) for r in range(ell))
     return JetMatrix(size=ell, entries=rows)
 
 
 def _inner(x: Sequence[Jet], y: Sequence[Jet]) -> Jet:
-    total = Jet.zero(x[0].m)
+    total: dict[int, object] = {}
     for a, b in zip(x, y):
-        total = total + a * b
-    return total
+        _add_product(total, a.coeffs, b.coeffs)
+    return Jet._trusted(x[0].m, total)
 
 
 def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
@@ -287,7 +324,7 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
         reduced = list(column)
         for k in range(len(basis)):
             proj = _inner(column, basis[k]) * inv_norms[k]
-            reduced = [rc - proj * bc for rc, bc in zip(reduced, basis[k])]
+            reduced = [_minus_product(rc, proj, bc) for rc, bc in zip(reduced, basis[k])]
         basis.append(reduced)
         norm = _inner(reduced, reduced)
         norms.append(norm)

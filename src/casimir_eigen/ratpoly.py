@@ -62,6 +62,13 @@ class MPoly:
 
     Immutable by convention: no method mutates ``terms`` after
     construction, so values can be shared freely across threads.
+
+    The public constructor checks every exponent tuple and converts every
+    coefficient to Fraction.  Ring operations build their results through
+    ``_trusted``, which only drops zeros: it relies on every key being a
+    tuple of ``nvars`` non-negative ints and every value a Fraction, which
+    sums, products and substitutions of valid polynomials (and of int or
+    Fraction scalars) preserve.
     """
 
     __slots__ = ("nvars", "terms")
@@ -80,6 +87,14 @@ class MPoly:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> MPoly:
+        """Wrap ``terms`` without checks, dropping zeros; see the class docstring."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -119,33 +134,40 @@ class MPoly:
         return None
 
     def __add__(self, other) -> MPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            terms = {(0,) * self.nvars: Fraction(other)}
+        else:
+            rhs = self._coerce(other)
+            if rhs is None:
+                return NotImplemented
+            terms = rhs.terms
         out = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MPoly(self.nvars, out)
+        for exps, coeff in terms.items():
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return MPoly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        if isinstance(other, (MPoly, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> MPoly:
         return (-self) + other
 
     def __mul__(self, other) -> MPoly:
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            return MPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return MPoly(self.nvars, _mul_terms(self.terms, rhs.terms))
+        return MPoly._trusted(self.nvars, _mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -197,7 +219,7 @@ class MPoly:
                     term = _mul_terms(term, pows[e])
             for key, c in term.items():
                 out[key] = out.get(key, 0) + c
-        return MPoly(nvars, out)
+        return MPoly._trusted(nvars, out)
 
     # -- queries -----------------------------------------------------------
 

@@ -257,3 +257,22 @@ def test_tables_golden_stdout(capsys, m, fmt):
     code, out = run_cli(capsys, "tables", "--m", str(m), "--format", fmt)
     assert code == 0
     assert out == TABLES_GOLDEN[(m, fmt)]
+
+
+# Full stdout of two verify requests at orders 7 and 8, pinned byte for byte.
+VERIFY_GOLDEN = {
+    ("--m", "8", "--n", "8", "--random", "30", "--seed", "3", "--json"): '{"total":30,"zero":29,"match_literal":30,"match_alternating":30,"mismatch":[]}\n',
+    ("--m", "7", "--n", "7", "--random", "40", "--seed", "3"): (
+        'verify m=7 n=7 random(count=40, seed=3)\n'
+        'total=40 zero=29 match_literal=29 match_alternating=40\n'
+        'consistent convention: alternating\n'
+        'OK: fast path agrees with the oracle under the alternating convention\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+def test_verify_golden_stdout(capsys, argv):
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert out == VERIFY_GOLDEN[argv]

@@ -6,10 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property tests below are then not collected
+    st = None
+
 from casimir_eigen.jetoracle import (
     Jet,
     JetMatrix,
     NotInvertibleError,
+    _add_product,
     build_inverse_matrix,
     eigenvalue_from_norms,
     gram_schmidt_norms,
@@ -80,6 +87,72 @@ class TestJetArithmetic:
             for size in range(m + 1):
                 for subset in itertools.combinations(range(1, m + 1), size):
                     assert product.coefficient(subset) == product_coefficient_brute(jets, subset)
+
+
+def assert_valid_jet(r):
+    """A ring-operation result is what the checked constructor would build."""
+    assert all(0 <= mask < 1 << r.m for mask in r.coeffs)
+    assert all(r.coeffs.values()), "a zero coefficient is stored"
+    assert r.coeffs == Jet(r.m, r.coeffs).coeffs
+
+
+def naive_product(out, a, b, sign):
+    """sign * a * b added to out, one subset split of each target mask at a time."""
+    m = max([0, *a, *b, *out]).bit_length()
+    expected = {}
+    for mask in range(1 << m):
+        total = out.get(mask, 0)
+        sub = mask
+        while True:  # every sub-mask of mask, paired with its complement in mask
+            total += sign * a.get(sub, 0) * b.get(mask ^ sub, 0)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+        if total:
+            expected[mask] = total
+    return expected
+
+
+if st is not None:
+    PROPERTY = settings(max_examples=80, deadline=None)
+
+    def jets(m, unit=False):
+        coeffs = st.dictionaries(st.integers(0, (1 << m) - 1), st.integers(-4, 4), max_size=5)
+        if unit:
+            coeffs = coeffs.map(lambda c: {**c, 0: 1})
+        return coeffs.map(lambda c: Jet(m, c))
+
+    scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    jet_pairs = st.integers(1, 4).flatmap(lambda m: st.tuples(jets(m), jets(m)))
+
+    class TestTrustedResults:
+        @PROPERTY
+        @given(jet_pairs, scalars)
+        def test_ring_operations(self, pair, c):
+            a, b = pair
+            for r in (a + b, a - b, a * b, -a, a - a, a + c, c + a, a - c, c - a, a * c, c * a, a**2):
+                assert_valid_jet(r)
+
+        @PROPERTY
+        @given(
+            st.integers(1, 4).flatmap(lambda m: jets(m, unit=True)),
+            st.sampled_from([1, -1, 2, F(-1, 3)]),
+        )
+        def test_inverse_and_power(self, a, c0):
+            unit = a * c0
+            assert_valid_jet(unit.inv())
+            assert_valid_jet(a.power(alpha(1, 2) - alpha(2, 2)))
+            assert_valid_jet(a.power(MPoly.const(2, 0)))
+
+        @PROPERTY
+        @given(
+            st.integers(1, 4).flatmap(lambda m: st.tuples(jets(m), jets(m), jets(m))),
+            st.sampled_from([1, -1, 3]),
+        )
+        def test_add_product_is_the_subset_split_sum(self, triple, sign):
+            out, a, b = (j.coeffs for j in triple)
+            result = _add_product(dict(out), a, b, sign)
+            assert {mask: c for mask, c in result.items() if c} == naive_product(out, a, b, sign)
 
 
 class TestJetInverse:
@@ -282,3 +355,27 @@ class TestPathCoefficients:
             for entries in itertools.product(range(1, 4), repeat=m):
                 report = path_coefficient_check(IndexTuple(entries, 3))
                 assert report.ok, (entries, report.violations[:3])
+
+
+# Oracle values at orders 7 and 8, above the exhaustive checks' range:
+# (entries, n, shifted, str(eigenvalue)).
+ORACLE_GOLDEN = [
+    ((1, 1, 2, 2, 1, 3, 3), 3, False, 'a1^3*a2*a3 - a1^2*a2^2*a3 - a1^2*a2*a3^2 + a1*a2^2*a3^2 - a1^3*a2 - a1^3*a3 + a1^2*a2^2 + 2*a1^2*a2*a3 + a1^2*a3^2 - a1*a2^2*a3 - a1*a2*a3^2 + a1^3 - a1^2*a2 - a1^2*a3 + a1*a2*a3'),
+    ((1, 2, 1, 1, 2, 2, 2), 2, False, 'a1^3*a2^2 - 2*a1^2*a2^3 + a1*a2^4 - 2*a1^3*a2 + 4*a1^2*a2^2 - 2*a1*a2^3 + a1^3 - 2*a1^2*a2 + a1*a2^2'),
+    ((1, 2, 5, 1, 4, 3, 4), 5, False, '-a1^2 + a1*a2 + a1*a3 - a2*a3'),
+    ((1, 2, 4, 3, 2, 3, 3, 4), 4, False, '-a1*a2*a3 + a1*a3^2 + a2^2*a3 - a2*a3^2 + a1*a2 - a2^2 - a1 + a2'),
+    ((1, 2, 2, 1, 1, 1, 2, 2), 2, False, 'a1^4*a2^2 - 2*a1^3*a2^3 + a1^2*a2^4 - 2*a1^4*a2 + 4*a1^3*a2^2 - 2*a1^2*a2^3 + a1^4 - 2*a1^3*a2 + a1^2*a2^2'),
+    ((1, 3, 2, 4, 3, 5, 5, 2), 5, False, '-a1*a2*a5 + a1*a3*a5 + a2^2*a5 - a2*a3*a5 + a1*a2 - a1*a3 + a1*a5 - a2^2 + a2*a3 - a2*a5 - a1 + a2'),
+    ((1, 4, 1, 3, 3, 2, 1, 1), 4, False, '-a1^4*a3 + a1^3*a2*a3 + a1^3*a3*a4 - a1^2*a2*a3*a4 + a1^4 - a1^3*a2 - a1^3*a4 + a1^2*a2*a4'),
+    ((1, 1, 2, 2, 1, 3, 3), 9, True, 'a1^3*a2*a3 - a1^2*a2^2*a3 - a1^2*a2*a3^2 + a1*a2^2*a3^2 + a1^3*a2 + 2*a1^3*a3 - a1^2*a2^2 + 4*a1^2*a2*a3 - 2*a1^2*a3^2 - 5*a1*a2^2*a3 - 3*a1*a2*a3^2 + 4*a2^2*a3^2 + 2*a1^3 + 5*a1^2*a2 + 12*a1^2*a3 - 6*a1*a2^2 - a1*a2*a3 - 10*a1*a3^2 - 4*a2^2*a3 + 4*a2*a3^2 + 14*a1^2 + 2*a1*a2 + 18*a1*a3 - 8*a2^2 - 4*a2*a3 - 8*a3^2 + 28*a1 - 8*a2 + 8*a3 + 16'),
+    ((1, 2, 2, 1, 1, 1, 2, 2), 9, True, 'a1^4*a2^2 - 2*a1^3*a2^3 + a1^2*a2^4 + 4*a1^4*a2 + 2*a1^3*a2^2 - 14*a1^2*a2^3 + 8*a1*a2^4 + 4*a1^4 + 32*a1^3*a2 - 35*a1^2*a2^2 - 16*a1*a2^3 + 16*a2^4 + 40*a1^3 + 60*a1^2*a2 - 120*a1*a2^2 + 32*a2^3 + 132*a1^2 - 32*a1*a2 - 48*a2^2 + 160*a1 - 64*a2 + 64'),
+]
+
+
+@pytest.mark.parametrize(
+    "entries, n, shifted, expected",
+    ORACLE_GOLDEN,
+    ids=["".join(map(str, e)) + ("-shifted" if s else "") for e, _, s, _ in ORACLE_GOLDEN],
+)
+def test_oracle_golden_orders_seven_and_eight(entries, n, shifted, expected):
+    assert str(oracle_eigenvalue(IndexTuple(entries, n), shifted=shifted)) == expected

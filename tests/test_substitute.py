@@ -72,3 +72,34 @@ def test_images_must_share_a_ring():
 def test_constant_without_variables_is_unchanged():
     c = MPoly.const(0, F(3, 4))
     assert c.substitute([]) == c
+
+
+def assert_valid_mpoly(r):
+    """A ring-operation result is what the checked constructor would build."""
+    for exps, coeff in r.terms.items():
+        assert len(exps) == r.nvars and all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is F and coeff, f"coefficient {coeff!r} at {exps}"
+    assert r.terms == MPoly(r.nvars, r.terms).terms
+
+
+scalars = st.one_of(st.integers(-3, 3), coefficients)
+
+
+@SETTINGS
+@given(homomorphism_cases(), scalars)
+def test_ring_results_are_valid(case, c):
+    p, q, images, _ = case
+    scalar_results = (p + c, c + p, p - c, c - p, p * c, c * p)
+    for r in (p + q, p - q, p - p, p * q, -p, p**2, p.substitute(images), *scalar_results):
+        assert_valid_mpoly(r)
+
+
+@SETTINGS
+@given(st.integers(0, 3).flatmap(mpolys), scalars)
+def test_scalar_operands_match_the_constant_polynomial(p, c):
+    const = MPoly.const(p.nvars, c)
+    for x in (0, 1, c):
+        assert (p + x).terms == (p + MPoly.const(p.nvars, x)).terms
+        assert (p * x).terms == (p * MPoly.const(p.nvars, x)).terms
+    assert (c - p).terms == (const - p).terms
+    assert (p - c).terms == (p - const).terms
