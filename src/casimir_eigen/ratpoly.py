@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -48,11 +49,11 @@ def _term_order_key(exps: Exponent) -> tuple:
 
 
 def _mul_terms(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-    """Product of two term dicts; cancelled coefficients may be left as zeros."""
+    """Product of two term dicts over any coefficient type; cancelled coefficients may be left as zeros."""
     out: dict[Exponent, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
+            exps = tuple(map(operator.add, ea, eb))
             out[exps] = out.get(exps, 0) + ca * cb
     return out
 
@@ -196,9 +197,16 @@ class MPoly:
         """The ring homomorphism sending variable i to ``images[i]``.
 
         All images must lie in one ring, which is the ring of the result.
-        Powers of each image are computed once per call and every term is
-        accumulated into one dict.  A polynomial without variables has
-        nothing to send and is returned as it is.
+        A polynomial without variables has nothing to send and is returned
+        as it is.
+
+        The expansion runs in integers over one common denominator.  Write
+        image i as G_i / d_i with G_i integral, let D clear the denominators
+        of ``self`` and let top_i be the largest exponent of variable i.
+        Each term c*x^e is scaled by D * prod(d_i^(top_i - e_i)): D*c is an
+        integer and top_i - e_i >= 0, so the scaled term times the cached
+        integer powers G_i^e_i is integral, and it is the term's image times
+        D * prod(d_i^top_i), the one divisor applied at the end.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -207,19 +215,27 @@ class MPoly:
         nvars = images[0].nvars
         if any(img.nvars != nvars for img in images):
             raise ValueError("images must all have the same nvars")
-        one = {(0,) * nvars: Fraction(1)}
-        powers: list[list[dict[Exponent, Fraction]]] = [[one] for _ in images]
-        out: dict[Exponent, Fraction] = {}
+        dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]
+        gens = [{e: c.numerator * (d // c.denominator) for e, c in img.terms.items()} for img, d in zip(images, dens)]
+        tops = [max(col) for col in zip(*self.terms)]
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        const = (0,) * nvars
+        powers: list[list[dict[Exponent, int]]] = [[{const: 1}] for _ in images]
+        out: dict[Exponent, int] = {}
         for exps, coeff in self.terms.items():
-            term = {(0,) * nvars: coeff}
-            for img, pows, e in zip(images, powers, exps):
+            scale = coeff.numerator * (den // coeff.denominator)
+            for d, top, e in zip(dens, tops, exps):
+                scale *= d ** (top - e)
+            term = {const: scale}
+            for gen, pows, e in zip(gens, powers, exps):
                 if e:
                     while len(pows) <= e:
-                        pows.append(_mul_terms(pows[-1], img.terms))
+                        pows.append(_mul_terms(pows[-1], gen))
                     term = _mul_terms(term, pows[e])
             for key, c in term.items():
                 out[key] = out.get(key, 0) + c
-        return MPoly._trusted(nvars, out)
+        den *= math.prod(d**top for d, top in zip(dens, tops))
+        return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in out.items()})
 
     # -- queries -----------------------------------------------------------
 
@@ -558,9 +574,7 @@ def format_coeff_in_n(coeffs: Sequence[Fraction]) -> str:
         return "0"
     if len(trimmed) == 1:
         return format_rat(trimmed[0])
-    den = 1
-    for c in trimmed:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in trimmed))
     numer = [c * den for c in trimmed]
     head = _join_signed(
         _signed_term(c, "n" if k == 1 else f"n^{k}" if k > 1 else "")

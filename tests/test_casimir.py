@@ -55,6 +55,11 @@ CLOSED_FORM_6_TEXT = (
     "p6 - 2*n*p5 + p3*p2 + (5*n^2 + 5)/4*p4 - n*p2^2 - (n^3 + 19*n)/12*p3"
     " - (7*n^4 - 22*n^2 - 9)/48*p2 + (5*n^7 - 49*n^5 + 35*n^3 + 9*n)/4032"
 )
+CLOSED_FORM_7_TEXT = (
+    "p7 - 5*n/2*p6 + p4*p2 + 1/2*p3^2 + (9*n^2 + 7)/4*p5 - 5*n/2*p3*p2 - (17*n^3 + 73*n)/24*p4"
+    " + (9*n^2 + 4)/8*p2^2 - (5*n^4 - 80*n^2 - 21)/48*p3 + (39*n^5 - 80*n^3 - 199*n)/480*p2"
+    " - (16*n^8 - 91*n^6 + 14*n^4 + 61*n^2)/13440"
+)
 CLOSED_FORM_5 = ClosedForm(
     {
         (5,): (F(1),),
@@ -171,6 +176,10 @@ class TestClosedForm:
 
     def test_order_six(self):
         assert str(closed_form(6)) == CLOSED_FORM_6_TEXT
+
+    @pytest.mark.slow
+    def test_order_seven(self):
+        assert str(closed_form(7)) == CLOSED_FORM_7_TEXT
 
     def test_rendering(self):
         assert str(closed_form(2)) == "p2 - (n^3 - n)/12"

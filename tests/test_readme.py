@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_casimir import CLOSED_FORM_6_TEXT, CLOSED_FORM_7_TEXT
 
 from casimir_eigen.cli import main
 
@@ -47,6 +48,11 @@ def test_table_covers_orders_one_to_five():
 def test_closed_form_table_row(capsys, m):
     code, lines = run_cli(capsys, ["closed-form", "--m", str(m)])
     assert (code, lines) == (0, [ROWS[m]])
+
+
+def test_slow_rows_match_the_pinned_closed_forms():
+    # closed_form(6) and closed_form(7) are recomputed only in test_casimir.py
+    assert (ROWS[6], ROWS[7]) == (CLOSED_FORM_6_TEXT, CLOSED_FORM_7_TEXT)
 
 
 def test_cli_block_has_examples():

@@ -5,10 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned  # noqa: E402
+from casimir_eigen.jetoracle import oracle_eigenvalue  # noqa: E402
 from casimir_eigen.ratpoly import MPoly, eliminate_last_var  # noqa: E402
+from casimir_eigen.tuplegraph import IndexTuple, parameter, relative_order  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -103,3 +106,83 @@ def test_scalar_operands_match_the_constant_polynomial(p, c):
         assert (p * x).terms == (p * MPoly.const(p.nvars, x)).terms
     assert (c - p).terms == (const - p).terms
     assert (p - c).terms == (p - const).terms
+
+
+# -- the integer kernel against the plain Fraction expansion ------------------
+
+
+def _product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return out
+
+
+def reference_substitute(p, images):
+    """The homomorphism expanded over Fractions, term by term with cached image powers."""
+    nvars = images[0].nvars
+    powers = [[{(0,) * nvars: F(1)}] for _ in images]
+    out = {}
+    for exps, coeff in p.terms.items():
+        term = {(0,) * nvars: coeff}
+        for img, pows, e in zip(images, powers, exps):
+            if e:
+                while len(pows) <= e:
+                    pows.append(_product(pows[-1], img.terms))
+                term = _product(term, pows[e])
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return MPoly(nvars, out)
+
+
+def images_over(target: int):
+    """Zero, constant or general images, each over its own denominator."""
+    general = st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * target), st.integers(-9, 9), max_size=3),
+        st.integers(1, 12),
+    ).map(lambda gd: MPoly(target, {e: F(c, gd[1]) for e, c in gd[0].items()}))
+    constant = st.fractions(min_value=-9, max_value=9, max_denominator=12).map(lambda c: MPoly.const(target, c))
+    return st.one_of(st.just(MPoly.zero(target)), constant, general)
+
+
+@st.composite
+def kernel_cases(draw):
+    source = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    p = draw(mpolys(source, max_deg=4, max_terms=5))
+    return p, [draw(images_over(target)) for _ in range(source)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example((MPoly.zero(2), [MPoly.zero(1), MPoly.const(1, F(1, 3))]))
+@example((MPoly(2, {(2, 0): F(1, 2), (0, 1): F(3, 4)}), [MPoly.zero(1), MPoly.const(1, F(5, 6))]))
+def test_matches_the_fraction_expansion(case):
+    p, images = case
+    result = p.substitute(images)
+    assert result == reference_substitute(p, images)
+    assert_valid_mpoly(result)
+
+
+def test_rho_shift_of_a_casimir_sum():
+    total = casimir_eigenvalue_patterned(CasimirRequest(m=5, n=8, shifted=False))
+    images = [parameter(v, 8, True) for v in range(1, 9)]
+    assert total.substitute(images) == reference_substitute(total, images)
+
+
+def test_elimination_of_a_shifted_casimir_sum():
+    total = casimir_eigenvalue_patterned(CasimirRequest(m=4, n=10))
+    head = [MPoly.variable(9, i) for i in range(9)]
+    assert eliminate_last_var(total) == reference_substitute(total, head + [-sum(head, MPoly.zero(9))])
+
+
+@pytest.mark.parametrize("entries", [(1, 4, 2, 5, 3, 6, 2, 7), (1, 3, 2, 4, 1, 2, 5, 3), (1, 1, 2, 1, 3, 2, 1, 4)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_pattern_oracle_at_parameters(entries, shifted):
+    order = relative_order(IndexTuple(entries, 9))
+    oracle = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
+    values = [2 * v + 1 for v in order.values]
+    images = [parameter(v, 16, shifted) for v in values]
+    assert oracle.substitute(images) == reference_substitute(oracle, images)
