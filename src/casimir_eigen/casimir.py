@@ -16,7 +16,12 @@ This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
 sign conventions and in both the plain and rho-shifted modes.  The oracle
 runs once per relative-order pattern and is specialised to each tuple by
-substitution.
+substitution.  verify_tuples imports the oracle when it starts, so the
+other subcommands never load it.
+
+Requests, selections and reports are typing.NamedTuple records; the ones
+that validate their fields (CasimirRequest, RandomSample) do it in the
+__new__ of a subclass of the bare record.
 """
 
 from __future__ import annotations
@@ -24,11 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .jetoracle import oracle_eigenvalue
 from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
 from .tuplegraph import (
     IndexTuple,
@@ -49,18 +52,23 @@ def _check_order(m: int) -> None:
         raise ValueError("order m must be >= 1")
 
 
-@dataclass(frozen=True)
-class CasimirRequest:
-    """What to compute: order m, rank n, shift and sign options."""
-
+class _CasimirRequestFields(NamedTuple):
     m: int
     n: int
     shifted: bool = True
     sign: SignConvention = SignConvention.ALTERNATING
 
-    def __post_init__(self):
+
+class CasimirRequest(_CasimirRequestFields):
+    """What to compute: order m, rank n, shift and sign options."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CasimirRequest:
+        self = super().__new__(cls, *args, **kwargs)
         _check_order(self.m)
         _check_rank(self.n)
+        return self
 
     @property
     def outside_standard_range(self) -> bool:
@@ -177,28 +185,30 @@ def closed_form(m: int) -> ClosedForm:
 # -- fast path vs oracle -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(NamedTuple):
     """Verify every tuple in {1..n}^m."""
 
 
-@dataclass(frozen=True)
-class RandomSample:
-    """Verify a seeded random sample of distinct tuples."""
-
+class _RandomSampleFields(NamedTuple):
     count: int
     seed: int
 
-    def __post_init__(self):
-        if self.count < 1:
+
+class RandomSample(_RandomSampleFields):
+    """Verify a seeded random sample of distinct tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, count: int, seed: int) -> RandomSample:
+        if count < 1:
             raise ValueError("sample count must be >= 1")
+        return super().__new__(cls, count, seed)
 
 
 Selection = Exhaustive | RandomSample
 
 
-@dataclass(frozen=True)
-class TupleComparison:
+class TupleComparison(NamedTuple):
     """One tuple's fast values against the oracle, in both modes."""
 
     entries: tuple[int, ...]
@@ -214,8 +224,7 @@ class TupleComparison:
         return not self.oracle_raw and not self.oracle_shifted
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Tally of fast-vs-oracle comparisons for one (m, n) selection."""
 
     m: int
@@ -309,6 +318,8 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     smallest value, which is exact because the oracle's power stage uses
     ring operations only.  The fast path still runs on every tuple.
     """
+    from .jetoracle import oracle_eigenvalue  # imported here so that only verify loads the oracle
+
     _check_order(m)
     _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)

@@ -11,6 +11,10 @@ Subcommands:
 Every invocation is fully determined by argv (randomized verification
 requires an explicit seed), and identical argv produces byte-identical
 stdout.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+
+A process loads only what its subcommand runs: the jet oracle is imported
+by verify_tuples and the tables module by the tables handler.  JSON is
+only written here (emit_polynomial_json and the *_to_obj helpers).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .casimir import (
     verify_tuples,
 )
 from .ratpoly import ClosedForm, MPoly, PowerSumPoly, format_mpoly, to_power_sum
-from .tables import eigenvalue_table
 from .tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, enumerate_cycles
 
 
@@ -48,10 +51,6 @@ def mpoly_to_obj(p: MPoly) -> dict:
     }
 
 
-def mpoly_from_obj(obj: dict) -> MPoly:
-    return MPoly(obj["nvars"], {tuple(t["e"]): Fraction(t["c"]) for t in obj["terms"]})
-
-
 def closed_form_to_obj(cf: ClosedForm) -> dict:
     return {
         "partitions": [
@@ -59,15 +58,6 @@ def closed_form_to_obj(cf: ClosedForm) -> dict:
             for lam, cs in cf.sorted_items()
         ]
     }
-
-
-def closed_form_from_obj(obj: dict) -> ClosedForm:
-    return ClosedForm(
-        {
-            tuple(entry["parts"]): tuple(Fraction(c) for c in entry["coeff_n"])
-            for entry in obj["partitions"]
-        }
-    )
 
 
 def power_sum_to_obj(q: PowerSumPoly) -> dict:
@@ -89,11 +79,6 @@ def emit_polynomial_json(value: MPoly | ClosedForm) -> str:
     """Canonical byte-reproducible JSON for a polynomial or closed form."""
     obj = mpoly_to_obj(value) if isinstance(value, MPoly) else closed_form_to_obj(value)
     return json.dumps(obj, separators=(",", ":"))
-
-
-def parse_polynomial_json(text: str) -> MPoly | ClosedForm:
-    obj = json.loads(text)
-    return mpoly_from_obj(obj) if "nvars" in obj else closed_form_from_obj(obj)
 
 
 def _dump(obj: dict) -> str:
@@ -229,6 +214,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import eigenvalue_table  # only this command needs the tables
+
     rows = eigenvalue_table(args.m)
     values = [row.computed.render() if row.computed else "0" for row in rows]
     if args.format == "json":

@@ -32,9 +32,8 @@ operations on valid jets cannot produce an invalid mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ratpoly import MPoly
 from .tuplegraph import IndexTuple, RelOrder, enumerate_paths, parameter, relative_order
@@ -266,8 +265,7 @@ def _minus_product(r: Jet, a: Jet, b: Jet) -> Jet:
     return Jet._trusted(r.m, _add_product(dict(r.coeffs), a.coeffs, b.coeffs, -1))
 
 
-@dataclass(frozen=True)
-class JetMatrix:
+class JetMatrix(NamedTuple):
     """Square matrix of jets; constant part is the identity by construction."""
 
     size: int
@@ -356,13 +354,12 @@ def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
     return eigenvalue_from_norms(norms, relative_order(t), t, shifted)
 
 
-@dataclass
-class PathCheckReport:
+class PathCheckReport(NamedTuple):
     """Comparison of every jet coefficient of the matrix against path counts."""
 
     entries: tuple[int, ...]
-    checked: int = 0
-    violations: list[tuple[int, int, tuple[int, ...], int, object]] = field(default_factory=list)
+    checked: int
+    violations: tuple[tuple[int, int, tuple[int, ...], int, object], ...]
 
     @property
     def ok(self) -> bool:
@@ -379,7 +376,8 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
     matrix = build_inverse_matrix(t)
     ro = relative_order(t)
     m = t.m
-    report = PathCheckReport(entries=t.entries)
+    checked = 0
+    violations = []
     subsets = [tuple(j for j in range(1, m + 1) if mask & (1 << (j - 1))) for mask in range(1 << m)]
     for v in range(1, matrix.size + 1):
         for w in range(1, matrix.size + 1):
@@ -388,9 +386,7 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
             for subset in subsets:
                 expected = (-1) ** len(subset) if subset in paths else 0
                 actual = entry.coefficient(subset)
-                report.checked += 1
+                checked += 1
                 if actual != expected:
-                    report.violations.append(
-                        (ro.values[v - 1], ro.values[w - 1], subset, expected, actual)
-                    )
-    return report
+                    violations.append((ro.values[v - 1], ro.values[w - 1], subset, expected, actual))
+    return PathCheckReport(entries=t.entries, checked=checked, violations=tuple(violations))

@@ -633,6 +633,8 @@ class ClosedForm:
         body = format_coeff_in_n(cs if positive else [-c for c in cs])
         mono = format_partition(lam)
         if mono:
+            if sum(1 for c in cs if c) > 1 and all(c.denominator == 1 for c in cs):
+                body = f"({body})"  # several terms with no denominator to group them
             body = mono if body == "1" else f"{body}*{mono}"
         return positive, body
 

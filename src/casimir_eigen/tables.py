@@ -16,9 +16,8 @@ values and a discrepancy marker, and neither is silently adopted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ratpoly import MPoly, alpha, format_mpoly
 from .tuplegraph import IndexTuple, proper_cycle_factors, relative_order
@@ -45,8 +44,7 @@ def _render_factor(form: MPoly) -> str:
     return format_mpoly(form, names=_symbol_names(form.nvars // 2))
 
 
-@dataclass(frozen=True)
-class FactoredValue:
+class FactoredValue(NamedTuple):
     """sign * product of normalized linear factors with multiplicities."""
 
     sign: int
@@ -112,8 +110,7 @@ def symbolic_shifted_eigenvalue(representative: tuple[int, ...]) -> FactoredValu
     return FactoredValue.from_factors(factors, sign=sign)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One relative-order case: label, predicate, and its symbolic value.
 
     ``computed`` is None for the zero cases.  ``variant`` holds a second,

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ratpoly import MPoly, alpha
 
@@ -40,21 +39,25 @@ def _check_rank(n: int) -> None:
         raise ValueError("rank n must be >= 1")
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """The tuple (i1,...,im) with ambient rank n; entries are 1-based."""
-
+class _IndexTupleFields(NamedTuple):
     entries: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        if len(self.entries) < 1:
+
+class IndexTuple(_IndexTupleFields):
+    """The tuple (i1,...,im) with ambient rank n; entries are 1-based."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: Sequence[int], n: int) -> IndexTuple:
+        entries = tuple(entries)
+        if len(entries) < 1:
             raise ValueError("index tuple needs at least one entry")
-        _check_rank(self.n)
-        for i in self.entries:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"entry {i} outside 1..{self.n}")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        _check_rank(n)
+        for i in entries:
+            if not 1 <= i <= n:
+                raise ValueError(f"entry {i} outside 1..{n}")
+        return super().__new__(cls, entries, n)
 
     @property
     def m(self) -> int:
@@ -82,8 +85,7 @@ class IndexTuple:
         return ",".join(str(i) for i in self.entries)
 
 
-@dataclass(frozen=True)
-class RelOrder:
+class RelOrder(NamedTuple):
     """Relative ordering of the tuple's entries.
 
     rho[j-1] is the rank of entry j among the distinct values (1-based),
@@ -118,8 +120,7 @@ def min_pair(values: Sequence[int]) -> tuple[int, int | None]:
     return v1, (min(rest) if rest else None)
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """A cycle of I between consecutive occurrences of its base value.
 
     Positions are 1-based indices into the closed tuple, with

@@ -18,11 +18,12 @@ from casimir_eigen.casimir import (
     casimir_eigenvalue,
     casimir_eigenvalue_patterned,
 )
-from casimir_eigen.cli import closed_form_from_obj, main
+from casimir_eigen.cli import main
 from casimir_eigen.jetoracle import Jet, path_coefficient_check
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tables import classify, order3_rows
 from casimir_eigen.tuplegraph import IndexTuple
+from polyjson import closed_form_from_obj
 
 EXPECTED_CLOSED_FORMS = {
     1: ClosedForm({}),

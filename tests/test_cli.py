@@ -6,13 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from casimir_eigen import casimir
-from casimir_eigen.cli import (
-    emit_polynomial_json,
-    main,
-    mpoly_from_obj,
-    parse_polynomial_json,
-)
+from casimir_eigen.cli import emit_polynomial_json, main
 from casimir_eigen.ratpoly import ClosedForm, MPoly, alpha
+from polyjson import mpoly_from_obj, parse_polynomial_json
 
 
 def run_cli(capsys, *argv):

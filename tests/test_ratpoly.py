@@ -320,6 +320,21 @@ class TestFormatting:
         assert format_coeff_in_n([F(0), F(-1, 24), 0, 0, F(1, 24)]) == "(n^4 - n)/24"
         assert format_coeff_in_n([F(3, 2)]) == "3/2"
 
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ({(7,): [3, 0, 5]}, "(5*n^2 + 3)*p7"),
+            ({(7,): [-3, 0, -5], (): [1]}, "-(5*n^2 + 3)*p7 + 1"),
+            ({(7,): [3, 1]}, "(n + 3)*p7"),
+            ({(7, 2): [1, 3]}, "(3*n + 1)*p7*p2"),
+            ({(7,): [0, 3]}, "3*n*p7"),
+        ],
+    )
+    def test_closed_form_groups_integer_coefficients(self, coeffs, text):
+        # A coefficient in n with several terms and no denominator is
+        # parenthesised before it multiplies a power-sum monomial.
+        assert str(ClosedForm(coeffs)) == text
+
     def test_power_sum_poly_str(self):
         q = PowerSumPoly({(3,): 1, (2,): F(-3, 2), (): 3})
         assert str(q) == "p3 - 3/2*p2 + 3"
