@@ -112,13 +112,15 @@ def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pattern_sums(m: int, max_ell: int, negate: bool) -> tuple[tuple[int, IntTerms], ...]:
+def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
     """(ell, P_ell) for ell = 1..max_ell: the sum of every nonzero rank pattern's product.
 
     P_ell is given by the (exponents, coefficient) terms of one polynomial
-    in the ell rank variables, negated when ``negate``.  Every proper-cycle
-    factor is +-x plus 0 or 1, so the coefficients are integers.  Cached
-    per process: the sample ranks of closed_form share one computation.
+    in the ell rank variables, taken as printed: each request applies its
+    sign convention when it relabels the terms, so both conventions share
+    one entry.  Every proper-cycle factor is +-x plus 0 or 1, so the
+    coefficients are integers.  Cached per process: the sample ranks of
+    closed_form share one computation.
     """
     acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_ell + 1)]
     for pattern in _rank_patterns(m, max_ell):
@@ -129,8 +131,7 @@ def _pattern_sums(m: int, max_ell: int, negate: bool) -> tuple[tuple[int, IntTer
         terms = acc[ell]
         for exps, coeff in product.terms.items():
             assert coeff.denominator == 1, "proper-cycle factors have integer coefficients"
-            c = -coeff.numerator if negate else coeff.numerator
-            terms[exps] = terms.get(exps, 0) + c
+            terms[exps] = terms.get(exps, 0) + coeff.numerator
     return tuple((ell, tuple((e, c) for e, c in acc[ell].items() if c)) for ell in range(1, max_ell + 1))
 
 
@@ -142,15 +143,15 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
     choice of ell values v_1 < ... < v_ell from 1..n contributes P_ell
     with rank k renamed to x_{v_k}, which only moves exponents: the sum is
     Gessel's monomial quasisymmetric sum.  It is taken in the parameters
-    x_v, which are then replaced once by their rho-shifts when
-    req.shifted.  Zero patterns (some rank below the first) are never
-    generated.
+    x_v, signed by the request's convention, and the x_v are then replaced
+    once by their rho-shifts when req.shifted.  Zero patterns (some rank
+    below the first) are never generated.
     """
     n, m = req.n, req.m
-    negate = req.sign is SignConvention.ALTERNATING and m % 2 == 1
+    sign = req.sign.factor(m)
     acc: dict[tuple[int, ...], int] = {}
-    for ell, terms in _pattern_sums(m, min(m, n), negate):
-        padded = [(exps + (0,), c) for exps, c in terms]
+    for ell, terms in _pattern_sums(m, min(m, n)):
+        padded = [(exps + (0,), sign * c) for exps, c in terms]
         for values in itertools.combinations(range(n), ell):
             # position v takes the exponent of rank k when v = values[k], else the pad 0
             slots = [ell] * n
@@ -250,8 +251,8 @@ class VerifyReport(NamedTuple):
 
     @property
     def mismatches(self) -> list[tuple[int, ...]]:
-        """Tuples matching under neither convention."""
-        return [r.entries for r in self.records if not (r.match_literal or r.match_alternating)]
+        """Tuples the alternating convention gets wrong: a non-empty list is a failed verification."""
+        return [r.entries for r in self.records if not r.match_alternating]
 
     def consistent_convention(self) -> str | None:
         """The convention matching every nonzero tuple, if there is one.
@@ -323,7 +324,7 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     _check_order(m)
     _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)
-    flip = -1 if m % 2 else 1
+    flip = SignConvention.LITERAL.factor(m) * SignConvention.ALTERNATING.factor(m)  # literal / alternating
     pattern_oracles: dict[tuple[int, ...], MPoly] = {}
     records = []
     for entries in tuples:

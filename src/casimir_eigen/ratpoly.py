@@ -25,6 +25,7 @@ reductions everything else is expressed in:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -340,46 +341,60 @@ def eliminate_last_var(p: MPoly) -> MPoly:
 # -- power-sum basis -------------------------------------------------------
 
 
-class PowerSumPoly:
-    """Rational combination of power-sum products p_k with all parts k >= 2.
+class _PartitionCombination:
+    """Shared body of PowerSumPoly and ClosedForm: coefficients keyed by partitions.
 
-    Keys are integer partitions in non-increasing order; the empty
-    partition () is the constant term.  This is the output basis for
-    symmetric eigenvalues once p1 = 0 has been imposed.
+    Keys are integer partitions in non-increasing order with all parts
+    k >= 2; the empty partition () is the constant term.  Keys naming one
+    partition are summed by the subclass's ``_sum``, and zero sums dropped.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[Iterable[int], Fraction | int] | None = None):
-        clean: dict[Partition, Fraction] = {}
+    def __init__(self, coeffs: Mapping[Iterable[int], Fraction | int | Sequence[Fraction]] | None = None):
+        grouped: dict[Partition, list] = {}
         for parts, coeff in (coeffs or {}).items():
             lam = tuple(sorted(parts, reverse=True))
             if any(k < 2 for k in lam):
                 raise ValueError(f"partition {lam} has a part < 2")
-            c = Fraction(coeff)
-            if c:
-                clean[lam] = clean.get(lam, Fraction(0)) + c
-                if not clean[lam]:
-                    del clean[lam]
+            grouped.setdefault(lam, []).append(coeff)
+        clean = {lam: total for lam, values in grouped.items() if (total := self._sum(values))}
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PowerSumPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> PowerSumPoly:
-        return cls({})
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSumPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_items(self) -> list[tuple[Partition, object]]:
         return sorted(self.coeffs.items(), key=lambda kv: _term_order_key(kv[0]))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self!s})"
+
+
+class PowerSumPoly(_PartitionCombination):
+    """Rational combination of power-sum products p_k with all parts k >= 2.
+
+    This is the output basis for symmetric eigenvalues once p1 = 0 has
+    been imposed.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _sum(values: list[Fraction | int]) -> Fraction:
+        return sum(map(Fraction, values), Fraction(0))
+
+    @classmethod
+    def zero(cls) -> PowerSumPoly:
+        return cls({})
 
     def expand(self, nvars: int) -> MPoly:
         """Write the combination out as an explicit polynomial in a1..aN."""
@@ -393,9 +408,6 @@ class PowerSumPoly:
 
     def __str__(self) -> str:
         return _join_signed(_signed_term(c, format_partition(lam)) for lam, c in self.sorted_items())
-
-    def __repr__(self) -> str:
-        return f"PowerSumPoly({self!s})"
 
 
 def format_partition(lam: Partition) -> str:
@@ -586,39 +598,19 @@ def format_coeff_in_n(coeffs: Sequence[Fraction]) -> str:
     return f"({head})/{den}" if len([c for c in numer if c]) > 1 else f"{head}/{den}"
 
 
-class ClosedForm:
+class ClosedForm(_PartitionCombination):
     """Power-sum combination whose coefficients are polynomials in the rank n.
 
     Coefficient polynomials are stored as tuples of Fractions in ascending
     powers of n with trailing zeros trimmed.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[Iterable[int], Sequence[Fraction]] | None = None):
-        clean: dict[Partition, tuple[Fraction, ...]] = {}
-        for parts, cs in (coeffs or {}).items():
-            lam = tuple(sorted(parts, reverse=True))
-            if any(k < 2 for k in lam):
-                raise ValueError(f"partition {lam} has a part < 2")
-            trimmed = _trim([Fraction(c) for c in cs])
-            if trimmed:
-                clean[lam] = trimmed
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosedForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def sorted_items(self) -> list[tuple[Partition, tuple[Fraction, ...]]]:
-        return sorted(self.coeffs.items(), key=lambda kv: _term_order_key(kv[0]))
+    @staticmethod
+    def _sum(values: list[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+        by_power = itertools.zip_longest(*values, fillvalue=0)  # the coefficients of n^0, n^1, ...
+        return _trim([sum(map(Fraction, cs), Fraction(0)) for cs in by_power])
 
     def at(self, n: int) -> PowerSumPoly:
         """Evaluate every coefficient at a concrete rank n."""
@@ -637,9 +629,6 @@ class ClosedForm:
                 body = f"({body})"  # several terms with no denominator to group them
             body = mono if body == "1" else f"{body}*{mono}"
         return positive, body
-
-    def __repr__(self) -> str:
-        return f"ClosedForm({self!s})"
 
 
 def interpolate_in_n(

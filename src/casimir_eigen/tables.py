@@ -1,13 +1,13 @@
 """Symbolic per-case eigenvalue tables for small-order elementary operators.
 
 For orders 2 and 3 every tuple (i1,...,im) falls into one of a handful of
-relative-order cases, and the shifted eigenvalue of each case is a short
-product of linear factors.  A factor is a degree-1 MPoly over the 2m+1
-symbols a_i1..a_im, (n+1)/2, i1..im, built by the same proper-cycle rule
-as the fast path (tuplegraph.proper_cycle_factors).  This module
-generates those rows from representative tuples, renders them with
-format_mpoly, and instantiates any row at concrete indices and rank by
-substitution, for exact checking.
+relative-order cases: a zero case i1 > ij or a rank pattern (as
+tuplegraph.relative_order gives it), which yields the row's label, its
+predicate and its shifted eigenvalue, a short product of linear factors.
+Each factor is a degree-1 MPoly over the 2m+1 symbols a_i1..a_im, (n+1)/2,
+i1..im, built by the fast path's proper-cycle rule.  Rows render with
+format_mpoly and instantiate at concrete indices and rank by substitution,
+for exact checking.
 
 One order-3 case ("i1 < i2 = i3") circulates in print with a different
 closed form than the one exact computation gives; that row carries both
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .ratpoly import MPoly, alpha, format_mpoly
-from .tuplegraph import IndexTuple, proper_cycle_factors, relative_order
+from .tuplegraph import IndexTuple, SignConvention, proper_cycle_factors, relative_order
 
 
 def _symbol_names(m: int) -> list[str]:
@@ -106,8 +106,7 @@ def symbolic_shifted_eigenvalue(representative: tuple[int, ...]) -> FactoredValu
     if order.values != tuple(range(1, order.ell + 1)):
         raise ValueError("representative must use the values 1..ell")
     factors = proper_cycle_factors(t, lambda v: shifted_symbol(m, order.sigma[v - 1]))
-    sign = -1 if m % 2 else 1  # alternating convention
-    return FactoredValue.from_factors(factors, sign=sign)
+    return FactoredValue.from_factors(factors, sign=SignConvention.ALTERNATING.factor(m))
 
 
 class TableRow(NamedTuple):
@@ -134,65 +133,45 @@ class TableRow(NamedTuple):
         return self.variant is not None
 
 
+# The nonzero rank patterns of each order, in the order the tables print them.
+_PATTERNS = {
+    2: [(1, 1), (1, 2)],
+    3: [(1, 2, 3), (1, 3, 2), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 1, 1)],
+}
+
+
 def _printed_order3_variant() -> FactoredValue:
-    # The circulated form for "i1 < i2 = i3": (b1 - b2) * (1 - b1) in the
-    # shifted parameters, versus the computed (b1 - b2) * (1 - b2).
+    # The circulated form for "i1 < i2 = i3" (pattern (1, 2, 2)): (b1 - b2) * (1 - b1)
+    # in the shifted parameters, versus the computed (b1 - b2) * (1 - b2).
     b1, b2 = shifted_symbol(3, 1), shifted_symbol(3, 2)
     return FactoredValue.from_factors([b1 - b2, 1 - b1])
 
 
-def order2_rows() -> list[TableRow]:
-    return [
-        TableRow("i1 > i2", lambda e: e[0] > e[1], None),
-        TableRow("i1 = i2", lambda e: e[0] == e[1], symbolic_shifted_eigenvalue((1, 1))),
-        TableRow("i1 < i2", lambda e: e[0] < e[1], symbolic_shifted_eigenvalue((1, 2))),
-    ]
+def _pattern_label(pattern: tuple[int, ...]) -> str:
+    """The positions of each rank, lowest rank first, e.g. (1, 2, 1) -> ``i1 = i3 < i2``."""
+    positions = [[f"i{j}" for j, r in enumerate(pattern, start=1) if r == v] for v in range(1, max(pattern) + 1)]
+    return " < ".join(" = ".join(names) for names in positions)
 
 
-def order3_rows() -> list[TableRow]:
-    return [
-        TableRow("i1 > i2", lambda e: e[0] > e[1], None),
-        TableRow("i1 > i3", lambda e: e[0] > e[2], None),
-        TableRow(
-            "i1 < i2 < i3",
-            lambda e: e[0] < e[1] < e[2],
-            symbolic_shifted_eigenvalue((1, 2, 3)),
-        ),
-        TableRow(
-            "i1 < i3 < i2",
-            lambda e: e[0] < e[2] < e[1],
-            symbolic_shifted_eigenvalue((1, 3, 2)),
-        ),
-        TableRow(
-            "i1 = i2 < i3",
-            lambda e: e[0] == e[1] < e[2],
-            symbolic_shifted_eigenvalue((1, 1, 2)),
-        ),
-        TableRow(
-            "i1 = i3 < i2",
-            lambda e: e[0] == e[2] < e[1],
-            symbolic_shifted_eigenvalue((1, 2, 1)),
-        ),
-        TableRow(
-            "i1 < i2 = i3",
-            lambda e: e[0] < e[1] == e[2],
-            symbolic_shifted_eigenvalue((1, 2, 2)),
-            variant=_printed_order3_variant(),
-        ),
-        TableRow(
-            "i1 = i2 = i3",
-            lambda e: e[0] == e[1] == e[2],
-            symbolic_shifted_eigenvalue((1, 1, 1)),
-        ),
-    ]
+def _pattern_row(pattern: tuple[int, ...]) -> TableRow:
+    return TableRow(
+        _pattern_label(pattern),
+        lambda e: relative_order(IndexTuple(e, max(e))).rho == pattern,
+        symbolic_shifted_eigenvalue(pattern),
+        variant=_printed_order3_variant() if pattern == (1, 2, 2) else None,
+    )
 
 
 def eigenvalue_table(m: int) -> list[TableRow]:
-    if m == 2:
-        return order2_rows()
-    if m == 3:
-        return order3_rows()
-    raise ValueError("symbolic tables exist for m = 2 and m = 3 only")
+    """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern."""
+    if m not in _PATTERNS:
+        raise ValueError("symbolic tables exist for m = 2 and m = 3 only")
+    zero_rows = [TableRow(f"i1 > i{j + 1}", lambda e, j=j: e[0] > e[j], None) for j in range(1, m)]
+    return zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]]
+
+
+def order3_rows() -> list[TableRow]:
+    return eigenvalue_table(3)
 
 
 def classify(m: int, entries: tuple[int, ...]) -> TableRow:

@@ -33,6 +33,10 @@ class SignConvention(enum.Enum):
     LITERAL = "literal"
     ALTERNATING = "alternating"
 
+    def factor(self, m: int) -> int:
+        """The sign, +1 or -1, that this convention puts on the order-m product."""
+        return -1 if self is SignConvention.ALTERNATING and m % 2 else 1
+
 
 def _check_rank(n: int) -> None:
     if n < 1:
@@ -77,8 +81,6 @@ class IndexTuple(_IndexTupleFields):
             entries = tuple(int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(f"cannot parse index tuple from {text!r}") from None
-        if not entries:
-            raise ValueError("empty index tuple")
         return cls(entries, max(entries) if n is None else n)
 
     def __str__(self) -> str:
@@ -211,7 +213,7 @@ def elementary_eigenvalue(
 
     Zero whenever some entry is smaller than i1.  Otherwise the product
     of the proper-cycle factors, with x the plain parameter or its
-    rho-shift.  ALTERNATING multiplies by (-1)^m.
+    rho-shift, signed by ``sign.factor(m)``.
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
@@ -219,7 +221,7 @@ def elementary_eigenvalue(
     result = MPoly.one(n)
     for factor in proper_cycle_factors(t, lambda v: parameter(v, n, shifted)):
         result = result * factor
-    if sign is SignConvention.ALTERNATING and t.m % 2:
+    if sign.factor(t.m) < 0:
         result = -result
     return result
 

@@ -149,6 +149,17 @@ class TestPatterned:
             request = CasimirRequest(m=m, n=n, shifted=shifted, sign=sign)
             assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
 
+    def test_both_signs_share_one_pattern_sum(self):
+        # the sign is applied per request, so at odd m the literal and the
+        # alternating request read one cached sum and come out as negatives
+        casimir._pattern_sums.cache_clear()
+        literal, alternating = (
+            casimir_eigenvalue_patterned(CasimirRequest(m=3, n=4, sign=sign))
+            for sign in (SignConvention.LITERAL, SignConvention.ALTERNATING)
+        )
+        assert casimir._pattern_sums.cache_info().currsize == 1
+        assert literal == -alternating != 0
+
     def test_descending_pairs_are_skipped_as_one_pattern(self):
         # the (2,1) rank pattern covers all n(n-1)/2 descending pairs at once;
         # the resulting sum still matches, so nothing is lost by skipping them

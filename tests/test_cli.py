@@ -134,6 +134,18 @@ class TestVerify:
         assert "consistent convention: NONE" in out
         assert "MISMATCH under the alternating convention: [(1, 1), (1, 2), (2, 2)]" in out
 
+    def test_json_lists_the_tuples_behind_exit_1(self, capsys, monkeypatch):
+        # A negated fast path at odd m is the literal convention: every nonzero
+        # tuple fails the alternating one, so the JSON must list each of them.
+        elementary = casimir.elementary_eigenvalue
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign: -elementary(t, shifted, sign))
+        code, out = run_cli(capsys, "verify", "--m", "3", "--n", "3", "--exhaustive", "--json")
+        obj = json.loads(out)
+        assert code == 1
+        assert obj["match_alternating"] == obj["zero"] < obj["total"]
+        assert len(obj["mismatch"]) == obj["total"] - obj["zero"]
+        assert obj["mismatch"][0] == [1, 1, 1]
+
     def test_random_without_seed_exits_2(self, capsys):
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--random", "3")
         assert code == 2
@@ -272,3 +284,30 @@ def test_verify_golden_stdout(capsys, argv):
     code, out = run_cli(capsys, "verify", *argv)
     assert code == 0
     assert out == VERIFY_GOLDEN[argv]
+
+
+# Full stdout under the literal sign convention at odd m, pinned byte for byte.
+LITERAL_GOLDEN = {
+    ('casimir', '--m', '3', '--n', '4', '--sign', 'literal'): (
+        'eigenvalue: -a1^3 - a2^3 - a3^3 - a4^3 + 3/2*a1^2 - a1*a2 - a1*a3 - a1*a4 + 3/2*a2^2 - a2*a3 - a2*a4 + 3/2*a3^2 - a3*a4 + 3/2*a4^2 + 15/4*a1 + 15/4*a2 + 15/4*a3 + 15/4*a4 - 10\n'
+    ),
+    ('casimir', '--m', '3', '--n', '4', '--sign', 'literal', '--json'): (
+        '{"m":3,"n":4,"shifted":true,"basis":"monomial","eigenvalue":{"nvars":4,"terms":[{"c":"-1/1","e":[3,0,0,0]},{"c":"-1/1","e":[0,3,0,0]},{"c":"-1/1","e":[0,0,3,0]},{"c":"-1/1","e":[0,0,0,3]},{"c":"3/2","e":[2,0,0,0]},{"c":"-1/1","e":[1,1,0,0]},{"c":"-1/1","e":[1,0,1,0]},{"c":"-1/1","e":[1,0,0,1]},{"c":"3/2","e":[0,2,0,0]},{"c":"-1/1","e":[0,1,1,0]},{"c":"-1/1","e":[0,1,0,1]},{"c":"3/2","e":[0,0,2,0]},{"c":"-1/1","e":[0,0,1,1]},{"c":"3/2","e":[0,0,0,2]},{"c":"15/4","e":[1,0,0,0]},{"c":"15/4","e":[0,1,0,0]},{"c":"15/4","e":[0,0,1,0]},{"c":"15/4","e":[0,0,0,1]},{"c":"-10/1","e":[0,0,0,0]}]}}\n'
+    ),
+    ('casimir', '--m', '5', '--n', '6', '--raw', '--sign', 'literal'): (
+        'eigenvalue: -a1^5 - a2^5 - a3^5 - a4^5 - a5^5 - a6^5 + 20*a1^4 - a1^3*a2 - a1^3*a3 - a1^3*a4 - a1^3*a5 - a1^3*a6 - a1^2*a2^2 - a1^2*a3^2 - a1^2*a4^2 - a1^2*a5^2 - a1^2*a6^2 - a1*a2^3 - a1*a3^3 - a1*a4^3 - a1*a5^3 - a1*a6^3 + 15*a2^4 - a2^3*a3 - a2^3*a4 - a2^3*a5 - a2^3*a6 - a2^2*a3^2 - a2^2*a4^2 - a2^2*a5^2 - a2^2*a6^2 - a2*a3^3 - a2*a4^3 - a2*a5^3 - a2*a6^3 + 10*a3^4 - a3^3*a4 - a3^3*a5 - a3^3*a6 - a3^2*a4^2 - a3^2*a5^2 - a3^2*a6^2 - a3*a4^3 - a3*a5^3 - a3*a6^3 + 5*a4^4 - a4^3*a5 - a4^3*a6 - a4^2*a5^2 - a4^2*a6^2 - a4*a5^3 - a4*a6^3 - a5^3*a6 - a5^2*a6^2 - a5*a6^3 - 5*a6^4 - 150*a1^3 + 19*a1^2*a2 + 17*a1^2*a3 + 15*a1^2*a4 + 13*a1^2*a5 + 11*a1^2*a6 + 18*a1*a2^2 - a1*a2*a3 - a1*a2*a4 - a1*a2*a5 - a1*a2*a6 + 15*a1*a3^2 - a1*a3*a4 - a1*a3*a5 - a1*a3*a6 + 12*a1*a4^2 - a1*a4*a5 - a1*a4*a6 + 9*a1*a5^2 - a1*a5*a6 + 6*a1*a6^2 - 79*a2^3 + 14*a2^2*a3 + 12*a2^2*a4 + 10*a2^2*a5 + 8*a2^2*a6 + 13*a2*a3^2 - a2*a3*a4 - a2*a3*a5 - a2*a3*a6 + 10*a2*a4^2 - a2*a4*a5 - a2*a4*a6 + 7*a2*a5^2 - a2*a5*a6 + 4*a2*a6^2 - 28*a3^3 + 9*a3^2*a4 + 7*a3^2*a5 + 5*a3^2*a6 + 8*a3*a4^2 - a3*a4*a5 - a3*a4*a6 + 5*a3*a5^2 - a3*a5*a6 + 2*a3*a6^2 + 3*a4^3 + 4*a4^2*a5 + 2*a4^2*a6 + 3*a4*a5^2 - a4*a5*a6 + 14*a5^3 - a5^2*a6 - 2*a5*a6^2 + 5*a6^3 + 500*a1^2 - 131*a1*a2 - 97*a1*a3 - 69*a1*a4 - 47*a1*a5 - 31*a1*a6 + 143*a2^2 - 65*a2*a3 - 41*a2*a4 - 23*a2*a5 - 11*a2*a6 - 26*a3^2 - 19*a3*a4 - 5*a3*a5 + 3*a3*a6 - 67*a4^2 + 7*a4*a5 + 11*a4*a6 - 40*a5^2 + 13*a5*a6 - 5*a6^2 - 625*a1 + 113*a2 + 269*a3 + 179*a4 + 59*a5 + 5*a6\n'
+    ),
+    ('elementary', '--tuple', '1,3,2', '--sign', 'literal'): (
+        'eigenvalue: -a1 + a2 - 1\n'
+        'cycles (consecutive occurrences of each value in the closed tuple):\n'
+        '  positions  sub-list   proper  v1  v2\n'
+        '  1..4       (1,3,2,1)  yes     1   2 \n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LITERAL_GOLDEN))
+def test_literal_sign_golden_stdout(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == LITERAL_GOLDEN[argv]

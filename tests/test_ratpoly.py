@@ -338,3 +338,15 @@ class TestFormatting:
     def test_power_sum_poly_str(self):
         q = PowerSumPoly({(3,): 1, (2,): F(-3, 2), (): 3})
         assert str(q) == "p3 - 3/2*p2 + 3"
+
+
+class TestCombinationKeys:
+    def test_keys_naming_one_partition_are_summed(self):
+        assert PowerSumPoly({(2, 3): 1, (3, 2): 2}) == PowerSumPoly({(3, 2): 3})
+        assert ClosedForm({(2, 3): [1], (3, 2): [2]}) == ClosedForm({(3, 2): [3]})
+        assert str(ClosedForm({(2, 3): [1], (3, 2): [2]})) == str(PowerSumPoly({(2, 3): 1, (3, 2): 2})) == "3*p3*p2"
+
+    def test_summed_keys_that_cancel_are_dropped(self):
+        assert not PowerSumPoly({(2, 3): 1, (3, 2): -1})
+        assert not ClosedForm({(2, 3): [1, 2], (3, 2): [-1, -2]})
+        assert ClosedForm({(2, 3): [1, 2], (3, 2): [0, -2]}).coeffs == {(3, 2): (F(1),)}
