@@ -12,30 +12,42 @@ becomes exact polynomial arithmetic.  The truncation is sound because
 each t_j occurs in exactly one matrix factor and only the full monomial
 is extracted at the end: every discarded term carries some t_j^2.
 
+Orthogonalizing the columns is never spelled out: the Gram norms are the
+pivots d_v of the LDL^T factorization of the Gram matrix G = M^T M, which
+are the norms Gram-Schmidt would give.  The last pivot is never inverted,
+since nothing divides by it.
+
 Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
-the matrix entries are +-1 path counts, and every Gram norm has constant
+the matrix entries are +-1 path counts, and every pivot has constant
 term 1, so inverting it never leaves the integers.  Polynomials in the
 Langlands parameters only enter through the exponents -x/2 of the final
-power stage, which uses ring operations alone.  The oracle therefore
-depends on a tuple only through its relative order rho: the eigenvalue
-of the pattern tuple rho, taken in its rank variables, becomes the
-eigenvalue of every tuple with that pattern under the substitution
-rank k -> parameter of the k-th smallest value (see verify_tuples).
+power stage.  There each coefficient of norm^beta is an integer
+combination of the binomials C(beta, k), kept over one common
+denominator; the product of the powers runs on integer numerators, its
+last factor only forms the top coefficient, and one division ends it.
+Every step is a ring operation, so the oracle depends on a tuple only
+through its relative order rho: the eigenvalue of the pattern tuple rho,
+taken in its rank variables, becomes the eigenvalue of every tuple with
+that pattern under the substitution rank k -> parameter of the k-th
+smallest value (see verify_tuples).
 
 All jet multiplication goes through one kernel, ``_add_product``, which
 accumulates sign * a * b into a single dict and skips overlapping masks.
-``Jet.__mul__``, the Gram inner products, the Gram-Schmidt projection
-update and the matrix factor update all accumulate through it, and each
-builds its result once, with the unchecked ``Jet._trusted``: ring
-operations on valid jets cannot produce an invalid mask.
+``Jet.__mul__``, the Gram inner products, the pivot updates and the
+powers of nu = norm - 1 all accumulate through it, and each builds its
+result once, with the unchecked ``Jet._trusted``: ring operations on
+valid jets cannot produce an invalid mask.  A matrix factor multiplies
+by a single t_j, which only shifts masks.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .ratpoly import MPoly
+from .ratpoly import Exponent, MPoly, _mul_terms
 from .tuplegraph import IndexTuple, RelOrder, enumerate_paths, parameter, relative_order
 
 
@@ -182,44 +194,52 @@ class Jet:
         """Exact inverse via the terminating geometric series.
 
         Writes self = c0 * (1 + nu) with c0 rational and nu nilpotent; the
-        series for (1 + nu)^-1 stops after at most m terms.  A unit
-        constant term c0 = +-1 is its own inverse, so an integer jet stays
-        integral.
+        series for (1 + nu)^-1 stops after at most m terms.  The powers of
+        nu are formed once on coefficient dicts, summed with alternating
+        signs and wrapped once.  A unit constant term c0 = +-1 is its own
+        inverse, so an integer jet stays integral.
         """
         c0 = self.constant_term
         if not c0:
             raise NotInvertibleError("constant term is zero")
         c0_inv = int(c0) if c0 in (1, -1) else Fraction(1) / Fraction(c0)
-        nu = (self * c0_inv) - 1
-        result = Jet.one(self.m)
-        term = Jet.one(self.m)
-        for k in range(1, self.m + 1):
-            term = term * nu  # nu^k
-            if not term:
-                break
-            result = result - term if k % 2 else result + term
-        return result * c0_inv
+        nu = {mask: c * c0_inv for mask, c in self.coeffs.items() if mask}
+        out: dict[int, object] = {0: 1}
+        for k, power in enumerate(_nu_powers(nu), start=1):
+            for mask, c in power.items():
+                if k % 2:
+                    c = -c
+                out[mask] = out[mask] + c if mask in out else c
+        if c0_inv != 1:
+            out = {mask: c * c0_inv for mask, c in out.items()}
+        return Jet._trusted(self.m, out)
 
     def power(self, beta: MPoly) -> Jet:
-        """(1 + nu)^beta as the terminating binomial series.
+        """(1 + nu)^beta as the terminating binomial series sum_k C(beta, k) nu^k.
 
-        The coefficient of nu^k is the falling factorial
-        beta*(beta-1)*...*(beta-k+1) divided by k!, a polynomial in the
-        Langlands parameters.  Requires constant term exactly 1.
+        Requires constant term exactly 1 and rational coefficients.  The
+        powers of nu are formed once, so each mask's coefficient is the
+        combination sum_k nu^k[mask] * C(beta, k), with integer weights for
+        an integral jet such as a Gram norm.  The binomials
+        C(beta, k) = beta*(beta-1)*...*(beta-k+1)/k!, polynomials in the
+        Langlands parameters, come from ``_binomials`` as integer numerators
+        over one common denominator; each combination is summed on those
+        numerators and becomes one MPoly.
         """
         if self.constant_term != 1:
             raise ValueError("power() needs constant term 1")
-        nu = self - 1
-        result: Jet = Jet.one(self.m)
-        term = Jet.one(self.m)
-        coeff = MPoly.one(beta.nvars)
-        for k in range(1, self.m + 1):
-            term = term * nu
-            if not term:
-                break
-            coeff = coeff * (beta - (k - 1)) * Fraction(1, k)
-            result = result + term * coeff
-        return result
+        powers = _nu_powers({mask: c for mask, c in self.coeffs.items() if mask})
+        den, numerators = _binomials(beta.nvars, frozenset(beta.terms.items()), self.m)
+        combos: dict[int, dict[Exponent, object]] = {}
+        for power, binomial in zip(powers, numerators):
+            for mask, c in power.items():
+                acc = combos.setdefault(mask, {})
+                for e, b in binomial.items():
+                    acc[e] = acc[e] + c * b if e in acc else c * b
+        out: dict[int, object] = {0: 1}
+        for mask, acc in combos.items():
+            out[mask] = MPoly._trusted(beta.nvars, {e: Fraction(c, den) for e, c in acc.items()})
+        return Jet._trusted(self.m, out)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -260,9 +280,40 @@ def _add_product(
     return out
 
 
-def _minus_product(r: Jet, a: Jet, b: Jet) -> Jet:
-    """r - a * b, accumulated into one dict."""
-    return Jet._trusted(r.m, _add_product(dict(r.coeffs), a.coeffs, b.coeffs, -1))
+def _nu_powers(nu: dict[int, object]) -> list[dict[int, object]]:
+    """nu, nu^2, ... up to the last nonzero power, for a coefficient dict without a constant.
+
+    Each power raises the smallest mask size by one, so there are at most m.
+    """
+    powers = []
+    while nu:
+        powers.append(nu)
+        nu = {mask: c for mask, c in _add_product({}, nu, powers[0]).items() if c}
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(nvars: int, beta: frozenset, top: int) -> tuple[int, tuple[dict[Exponent, int], ...]]:
+    """C(beta, k) for k = 1..top as integer term dicts over one common denominator.
+
+    ``beta`` is the polynomial's set of terms, which makes equal
+    polynomials one cache key.  With beta = B/d and B integral, C(beta, k) is the falling
+    product (B)(B - d)...(B - (k-1)d) over d^k k!, so every numerator is
+    an integer product scaled up to the denominator d^top top!.  Cached:
+    the values are never mutated, and verify asks for the same few
+    exponents -x/2 on every pattern of an order.
+    """
+    d = math.lcm(*(c.denominator for _, c in beta))
+    const = (0,) * nvars
+    falling = {const: 1}
+    numerators = []
+    for k in range(1, top + 1):
+        factor = {e: c.numerator * (d // c.denominator) for e, c in beta}
+        factor[const] = factor.get(const, 0) - (k - 1) * d
+        falling = _mul_terms(falling, factor)
+        scale = d ** (top - k) * (math.factorial(top) // math.factorial(k))
+        numerators.append({e: c * scale for e, c in falling.items() if c})
+    return d**top * math.factorial(top), tuple(numerators)
 
 
 class JetMatrix(NamedTuple):
@@ -270,10 +321,6 @@ class JetMatrix(NamedTuple):
 
     size: int
     entries: tuple[tuple[Jet, ...], ...]
-
-    def column(self, c: int) -> list[Jet]:
-        """Column c, 1-based."""
-        return [self.entries[r][c - 1] for r in range(self.size)]
 
 
 def build_inverse_matrix(t: IndexTuple) -> JetMatrix:
@@ -287,67 +334,122 @@ def build_inverse_matrix(t: IndexTuple) -> JetMatrix:
     ro = relative_order(t)
     ell, m = ro.ell, t.m
     rho = ro.rho + (ro.rho[0],)
-    cols: list[list[Jet]] = [
-        [Jet.one(m) if r == c else Jet.zero(m) for r in range(ell)] for c in range(ell)
-    ]
+    cols: list[list[dict[int, int]]] = [[{0: 1} if r == c else {} for r in range(ell)] for c in range(ell)]
     for j in range(1, m + 1):
-        a, b = rho[j - 1], rho[j]
-        tj = Jet.t(m, j)
-        # right-multiplying by (I - t_j E_{a,b}) replaces col_b by col_b - t_j col_a
-        cols[b - 1] = [_minus_product(cb, tj, ca) for cb, ca in zip(cols[b - 1], cols[a - 1])]
-    rows = tuple(tuple(cols[c][r] for c in range(ell)) for r in range(ell))
+        bit = 1 << (j - 1)
+        # right-multiplying by (I - t_j E_{a,b}) replaces col_b by col_b - t_j col_a.
+        # No entry has bit j yet, so t_j only sets it and the new masks are new keys;
+        # col_a is read in full before col_b changes, as a may equal b.
+        for cb, ca in zip(cols[rho[j] - 1], cols[rho[j - 1] - 1]):
+            cb.update([(mask | bit, -c) for mask, c in ca.items()])
+    rows = tuple(tuple(Jet._trusted(m, cols[c][r]) for c in range(ell)) for r in range(ell))
     return JetMatrix(size=ell, entries=rows)
 
 
-def _inner(x: Sequence[Jet], y: Sequence[Jet]) -> Jet:
+def _inner(x: dict[int, dict[int, object]], y: dict[int, dict[int, object]]) -> dict[int, object]:
+    """Inner product of two sparse columns, each a dict row -> coefficient dict."""
+    if len(y) < len(x):
+        x, y = y, x
     total: dict[int, object] = {}
-    for a, b in zip(x, y):
-        _add_product(total, a.coeffs, b.coeffs)
-    return Jet._trusted(x[0].m, total)
+    for r, a in x.items():
+        b = y.get(r)
+        if b is not None:
+            _add_product(total, a, b)
+    return total
 
 
 def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
     """Gram norms <b_v, b_v> of the orthogonalized columns, in order.
 
-    Classical Gram-Schmidt over the jet ring: division only ever happens
-    by Gram norms, whose constant terms are 1 for inverse-factor
-    matrices, so every intermediate stays exactly representable.
+    These are the pivots d_v of the LDL^T factorization of the Gram
+    matrix G = M^T M, the same jets classical Gram-Schmidt gives: both are
+    ratios of consecutive leading principal minors of G.  G takes
+    ell(ell+1)/2 inner products of the sparse columns; then, with
+    W = L D built row by row,
+
+        W_vk = G_vk - sum_{j<k} W_vj L_kj,   L_vk = W_vk / d_k,
+        d_v  = G_vv - sum_{k<v} W_vk L_vk.
+
+    Division only ever happens by pivots, whose constant terms are 1 for
+    inverse-factor matrices, so every intermediate stays exactly
+    representable; the last pivot is never inverted, since nothing uses it.
     """
     ell = matrix.size
-    basis: list[list[Jet]] = []
+    m = matrix.entries[0][0].m if ell else 0
+    columns = [{r: row[c].coeffs for r, row in enumerate(matrix.entries) if row[c]} for c in range(ell)]
     norms: list[Jet] = []
-    inv_norms: list[Jet] = []
-    for v in range(1, ell + 1):
-        column = matrix.column(v)
-        reduced = list(column)
-        for k in range(len(basis)):
-            proj = _inner(column, basis[k]) * inv_norms[k]
-            reduced = [_minus_product(rc, proj, bc) for rc, bc in zip(reduced, basis[k])]
-        basis.append(reduced)
-        norm = _inner(reduced, reduced)
-        norms.append(norm)
-        inv_norms.append(norm.inv())
+    inverses: list[Jet] = []
+    lower: list[list[dict[int, object]]] = []  # lower[v][k] = L_vk
+    for v, column in enumerate(columns):
+        w_row: list[dict[int, object]] = []
+        l_row: list[dict[int, object]] = []
+        for k in range(v):
+            w = _inner(column, columns[k])
+            for w_vj, l_kj in zip(w_row, lower[k]):
+                _add_product(w, w_vj, l_kj, -1)
+            w_vk = Jet._trusted(m, w)
+            w_row.append(w_vk.coeffs)
+            l_row.append((w_vk * inverses[k]).coeffs if w_vk else {})
+        pivot = _inner(column, column)
+        for w_vk, l_vk in zip(w_row, l_row):
+            _add_product(pivot, w_vk, l_vk, -1)
+        norms.append(Jet._trusted(m, pivot))
+        lower.append(l_row)
+        if v < ell - 1:
+            inverses.append(norms[-1].inv())
     return norms
+
+
+def _numerators(factor: Jet, nvars: int) -> tuple[int, dict[int, dict[Exponent, int]]]:
+    """A jet with rational or MPoly coefficients as integer term dicts over one denominator."""
+    const = (0,) * nvars
+    polys = {mask: c.terms if isinstance(c, MPoly) else {const: Fraction(c)} for mask, c in factor.coeffs.items()}
+    den = math.lcm(*(c.denominator for terms in polys.values() for c in terms.values()))
+    return den, {
+        mask: {e: c.numerator * (den // c.denominator) for e, c in terms.items()} for mask, terms in polys.items()
+    }
 
 
 def eigenvalue_from_norms(
     norms: Sequence[Jet], order: RelOrder, t: IndexTuple, shifted: bool = False
 ) -> MPoly:
-    """Extract the top coefficient of prod_v norm_v^(-x_{i_sigma(v)} / 2)."""
+    """Extract the top coefficient of prod_v norm_v^(-x_{i_sigma(v)} / 2).
+
+    Each factor comes from ``Jet.power`` and is multiplied on integer
+    numerators; the denominators multiply up separately and divide once at
+    the end.  The last factor F only meets the running product P in the top
+    coefficient sum_S P[S] * F[full - S], so no other mask of the full
+    product is formed.
+    """
     n = t.n
-    product = Jet.one(t.m)
+    full = (1 << t.m) - 1
+    den = 1
+    product: dict[int, dict[Exponent, int]] = {0: {(0,) * n: 1}}
+    top: dict[Exponent, int] = {}
     for rank, norm in enumerate(norms, start=1):
         beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
-        product = product * norm.power(beta)
-    top = product.full_coefficient()
-    return top if isinstance(top, MPoly) else MPoly.const(n, top)
+        factor_den, factor = _numerators(norm.power(beta), n)
+        den *= factor_den
+        if rank == len(norms):
+            for mask, p in product.items():
+                f = factor.get(full ^ mask)
+                if f is not None:
+                    _mul_terms(p, f, top)
+            break
+        grown: dict[int, dict[Exponent, int]] = {}
+        for s1, p in product.items():
+            for s2, f in factor.items():
+                if not s1 & s2:
+                    _mul_terms(p, f, grown.setdefault(s1 | s2, {}))
+        product = grown
+    return MPoly._trusted(n, {e: Fraction(c, den) for e, c in top.items()})
 
 
 def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
     """Independent eigenvalue of the elementary operator for the tuple.
 
     This never looks at proper cycles: it follows the Iwasawa route
-    (inverse factor matrix, Gram-Schmidt, diagonal norms, -x/2 powers,
+    (inverse factor matrix, Gram norms as LDL^T pivots, -x/2 powers,
     mixed partial) in exact arithmetic.
     """
     norms = gram_schmidt_norms(build_inverse_matrix(t))

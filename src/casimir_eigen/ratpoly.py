@@ -49,9 +49,15 @@ def _term_order_key(exps: Exponent) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _mul_terms(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]) -> dict[Exponent, Fraction]:
-    """Product of two term dicts over any coefficient type; cancelled coefficients may be left as zeros."""
-    out: dict[Exponent, Fraction] = {}
+def _mul_terms(
+    a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction], out: dict[Exponent, Fraction] | None = None
+) -> dict[Exponent, Fraction]:
+    """Product of two term dicts over any coefficient type, added into ``out`` if given.
+
+    Cancelled coefficients may be left as zeros.
+    """
+    if out is None:
+        out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exps = tuple(map(operator.add, ea, eb))
@@ -208,6 +214,10 @@ class MPoly:
         integer and top_i - e_i >= 0, so the scaled term times the cached
         integer powers G_i^e_i is integral, and it is the term's image times
         D * prod(d_i^top_i), the one divisor applied at the end.
+
+        When every image is a single monomial g_i*x^f_i, each term maps to
+        one monomial: c * prod(g_i^e_i) times x^(sum e_i*f_i), with no
+        products of term dicts at all.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -216,6 +226,8 @@ class MPoly:
         nvars = images[0].nvars
         if any(img.nvars != nvars for img in images):
             raise ValueError("images must all have the same nvars")
+        if all(len(img.terms) == 1 for img in images):
+            return self._substitute_monomials(images)
         dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]
         gens = [{e: c.numerator * (d // c.denominator) for e, c in img.terms.items()} for img, d in zip(images, dens)]
         tops = [max(col) for col in zip(*self.terms)]
@@ -237,6 +249,27 @@ class MPoly:
                 out[key] = out.get(key, 0) + c
         den *= math.prod(d**top for d, top in zip(dens, tops))
         return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in out.items()})
+
+    def _substitute_monomials(self, images: Sequence[MPoly]) -> MPoly:
+        """``substitute`` for images that are all single monomials; see there."""
+        nvars = images[0].nvars
+        # per image: the variables of its monomial with their exponents, and its coefficient
+        monomials = []
+        for img in images:
+            (f, g), = img.terms.items()
+            monomials.append(([(k, fk) for k, fk in enumerate(f) if fk], g))
+        out: dict[Exponent, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            target = [0] * nvars
+            for (support, g), e in zip(monomials, exps):
+                if e:
+                    if g != 1:
+                        coeff *= g**e
+                    for k, fk in support:
+                        target[k] += fk * e
+            key = tuple(target)
+            out[key] = out[key] + coeff if key in out else coeff
+        return MPoly._trusted(nvars, out)
 
     # -- queries -----------------------------------------------------------
 

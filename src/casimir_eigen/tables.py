@@ -16,6 +16,7 @@ values and a discrepancy marker, and neither is silently adopted.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -162,12 +163,18 @@ def _pattern_row(pattern: tuple[int, ...]) -> TableRow:
     )
 
 
-def eigenvalue_table(m: int) -> list[TableRow]:
-    """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern."""
+@functools.lru_cache(maxsize=None)
+def _rows(m: int) -> tuple[TableRow, ...]:
+    """The rows of order m, built once: every row and value in them is immutable."""
     if m not in _PATTERNS:
         raise ValueError("symbolic tables exist for m = 2 and m = 3 only")
     zero_rows = [TableRow(f"i1 > i{j + 1}", lambda e, j=j: e[0] > e[j], None) for j in range(1, m)]
-    return zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]]
+    return tuple(zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]])
+
+
+def eigenvalue_table(m: int) -> list[TableRow]:
+    """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern, as a new list."""
+    return list(_rows(m))
 
 
 def order3_rows() -> list[TableRow]:
@@ -178,7 +185,7 @@ def classify(m: int, entries: tuple[int, ...]) -> TableRow:
     """First matching row for a concrete tuple (rows are checked in order)."""
     if len(entries) != m:
         raise ValueError(f"tuple {entries} has length != {m}")
-    for row in eigenvalue_table(m):
+    for row in _rows(m):
         if row.matches(entries):
             return row
     raise AssertionError(f"no case covers {entries}")  # the cases are exhaustive

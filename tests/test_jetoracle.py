@@ -185,6 +185,32 @@ class TestJetInverse:
         assert inverse == Jet(2, {0: F(1, 2), 0b01: F(-1, 4), 0b11: F(-3, 4)})
         assert x * inverse == Jet.one(2)
 
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            (
+                {0: 3, 0b001: 2, 0b110: -1, 0b011: 4, 0b111: 5},
+                {0: F(1, 3), 0b001: F(-2, 9), 0b011: F(-4, 9), 0b110: F(1, 9), 0b111: F(-19, 27)},
+            ),
+            (
+                {0: F(-2, 3), 0b001: 1, 0b010: F(1, 2), 0b100: -3, 0b101: 2},
+                {0: F(-3, 2), 0b001: F(-9, 4), 0b010: F(-9, 8), 0b011: F(-27, 8), 0b100: F(27, 4),
+                 0b101: F(63, 4), 0b110: F(81, 8), 0b111: F(621, 16)},
+            ),
+            (
+                {0: -5, 0b0001: 1, 0b0011: 2, 0b0101: -1, 0b1010: 3, 0b1100: 7},
+                {0: F(-1, 5), 0b0001: F(-1, 25), 0b0011: F(-2, 25), 0b0101: F(1, 25), 0b1010: F(-3, 25),
+                 0b1011: F(-6, 125), 0b1100: F(-7, 25), 0b1101: F(-14, 125), 0b1111: F(-22, 125)},
+            ),
+        ],
+    )
+    def test_nonunit_constant_pinned(self, coeffs, expected):
+        # values recorded from the jet-product geometric series
+        m = max(coeffs).bit_length()
+        inverse = Jet(m, coeffs).inv()
+        assert inverse.coeffs == expected
+        assert all(type(c) is F for c in inverse.coeffs.values())
+
 
 class TestJetPower:
     def test_first_order(self):
@@ -290,7 +316,7 @@ class TestGramSchmidt:
             # recompute basis directly and check pairwise inner products vanish
             basis = []
             for v in range(1, matrix.size + 1):
-                col = matrix.column(v)
+                col = [row[v - 1] for row in matrix.entries]
                 for prev in basis:
                     num = _inner(col, prev)
                     col = [c - num * _inner(prev, prev).inv() * p for c, p in zip(col, prev)]

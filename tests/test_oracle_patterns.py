@@ -1,0 +1,103 @@
+"""The jet oracle on every relative-order pattern of small orders.
+
+Both routes read a tuple only through its relative order, so a check over
+all patterns of order m covers every tuple of that order.  The reference
+implementations below are the plain textbook forms of two oracle stages:
+classical Gram-Schmidt on jets, and the full product of the norm powers.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from casimir_eigen.jetoracle import (
+    Jet,
+    build_inverse_matrix,
+    eigenvalue_from_norms,
+    gram_schmidt_norms,
+    oracle_eigenvalue,
+)
+from casimir_eigen.ratpoly import MPoly
+from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, parameter, relative_order
+
+
+def patterns(m):
+    """Every relative order of an m-tuple: the tuples over 1..ell using each rank."""
+    for ell in range(1, m + 1):
+        for rho in itertools.product(range(1, ell + 1), repeat=m):
+            if len(set(rho)) == ell:
+                yield rho
+
+
+SMALL = [rho for m in range(1, 6) for rho in patterns(m)]
+
+
+def pattern_tuple(rho):
+    return IndexTuple(rho, max(rho))
+
+
+def inner(x, y):
+    total = Jet.zero(x[0].m)
+    for a, b in zip(x, y):
+        total = total + a * b
+    return total
+
+
+def classical_gram_schmidt_norms(matrix):
+    """Orthogonalize the columns one after another and return <b_v, b_v>."""
+    basis, norms = [], []
+    for v in range(matrix.size):
+        column = [row[v] for row in matrix.entries]
+        reduced = list(column)
+        for prev, norm in zip(basis, norms):
+            proj = inner(column, prev) * norm.inv()
+            reduced = [r - proj * p for r, p in zip(reduced, prev)]
+        basis.append(reduced)
+        norms.append(inner(reduced, reduced))
+    return norms
+
+
+def full_product_top(norms, order, t, shifted):
+    """The full-mask coefficient of the whole product of norm_v^(-x/2)."""
+    product = Jet.one(t.m)
+    for rank, norm in enumerate(norms, start=1):
+        beta = parameter(order.values[rank - 1], t.n, shifted) * F(-1, 2)
+        product = product * norm.power(beta)
+    top = product.full_coefficient()
+    return top if isinstance(top, MPoly) else MPoly.const(t.n, top)
+
+
+def test_small_orders_have_633_patterns():
+    assert len(SMALL) == len(set(SMALL)) == 1 + 3 + 13 + 75 + 541
+
+
+def assert_oracle_is_the_fast_path(rhos):
+    for rho in rhos:
+        t = pattern_tuple(rho)
+        for shifted in (False, True):
+            assert oracle_eigenvalue(t, shifted) == elementary_eigenvalue(t, shifted), (rho, shifted)
+
+
+def test_oracle_equals_fast_path_on_every_pattern_up_to_order_five():
+    assert_oracle_is_the_fast_path(SMALL)
+
+
+@pytest.mark.slow
+def test_oracle_equals_fast_path_on_every_pattern_of_order_six():
+    assert_oracle_is_the_fast_path(patterns(6))
+
+
+def test_norms_equal_classical_gram_schmidt_on_every_pattern():
+    for rho in SMALL:
+        matrix = build_inverse_matrix(pattern_tuple(rho))
+        assert gram_schmidt_norms(matrix) == classical_gram_schmidt_norms(matrix), rho
+
+
+def test_eigenvalue_is_the_top_of_the_full_product_on_every_pattern():
+    for rho in SMALL:
+        t = pattern_tuple(rho)
+        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        order = relative_order(t)
+        for shifted in (False, True):
+            assert eigenvalue_from_norms(norms, order, t, shifted) == full_product_top(norms, order, t, shifted), rho

@@ -166,6 +166,37 @@ def test_matches_the_fraction_expansion(case):
     assert_valid_mpoly(result)
 
 
+@st.composite
+def monomial_image_cases(draw):
+    """(p, images): every image one monomial, with coefficients other than 1 and repeated targets."""
+    source = draw(st.integers(1, 4))
+    target = draw(st.integers(1, 3))
+    p = draw(mpolys(source, max_deg=3, max_terms=5))
+    exponents = st.tuples(*[st.integers(0, 2)] * target)
+    nonzero = coefficients.filter(bool)
+    images = [MPoly(target, {draw(exponents): draw(nonzero)}) for _ in range(source)]
+    if source > 1 and draw(st.booleans()):
+        images[-1] = images[0]
+    return p, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_image_cases())
+@example((MPoly(2, {(1, 0): F(1), (0, 1): F(-1)}), [MPoly.variable(1, 0), MPoly.variable(1, 0)]))
+@example((MPoly(2, {(2, 1): F(3, 2), (0, 3): F(1)}), [MPoly(2, {(1, 1): F(-2, 3)}), MPoly(2, {(0, 2): F(5)})]))
+def test_monomial_images_match_ring_products(case):
+    p, images = case
+    expected = MPoly.zero(images[0].nvars)
+    for exps, coeff in p.terms.items():
+        term = MPoly.const(images[0].nvars, coeff)
+        for img, e in zip(images, exps):
+            term = term * img**e
+        expected = expected + term
+    result = p.substitute(images)
+    assert result == expected
+    assert_valid_mpoly(result)
+
+
 def test_rho_shift_of_a_casimir_sum():
     total = casimir_eigenvalue_patterned(CasimirRequest(m=5, n=8, shifted=False))
     images = [parameter(v, 8, True) for v in range(1, 9)]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from casimir_eigen import tables
 from casimir_eigen.ratpoly import MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tables import (
     FactoredValue,
@@ -71,6 +72,23 @@ class TestRows:
                     row = classify(m, entries)
                     expected = elementary_eigenvalue(IndexTuple(entries, n), shifted=True)
                     assert row.evaluate(entries, n) == expected, (m, entries, n)
+
+    def test_mutating_a_returned_table_leaves_classify_alone(self):
+        rows = eigenvalue_table(3)
+        first = classify(3, (1, 2, 3))
+        rows.clear()
+        assert classify(3, (1, 2, 3)) == first
+        assert len(eigenvalue_table(3)) == 8
+
+    def test_classify_agrees_with_a_fresh_table(self):
+        for m in (2, 3):
+            fresh = tables._rows.__wrapped__(m)  # built again, bypassing the per-order cache
+            for n in range(1, 5):
+                for entries in itertools.product(range(1, n + 1), repeat=m):
+                    row = classify(m, entries)
+                    expected = next(r for r in fresh if r.matches(entries))
+                    assert row.label == expected.label
+                    assert (row.computed, row.variant) == (expected.computed, expected.variant)
 
     def test_classification_is_exhaustive_and_first_match(self):
         for entries in itertools.product(range(1, 4), repeat=3):
