@@ -14,8 +14,12 @@ is extracted at the end: every discarded term carries some t_j^2.
 
 Orthogonalizing the columns is never spelled out: the Gram norms are the
 pivots d_v of the LDL^T factorization of the Gram matrix G = M^T M, which
-are the norms Gram-Schmidt would give.  The last pivot is never inverted,
-since nothing divides by it.
+are the norms Gram-Schmidt would give.  G never goes through M: it starts
+at I and takes one rank-two update per factor, each a mask shift.  A
+pivot equal to 1 is not inverted, and the last pivot is never inverted,
+since nothing divides by it.  Before the power stage, the masks of the
+pivots are ORed: if some t_j is in none of them, no product of their
+powers reaches t1*...*tm and the eigenvalue is zero, with no power formed.
 
 Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
 the matrix entries are +-1 path counts, and every pivot has constant
@@ -33,11 +37,11 @@ smallest value (see verify_tuples).
 
 All jet multiplication goes through one kernel, ``_add_product``, which
 accumulates sign * a * b into a single dict and skips overlapping masks.
-``Jet.__mul__``, the Gram inner products, the pivot updates and the
-powers of nu = norm - 1 all accumulate through it, and each builds its
-result once, with the unchecked ``Jet._trusted``: ring operations on
-valid jets cannot produce an invalid mask.  A matrix factor multiplies
-by a single t_j, which only shifts masks.
+``Jet.__mul__``, the pivot updates and the powers of nu = norm - 1 all
+accumulate through it, and each builds its result once, with the
+unchecked ``Jet._trusted``: ring operations on valid jets cannot produce
+an invalid mask.  A matrix factor multiplies by a single t_j, which only
+shifts masks, in the matrix and in G alike.
 """
 
 from __future__ import annotations
@@ -317,45 +321,74 @@ def _binomials(nvars: int, beta: frozenset, top: int) -> tuple[int, tuple[dict[E
 
 
 class JetMatrix(NamedTuple):
-    """Square matrix of jets; constant part is the identity by construction."""
+    """The inverse factor matrix prod_j (I - t_j * E_{a_j, b_j}), kept as its factors.
+
+    ``factors`` holds the m rank pairs (a_j, b_j) = (rho_j, rho_{j+1}),
+    0-based, in the order they multiply; no factors is the identity.  Its
+    constant part is the identity by construction.
+    """
 
     size: int
-    entries: tuple[tuple[Jet, ...], ...]
+    m: int
+    factors: tuple[tuple[int, int], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Jet, ...], ...]:
+        """The matrix as rows of jets, multiplied out from the factors on every read.
+
+        Right-multiplying by I - t_j E_{a,b} replaces column b by
+        col_b - t_j col_a.  No entry has bit j yet, so t_j only sets it and
+        the new masks are new keys; column a is read in full before column b
+        changes, as a may equal b.
+        """
+        cols = [[{0: 1} if r == c else {} for r in range(self.size)] for c in range(self.size)]
+        for j, (a, b) in enumerate(self.factors):
+            bit = 1 << j
+            for cb, ca in zip(cols[b], cols[a]):
+                cb.update([(mask | bit, -c) for mask, c in ca.items()])
+        return tuple(tuple(Jet._trusted(self.m, cols[c][r]) for c in range(self.size)) for r in range(self.size))
 
 
 def build_inverse_matrix(t: IndexTuple) -> JetMatrix:
     """Product of the inverse factors over the compressed index ranks.
 
-    Multiplies, for j = 1..m in order, the factor I - t_j * E_{rho(j), rho(j+1)}
-    (with rho(m+1) = rho(1)).  A loop edge's exact factor has t_j/(1+t_j)
-    in place of t_j, but those agree once t_j^2 = 0, so a single update
-    rule covers both.
+    The factor for j = 1..m is I - t_j * E_{rho(j), rho(j+1)}, with
+    rho(m+1) = rho(1); the result keeps these rank pairs and multiplies
+    them out only when its ``entries`` are read.  A loop edge's exact
+    factor has t_j/(1+t_j) in place of t_j, but those agree once t_j^2 = 0,
+    so a single factor shape covers both.
     """
     ro = relative_order(t)
-    ell, m = ro.ell, t.m
-    rho = ro.rho + (ro.rho[0],)
-    cols: list[list[dict[int, int]]] = [[{0: 1} if r == c else {} for r in range(ell)] for c in range(ell)]
-    for j in range(1, m + 1):
-        bit = 1 << (j - 1)
-        # right-multiplying by (I - t_j E_{a,b}) replaces col_b by col_b - t_j col_a.
-        # No entry has bit j yet, so t_j only sets it and the new masks are new keys;
-        # col_a is read in full before col_b changes, as a may equal b.
-        for cb, ca in zip(cols[rho[j] - 1], cols[rho[j - 1] - 1]):
-            cb.update([(mask | bit, -c) for mask, c in ca.items()])
-    rows = tuple(tuple(Jet._trusted(m, cols[c][r]) for c in range(ell)) for r in range(ell))
-    return JetMatrix(size=ell, entries=rows)
+    ranks = [r - 1 for r in ro.rho]
+    return JetMatrix(size=ro.ell, m=t.m, factors=tuple(zip(ranks, ranks[1:] + ranks[:1])))
 
 
-def _inner(x: dict[int, dict[int, object]], y: dict[int, dict[int, object]]) -> dict[int, object]:
-    """Inner product of two sparse columns, each a dict row -> coefficient dict."""
-    if len(y) < len(x):
-        x, y = y, x
-    total: dict[int, object] = {}
-    for r, a in x.items():
-        b = y.get(r)
-        if b is not None:
-            _add_product(total, a, b)
-    return total
+_UNIT = {0: 1}  # coefficients of the jet 1
+
+
+def _gram_matrix(matrix: JetMatrix) -> list[list[dict[int, object]]]:
+    """G = M^T M as coefficient dicts, built from the factors without forming M.
+
+    G starts at I, and each F_j = I - t_j E_{a,b} turns it into
+    F_j^T G F_j, a rank-two update.  No entry has bit j before step j and
+    t_j^2 = 0, so G_ib = G_bi gains -t_j G_ia for every i != b and G_bb
+    gains -2 t_j G_ab (G_aa (1 - 2 t_j) when a = b), each a mask shift into
+    new keys.  Entries (r, c) and (c, r) are one dict, so an update writes
+    both.
+    """
+    ell = matrix.size
+    gram: list[list[dict[int, object]]] = [[{0: 1} if r == c else {} for c in range(ell)] for r in range(ell)]
+    for r in range(ell):
+        for c in range(r):
+            gram[r][c] = gram[c][r]
+    for j, (a, b) in enumerate(matrix.factors):
+        bit = 1 << j
+        # column a is read in full before column b changes, as a may equal b
+        shifts = [(i, [(mask | bit, -c) for mask, c in g.items()]) for i, g in enumerate(gram[a]) if g and i != b]
+        gram[b][b].update([(mask | bit, -2 * c) for mask, c in gram[a][b].items()])
+        for i, shift in shifts:
+            gram[b][i].update(shift)
+    return gram
 
 
 def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
@@ -363,8 +396,8 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
 
     These are the pivots d_v of the LDL^T factorization of the Gram
     matrix G = M^T M, the same jets classical Gram-Schmidt gives: both are
-    ratios of consecutive leading principal minors of G.  G takes
-    ell(ell+1)/2 inner products of the sparse columns; then, with
+    ratios of consecutive leading principal minors of G.  G comes from
+    the matrix factors by rank-two updates (``_gram_matrix``); then, with
     W = L D built row by row,
 
         W_vk = G_vk - sum_{j<k} W_vj L_kj,   L_vk = W_vk / d_k,
@@ -372,32 +405,36 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
 
     Division only ever happens by pivots, whose constant terms are 1 for
     inverse-factor matrices, so every intermediate stays exactly
-    representable; the last pivot is never inverted, since nothing uses it.
+    representable.  A pivot equal to 1 is not inverted and L_vk = W_vk;
+    the last pivot is never inverted, since nothing uses it.
     """
-    ell = matrix.size
-    m = matrix.entries[0][0].m if ell else 0
-    columns = [{r: row[c].coeffs for r, row in enumerate(matrix.entries) if row[c]} for c in range(ell)]
+    ell, m = matrix.size, matrix.m
+    gram = _gram_matrix(matrix)
     norms: list[Jet] = []
-    inverses: list[Jet] = []
+    inverses: list[Jet | None] = []  # None for a unit pivot
     lower: list[list[dict[int, object]]] = []  # lower[v][k] = L_vk
-    for v, column in enumerate(columns):
+    for v in range(ell):
         w_row: list[dict[int, object]] = []
         l_row: list[dict[int, object]] = []
         for k in range(v):
-            w = _inner(column, columns[k])
-            for w_vj, l_kj in zip(w_row, lower[k]):
-                _add_product(w, w_vj, l_kj, -1)
-            w_vk = Jet._trusted(m, w)
-            w_row.append(w_vk.coeffs)
-            l_row.append((w_vk * inverses[k]).coeffs if w_vk else {})
-        pivot = _inner(column, column)
-        for w_vk, l_vk in zip(w_row, l_row):
-            _add_product(pivot, w_vk, l_vk, -1)
-        norms.append(Jet._trusted(m, pivot))
+            w = _minus_products(gram[v][k], zip(w_row, lower[k]))
+            w_row.append(w)
+            inverse = inverses[k]
+            l_row.append((Jet._trusted(m, w) * inverse).coeffs if w and inverse is not None else w)
+        norms.append(Jet._trusted(m, _minus_products(gram[v][v], zip(w_row, l_row))))
         lower.append(l_row)
         if v < ell - 1:
-            inverses.append(norms[-1].inv())
+            inverses.append(None if norms[-1].coeffs == _UNIT else norms[-1].inv())
     return norms
+
+
+def _minus_products(g: dict[int, object], pairs: Iterable[tuple[dict, dict]]) -> dict[int, object]:
+    """g - sum x*y over the pairs, without zeros; g itself when no pair has two nonzero operands."""
+    out = None
+    for x, y in pairs:
+        if x and y:
+            out = _add_product(dict(g) if out is None else out, x, y, -1)
+    return g if out is None else {mask: c for mask, c in out.items() if c}
 
 
 def _numerators(factor: Jet, nvars: int) -> tuple[int, dict[int, dict[Exponent, int]]]:
@@ -415,22 +452,32 @@ def eigenvalue_from_norms(
 ) -> MPoly:
     """Extract the top coefficient of prod_v norm_v^(-x_{i_sigma(v)} / 2).
 
-    Each factor comes from ``Jet.power`` and is multiplied on integer
-    numerators; the denominators multiply up separately and divide once at
-    the end.  The last factor F only meets the running product P in the top
-    coefficient sum_S P[S] * F[full - S], so no other mask of the full
-    product is formed.
+    Every monomial of the product is a union of pivot masks, so when some
+    t_j divides no monomial of any pivot the top coefficient is zero, and
+    nothing else is formed.  A pivot equal to 1 contributes the factor 1.
+    Every other factor comes from ``Jet.power`` and is multiplied on
+    integer numerators; the denominators multiply up separately and divide
+    once at the end.  The last of these factors F only meets the running
+    product P in the top coefficient sum_S P[S] * F[full - S], so no other
+    mask of the full product is formed.
     """
     n = t.n
     full = (1 << t.m) - 1
+    support = 0
+    for norm in norms:
+        for mask in norm.coeffs:
+            support |= mask
+    if support != full:
+        return MPoly._trusted(n, {})
+    factors = [(rank, norm) for rank, norm in enumerate(norms, start=1) if norm.coeffs != _UNIT]
     den = 1
     product: dict[int, dict[Exponent, int]] = {0: {(0,) * n: 1}}
     top: dict[Exponent, int] = {}
-    for rank, norm in enumerate(norms, start=1):
+    for rank, norm in factors:
         beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
         factor_den, factor = _numerators(norm.power(beta), n)
         den *= factor_den
-        if rank == len(norms):
+        if rank == factors[-1][0]:
             for mask, p in product.items():
                 f = factor.get(full ^ mask)
                 if f is not None:
@@ -476,6 +523,7 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
     multigraph; violations are reported, not raised.
     """
     matrix = build_inverse_matrix(t)
+    entries = matrix.entries
     ro = relative_order(t)
     m = t.m
     checked = 0
@@ -484,7 +532,7 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
     for v in range(1, matrix.size + 1):
         for w in range(1, matrix.size + 1):
             paths = set(enumerate_paths(t, ro.values[v - 1], ro.values[w - 1]))
-            entry = matrix.entries[v - 1][w - 1]
+            entry = entries[v - 1][w - 1]
             for subset in subsets:
                 expected = (-1) ** len(subset) if subset in paths else 0
                 actual = entry.coefficient(subset)

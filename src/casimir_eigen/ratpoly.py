@@ -205,7 +205,8 @@ class MPoly:
 
         All images must lie in one ring, which is the ring of the result.
         A polynomial without variables has nothing to send and is returned
-        as it is.
+        as it is; the zero polynomial maps to the zero of the images' ring
+        without any image being prepared.
 
         The expansion runs in integers over one common denominator.  Write
         image i as G_i / d_i with G_i integral, let D clear the denominators
@@ -226,6 +227,8 @@ class MPoly:
         nvars = images[0].nvars
         if any(img.nvars != nvars for img in images):
             raise ValueError("images must all have the same nvars")
+        if not self.terms:
+            return MPoly._trusted(nvars, {})
         if all(len(img.terms) == 1 for img in images):
             return self._substitute_monomials(images)
         dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]

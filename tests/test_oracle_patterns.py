@@ -2,8 +2,9 @@
 
 Both routes read a tuple only through its relative order, so a check over
 all patterns of order m covers every tuple of that order.  The reference
-implementations below are the plain textbook forms of two oracle stages:
-classical Gram-Schmidt on jets, and the full product of the norm powers.
+implementations below are the plain textbook forms of three oracle stages:
+the Gram matrix as inner products of the matrix columns, classical
+Gram-Schmidt on jets, and the full product of the norm powers.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 
 from casimir_eigen.jetoracle import (
     Jet,
+    _gram_matrix,
     build_inverse_matrix,
     eigenvalue_from_norms,
     gram_schmidt_norms,
@@ -84,8 +86,38 @@ def test_oracle_equals_fast_path_on_every_pattern_up_to_order_five():
 
 
 @pytest.mark.slow
-def test_oracle_equals_fast_path_on_every_pattern_of_order_six():
-    assert_oracle_is_the_fast_path(patterns(6))
+@pytest.mark.parametrize("m, count", [(6, 4683), (7, 47293)])
+def test_oracle_equals_fast_path_on_every_pattern_of_order(m, count):
+    rhos = list(patterns(m))
+    assert len(rhos) == count
+    assert_oracle_is_the_fast_path(rhos)
+
+
+def test_rank_two_updates_give_the_gram_matrix_of_the_entries():
+    for rho in SMALL:
+        matrix = build_inverse_matrix(pattern_tuple(rho))
+        columns = [[row[c] for row in matrix.entries] for c in range(matrix.size)]
+        gram = _gram_matrix(matrix)
+        for r, x in enumerate(columns):
+            for c, y in enumerate(columns):
+                assert Jet(matrix.m, gram[r][c]) == inner(x, y), (rho, r, c)
+
+
+def test_every_zero_pattern_leaves_a_variable_out_of_every_pivot():
+    # zero as the textbook full product says, which never looks at the support
+    zero_patterns = dict.fromkeys(range(1, 6), 0)
+    for rho in SMALL:
+        t = pattern_tuple(rho)
+        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        if full_product_top(norms, relative_order(t), t, False):
+            continue
+        zero_patterns[t.m] += 1
+        support = 0
+        for norm in norms:
+            for mask in norm.coeffs:
+                support |= mask
+        assert support != (1 << t.m) - 1, rho
+    assert list(zero_patterns.values()) == [0, 1, 7, 49, 391]
 
 
 def test_norms_equal_classical_gram_schmidt_on_every_pattern():

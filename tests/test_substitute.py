@@ -72,6 +72,14 @@ def test_images_must_share_a_ring():
         MPoly.variable(2, 0).substitute([MPoly.one(1), MPoly.one(2)])
 
 
+def test_zero_maps_to_the_zero_of_the_images_ring():
+    images = [MPoly.variable(3, 1), MPoly.variable(3, 0) + MPoly.const(3, F(1, 2))]
+    image = MPoly.zero(2).substitute(images)
+    assert image == MPoly.zero(3) and image.nvars == 3
+    with pytest.raises(ValueError):
+        MPoly.zero(2).substitute(images[:1])
+
+
 def test_constant_without_variables_is_unchanged():
     c = MPoly.const(0, F(3, 4))
     assert c.substitute([]) == c
