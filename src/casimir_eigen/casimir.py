@@ -5,19 +5,22 @@ tuples in {1..n}^m, so its eigenvalue is the corresponding sum of
 proper-cycle products.  Because an elementary eigenvalue depends only on
 the relative ordering of its tuple, the sum can be grouped by
 order-isomorphism class: the products of all patterns with ell distinct
-values are summed once into one integer polynomial in ell rank variables,
+values (tuplegraph.pattern_product, which elementary_eigenvalue reads
+too) are summed once into one integer polynomial in ell rank variables,
 shared by every rank n in the process, and every choice of ell actual
 values only renames those variables, which moves exponents and multiplies
-nothing.  The rho-shift is one substitution (MPoly.substitute), applied
-once to the whole sum.  Both routes produce identical exact polynomials;
-the patterned one just evaluates far fewer formulas.
+nothing.  The rho-shift is one substitution (MPoly.substitute, which runs
+a translation in integers), applied once to the whole sum.  Both routes
+produce identical exact polynomials; the patterned one just evaluates
+far fewer formulas.
 
 This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
-sign conventions and in both the plain and rho-shifted modes.  The oracle
-runs once per relative-order pattern and is specialised to each tuple by
-substitution.  verify_tuples imports the oracle when it starts, so the
-other subcommands never load it.
+sign conventions and in both the plain and rho-shifted modes.  Both
+routes work the same way: one polynomial per relative-order pattern (the
+oracle's here, the proper-cycle product memoised in tuplegraph), and two
+ring maps per tuple.  verify_tuples imports the oracle when it starts, so
+the other subcommands never load it.
 
 Requests, selections and reports are typing.NamedTuple records; the ones
 that validate their fields (CasimirRequest, RandomSample) do it in the
@@ -32,14 +35,14 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .ratpoly import ClosedForm, MPoly, alpha, interpolate_in_n, to_power_sum
+from .ratpoly import ClosedForm, MPoly, interpolate_in_n, to_power_sum
 from .tuplegraph import (
     IndexTuple,
     SignConvention,
     _check_rank,
     elementary_eigenvalue,
     parameter,
-    proper_cycle_factors,
+    pattern_product,
     relative_order,
 )
 
@@ -118,18 +121,15 @@ def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
     P_ell is given by the (exponents, coefficient) terms of one polynomial
     in the ell rank variables, taken as printed: each request applies its
     sign convention when it relabels the terms, so both conventions share
-    one entry.  Every proper-cycle factor is +-x plus 0 or 1, so the
-    coefficients are integers.  Cached per process: the sample ranks of
-    closed_form share one computation.
+    one entry.  Each pattern's product comes from pattern_product and is
+    added in at once; none is kept.  Every proper-cycle factor is +-x plus
+    0 or 1, so the coefficients are integers.  Cached per process: the
+    sample ranks of closed_form share one computation.
     """
     acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_ell + 1)]
     for pattern in _rank_patterns(m, max_ell):
-        ell = max(pattern)
-        product = MPoly.one(ell)
-        for factor in proper_cycle_factors(IndexTuple(pattern, ell), lambda k: alpha(k, ell)):
-            product = product * factor
-        terms = acc[ell]
-        for exps, coeff in product.terms.items():
+        terms = acc[max(pattern)]
+        for exps, coeff in pattern_product(pattern).terms.items():
             assert coeff.denominator == 1, "proper-cycle factors have integer coefficients"
             terms[exps] = terms.get(exps, 0) + coeff.numerator
     return tuple((ell, tuple((e, c) for e, c in acc[ell].items() if c)) for ell in range(1, max_ell + 1))
@@ -317,7 +317,10 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     variables.  Each tuple's two oracle values are this polynomial with
     rank k replaced by the plain or the rho-shifted parameter of its k-th
     smallest value, which is exact because the oracle's power stage uses
-    ring operations only.  The fast path still runs on every tuple.
+    ring operations only.  The fast path is called on every tuple in both
+    modes and specialises its own per-pattern product the same way (see
+    elementary_eigenvalue), so the two routes share only
+    MPoly.substitute, which the tests check against ring products.
     """
     from .jetoracle import oracle_eigenvalue  # imported here so that only verify loads the oracle
 

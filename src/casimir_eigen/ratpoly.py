@@ -65,6 +65,35 @@ def _mul_terms(
     return out
 
 
+def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[Fraction]] | None:
+    """(targets, shifts) when image i is x_(targets[i]) + shifts[i] on distinct targets, else None."""
+    targets: list[int] = []
+    shifts: list[Fraction] = []
+    for img in images:
+        target, shift = None, Fraction(0)
+        for e, c in img.terms.items():
+            degree = sum(e)
+            if not degree:
+                shift = c
+            elif degree == 1 and target is None and c == 1:
+                target = e.index(1)
+            else:
+                return None
+        if target is None:
+            return None
+        targets.append(target)
+        shifts.append(shift)
+    return (targets, shifts) if len(set(targets)) == len(targets) else None
+
+
+@functools.lru_cache(maxsize=1024)
+def _shift_weights(top: int, p: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry E lists (f, C(E,f) * q^f * p^(E-f)) for f = 0..E: (q*x + p)^E, zero weights left out."""
+    return tuple(
+        tuple((f, math.comb(e, f) * q**f * p ** (e - f)) for f in range(e + 1) if p or f == e) for e in range(top + 1)
+    )
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -206,19 +235,28 @@ class MPoly:
         All images must lie in one ring, which is the ring of the result.
         A polynomial without variables has nothing to send and is returned
         as it is; the zero polynomial maps to the zero of the images' ring
-        without any image being prepared.
+        without any image being prepared.  The images' shape picks one of
+        three expansions, each exact; D below clears the denominators of
+        ``self``.
 
-        The expansion runs in integers over one common denominator.  Write
-        image i as G_i / d_i with G_i integral, let D clear the denominators
-        of ``self`` and let top_i be the largest exponent of variable i.
-        Each term c*x^e is scaled by D * prod(d_i^(top_i - e_i)): D*c is an
-        integer and top_i - e_i >= 0, so the scaled term times the cached
-        integer powers G_i^e_i is integral, and it is the term's image times
-        D * prod(d_i^top_i), the one divisor applied at the end.
-
-        When every image is a single monomial g_i*x^f_i, each term maps to
-        one monomial: c * prod(g_i^e_i) times x^(sum e_i*f_i), with no
-        products of term dicts at all.
+        * every image a single monomial g_i*x^f_i: each term maps to one
+          monomial, c * prod(g_i^e_i) times x^(sum e_i*f_i), with no
+          products of term dicts at all;
+        * every image a translation x_(t_i) + c_i onto distinct variables
+          (c_i may be 0), as in every rho-shift: the terms are renamed into
+          the target ring and then shifted one variable at a time.  With
+          c_i = p_i/q over one common q, x^E becomes
+          sum_f C(E,f) * q^f * p_i^(E-f) * x^f / q^E, so scaling the
+          integer numerators of a term of degree |e| by q^(deg - |e|)
+          keeps every step in integers over one final divisor D * q^deg;
+        * anything else runs in integers over one common denominator.
+          Write image i as G_i / d_i with G_i integral and let top_i be
+          the largest exponent of variable i.  Each term c*x^e is scaled by
+          D * prod(d_i^(top_i - e_i)), so the scaled term times the cached
+          integer powers G_i^e_i is integral, and it is the term's image
+          times D * prod(d_i^top_i), the one divisor applied at the end.
+          Single-monomial images only add to the exponents; term dicts are
+          multiplied only by powers of the other images.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -231,27 +269,81 @@ class MPoly:
             return MPoly._trusted(nvars, {})
         if all(len(img.terms) == 1 for img in images):
             return self._substitute_monomials(images)
+        translation = _translation(images)
+        if translation is not None:
+            return self._substitute_translation(nvars, *translation)
         dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]
-        gens = [{e: c.numerator * (d // c.denominator) for e, c in img.terms.items()} for img, d in zip(images, dens)]
+        # per image: (variables of its monomial with their exponents, integer coefficient)
+        # when it is a single monomial, else None: such an image only adds to exponents
+        monomials = []
+        gens = []
+        for img, d in zip(images, dens):
+            gen = {e: c.numerator * (d // c.denominator) for e, c in img.terms.items()}
+            gens.append(gen)
+            if len(gen) == 1:
+                (f, g), = gen.items()
+                monomials.append(([(k, fk) for k, fk in enumerate(f) if fk], g))
+            else:
+                monomials.append(None)
         tops = [max(col) for col in zip(*self.terms)]
         den = math.lcm(*(c.denominator for c in self.terms.values()))
-        const = (0,) * nvars
-        powers: list[list[dict[Exponent, int]]] = [[{const: 1}] for _ in images]
+        unit = {(0,) * nvars: 1}
+        powers: list[list[dict[Exponent, int]]] = [[unit] for _ in images]
         out: dict[Exponent, int] = {}
         for exps, coeff in self.terms.items():
             scale = coeff.numerator * (den // coeff.denominator)
-            for d, top, e in zip(dens, tops, exps):
+            base = [0] * nvars
+            for d, top, e, monomial in zip(dens, tops, exps, monomials):
                 scale *= d ** (top - e)
-            term = {const: scale}
-            for gen, pows, e in zip(gens, powers, exps):
-                if e:
+                if e and monomial is not None:
+                    support, g = monomial
+                    if g != 1:
+                        scale *= g**e
+                    for k, fk in support:
+                        base[k] += fk * e
+            factors = []
+            for gen, pows, e, monomial in zip(gens, powers, exps, monomials):
+                if e and monomial is None:
                     while len(pows) <= e:
                         pows.append(_mul_terms(pows[-1], gen))
-                    term = _mul_terms(term, pows[e])
-            for key, c in term.items():
-                out[key] = out.get(key, 0) + c
+                    factors.append(pows[e])
+            term = {tuple(base): scale}
+            for factor in factors[:-1]:
+                term = _mul_terms(term, factor)
+            _mul_terms(term, factors[-1] if factors else unit, out)  # the last product adds into out
         den *= math.prod(d**top for d, top in zip(dens, tops))
         return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in out.items()})
+
+    def _substitute_translation(self, nvars: int, targets: list[int], shifts: list[Fraction]) -> MPoly:
+        """``substitute`` for images x_(targets[i]) + shifts[i] on distinct targets; see there."""
+        q = math.lcm(*(c.denominator for c in shifts))
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        deg = max(map(sum, self.terms))
+        slots = [len(targets)] * nvars  # target variable -> source index, or the pad 0 past the end
+        for i, t in enumerate(targets):
+            slots[t] = i
+        terms: dict[Exponent, int] = {
+            tuple(map((exps + (0,)).__getitem__, slots)): c.numerator * (den // c.denominator) * q ** (deg - sum(exps))
+            for exps, c in self.terms.items()
+        }
+        for t, shift, top in zip(targets, shifts, (max(col) for col in zip(*self.terms))):
+            p = shift.numerator * (q // shift.denominator)
+            if not top or (not p and q == 1):
+                continue
+            weights = _shift_weights(top, p, q)
+            out: dict[Exponent, int] = {}
+            for exps, coeff in terms.items():
+                e = exps[t]
+                if not e:
+                    out[exps] = out.get(exps, 0) + coeff
+                    continue
+                head, tail = exps[:t], exps[t + 1 :]
+                for f, w in weights[e]:
+                    key = head + (f,) + tail
+                    out[key] = out.get(key, 0) + coeff * w
+            terms = out
+        den *= q**deg
+        return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in terms.items()})
 
     def _substitute_monomials(self, images: Sequence[MPoly]) -> MPoly:
         """``substitute`` for images that are all single monomials; see there."""
@@ -512,13 +604,16 @@ def _is_symmetric(p: MPoly) -> bool:
     """Whether ``p`` is invariant under every permutation of its variables.
 
     The transposition (1 2) and the cycle (1 2 ... N) generate S_N, so two
-    exponent permutations decide it exactly.
+    exponent permutations decide it exactly.  The coefficients are compared
+    as integer numerators over one common denominator.
     """
     if p.nvars < 2:
         return True
-    swapped = {(e[1], e[0], *e[2:]): c for e, c in p.terms.items()}
-    rotated = {(*e[1:], e[0]): c for e, c in p.terms.items()}
-    return swapped == p.terms == rotated
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    numerators = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    swapped = {(e[1], e[0], *e[2:]): c for e, c in numerators.items()}
+    rotated = {(*e[1:], e[0]): c for e, c in numerators.items()}
+    return swapped == numerators == rotated
 
 
 def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -7,9 +7,13 @@ whose j-th edge runs from i_j to i_{j+1}.
 
 The fast eigenvalue path is a product of one linear factor per proper
 cycle of I (a contiguous sub-list with equal endpoints strictly smaller
-than all interior entries).  Its sign convention is deliberately
-configurable: the product as usually printed disagrees with direct
-computation by (-1)^m, and the jet oracle arbitrates (see jetoracle).
+than all interior entries).  The cycles, and so the product, depend on
+the tuple only through its relative order rho: pattern_product forms it
+once per pattern in the ell rank variables, and every tuple of that
+pattern is one ring map away (rank k goes to the parameter of the k-th
+smallest value).  Its sign convention is deliberately configurable: the
+product as usually printed disagrees with direct computation by
+(-1)^m, and the jet oracle arbitrates (see jetoracle).
 """
 
 from __future__ import annotations
@@ -102,14 +106,11 @@ class RelOrder(NamedTuple):
 
 
 def relative_order(t: IndexTuple) -> RelOrder:
-    distinct = sorted(set(t.entries))
+    distinct = tuple(sorted(set(t.entries)))
     rank = {v: r for r, v in enumerate(distinct, start=1)}
-    rho = tuple(rank[i] for i in t.entries)
-    sigma = [0] * len(distinct)
-    for pos, r in enumerate(rho, start=1):
-        if sigma[r - 1] == 0:
-            sigma[r - 1] = pos
-    return RelOrder(ell=len(distinct), rho=rho, sigma=tuple(sigma), values=tuple(distinct))
+    rho = tuple(map(rank.__getitem__, t.entries))
+    sigma = tuple(t.entries.index(v) + 1 for v in distinct)
+    return RelOrder(ell=len(distinct), rho=rho, sigma=sigma, values=distinct)
 
 
 def min_pair(values: Sequence[int]) -> tuple[int, int | None]:
@@ -204,6 +205,26 @@ def proper_cycle_factors(t: IndexTuple, x: Callable[[int], MPoly]) -> list[MPoly
     return factors
 
 
+def pattern_product(rho: tuple[int, ...]) -> MPoly:
+    """The proper-cycle product of the rank pattern rho, in its ell rank variables.
+
+    rho is a relative order: its entries are exactly 1..ell.  The product
+    of its proper-cycle factors, with rank k read as the variable x_k and
+    no sign applied.  Every factor is +-x plus 0 or 1, so the coefficients
+    are integers.
+    """
+    ell = max(rho)
+    factors = proper_cycle_factors(IndexTuple(rho, ell), lambda k: parameter(k, ell, False))
+    product = factors[0] if factors else MPoly.one(ell)
+    for factor in factors[1:]:
+        product = product * factor
+    return product
+
+
+# Bounded: a long run of distinct patterns (verify at m = 8) would otherwise keep every product.
+_memo_pattern_product = functools.lru_cache(maxsize=1 << 14)(pattern_product)
+
+
 def elementary_eigenvalue(
     t: IndexTuple,
     shifted: bool = False,
@@ -213,17 +234,18 @@ def elementary_eigenvalue(
 
     Zero whenever some entry is smaller than i1.  Otherwise the product
     of the proper-cycle factors, with x the plain parameter or its
-    rho-shift, signed by ``sign.factor(m)``.
+    rho-shift, signed by ``sign.factor(m)``.  The product depends on the
+    tuple only through its relative order: it is pattern_product(rho),
+    memoised per rho, with rank k replaced by the parameter of the k-th
+    smallest value.  That replacement renames variables in the plain mode
+    and translates them in the shifted one (MPoly.substitute).
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
         return MPoly.zero(n)
-    result = MPoly.one(n)
-    for factor in proper_cycle_factors(t, lambda v: parameter(v, n, shifted)):
-        result = result * factor
-    if sign.factor(t.m) < 0:
-        result = -result
-    return result
+    order = relative_order(t)
+    value = _memo_pattern_product(order.rho).substitute([parameter(v, n, shifted) for v in order.values])
+    return -value if sign.factor(t.m) < 0 else value
 
 
 def _edge_ends(t: IndexTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:

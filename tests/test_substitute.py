@@ -10,7 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned  # noqa: E402
 from casimir_eigen.jetoracle import oracle_eigenvalue  # noqa: E402
-from casimir_eigen.ratpoly import MPoly, eliminate_last_var  # noqa: E402
+from casimir_eigen.ratpoly import MPoly, _translation, eliminate_last_var  # noqa: E402
 from casimir_eigen.tuplegraph import IndexTuple, parameter, relative_order  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -188,21 +188,135 @@ def monomial_image_cases(draw):
     return p, images
 
 
-@settings(max_examples=200, deadline=None)
-@given(monomial_image_cases())
-@example((MPoly(2, {(1, 0): F(1), (0, 1): F(-1)}), [MPoly.variable(1, 0), MPoly.variable(1, 0)]))
-@example((MPoly(2, {(2, 1): F(3, 2), (0, 3): F(1)}), [MPoly(2, {(1, 1): F(-2, 3)}), MPoly(2, {(0, 2): F(5)})]))
-def test_monomial_images_match_ring_products(case):
-    p, images = case
+def ring_expansion(p, images):
+    """The textbook image: sum of c * prod(images[i]^e_i), built from MPoly ring operations."""
     expected = MPoly.zero(images[0].nvars)
     for exps, coeff in p.terms.items():
         term = MPoly.const(images[0].nvars, coeff)
         for img, e in zip(images, exps):
             term = term * img**e
         expected = expected + term
+    return expected
+
+
+def assert_ring_expansion(p, images):
     result = p.substitute(images)
-    assert result == expected
+    assert result == ring_expansion(p, images)
     assert_valid_mpoly(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_image_cases())
+@example((MPoly(2, {(1, 0): F(1), (0, 1): F(-1)}), [MPoly.variable(1, 0), MPoly.variable(1, 0)]))
+@example((MPoly(2, {(2, 1): F(3, 2), (0, 3): F(1)}), [MPoly(2, {(1, 1): F(-2, 3)}), MPoly(2, {(0, 2): F(5)})]))
+def test_monomial_images_match_ring_products(case):
+    assert_ring_expansion(*case)
+
+
+# -- translations x_t + c onto distinct targets, and what falls back ----------
+
+shifts = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.integers(-9, 9).map(lambda k: F(k, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def translation_cases(draw):
+    """(p, images): image i is x_(targets[i]) + c_i, targets distinct and in any order."""
+    source = draw(st.integers(1, 4))
+    target = draw(st.integers(source, 5))
+    p = draw(mpolys(source, max_deg=4, max_terms=6))
+    targets = draw(st.permutations(range(target)))[:source]
+    return p, [MPoly.variable(target, t) + draw(shifts) for t in targets]
+
+
+def x(nvars, index):
+    return MPoly.variable(nvars, index)
+
+
+P2 = MPoly(2, {(3, 1): F(2, 3), (1, 2): F(-5), (0, 0): F(7, 4), (2, 0): F(1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(translation_cases())
+@example((P2, [x(2, 0) + 3, x(2, 1) - 2]))  # integer shifts
+@example((P2, [x(2, 0) + F(3, 2), x(2, 1) - F(1, 2)]))  # half-integer shifts, as in a rho-shift at even n
+@example((P2, [x(3, 2) + F(1, 3), x(3, 0) + F(5, 4)]))  # mixed denominators, targets out of order
+@example((P2, [x(2, 1), x(2, 0) + F(1, 2)]))  # one zero shift, the targets swapped
+def test_translations_match_ring_products(case):
+    p, images = case
+    assert _translation(images) is not None
+    assert_ring_expansion(p, images)
+
+
+def _break_repeated_target(images, draw):
+    t = max(images[0].terms, key=sum).index(1)
+    return images + [MPoly.variable(images[0].nvars, t) + draw(shifts)]
+
+
+def _break_coefficient(images, draw):
+    c = draw(coefficients.filter(lambda c: c not in (0, 1)))
+    return images[:-1] + [c * images[-1]]
+
+
+def _break_square(images, draw):
+    return images[:-1] + [images[-1] * images[-1]]
+
+
+def _break_two_variables(images, draw):
+    nvars = images[0].nvars
+    return images[:-1] + [images[-1] + MPoly.variable(nvars, draw(st.integers(0, nvars - 1)))]
+
+
+def _break_constant(images, draw):
+    return images[:-1] + [MPoly.const(images[0].nvars, draw(coefficients))]
+
+
+@st.composite
+def fallback_cases(draw):
+    """(p, images): translations with one image broken so that the general path must run."""
+    _, images = draw(translation_cases())
+    breaks = [_break_repeated_target, _break_coefficient, _break_square, _break_two_variables, _break_constant]
+    images = draw(st.sampled_from(breaks))(images, draw)
+    return draw(mpolys(len(images), max_deg=3, max_terms=5)), images
+
+
+@settings(max_examples=200, deadline=None)
+@given(fallback_cases())
+@example((P2, [x(2, 0) + 1, x(2, 0) - 1]))  # repeated target
+@example((P2, [x(2, 0) + 1, 2 * x(2, 1) + 1]))  # coefficient other than 1
+@example((P2, [x(2, 0) + 1, x(2, 1) ** 2 + 1]))  # a square
+@example((P2, [x(2, 0) + 1, x(2, 0) + x(2, 1) + F(1, 2)]))  # two variables
+@example((P2, [x(2, 0) + 1, MPoly.const(2, F(-3, 2))]))  # a constant
+def test_fallback_images_match_ring_products(case):
+    p, images = case
+    assert _translation(images) is None
+    assert_ring_expansion(p, images)
+
+
+@st.composite
+def mixed_image_cases(draw):
+    """(p, images): single-monomial images next to multi-term ones, as in eliminate_last_var."""
+    source = draw(st.integers(2, 4))
+    target = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * target)
+    monomial = st.builds(lambda e, c: MPoly(target, {e: c}), exponents, coefficients.filter(bool))
+    multi = st.dictionaries(exponents, coefficients.filter(bool), min_size=2, max_size=3).map(
+        lambda terms: MPoly(target, terms)
+    )
+    images = [draw(st.one_of(monomial, multi)) for _ in range(source - 1)] + [draw(multi)]
+    return draw(mpolys(source, max_deg=3, max_terms=5)), draw(st.permutations(images))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_image_cases())
+@example((P2, [x(1, 0), -x(1, 0) + F(1, 2)]))
+@example((MPoly(3, {(1, 1, 2): F(3), (2, 0, 1): F(-1, 2)}), [x(2, 0), x(2, 1), -(x(2, 0) + x(2, 1))]))
+def test_mixed_images_match_ring_products(case):
+    assert_ring_expansion(*case)
 
 
 def test_rho_shift_of_a_casimir_sum():

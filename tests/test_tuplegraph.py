@@ -16,6 +16,8 @@ from casimir_eigen.tuplegraph import (
     enumerate_proper_cycles,
     min_pair,
     parameter,
+    pattern_product,
+    proper_cycle_factors,
     relative_order,
 )
 
@@ -214,6 +216,49 @@ class TestElementaryEigenvalue:
                 },
             )
             assert renamed == elementary_eigenvalue(t_image)
+
+
+def direct_eigenvalue(t, shifted, sign):
+    """The proper-cycle product multiplied out in the n parameters of the tuple itself.
+
+    This is the fast path without the per-pattern product and its ring
+    maps: zero when some entry is below i1, otherwise the signed product
+    of ``proper_cycle_factors`` over the plain or rho-shifted parameters.
+    """
+    n = t.n
+    if any(i < t.entries[0] for i in t.entries):
+        return MPoly.zero(n)
+    product = MPoly.one(n)
+    for factor in proper_cycle_factors(t, lambda v: parameter(v, n, shifted)):
+        product = product * factor
+    return sign.factor(t.m) * product
+
+
+class TestFastPathReference:
+    """elementary_eigenvalue reads one product per pattern through two ring maps; check it tuple by tuple."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_tuple(self, m, n):
+        for entries in itertools.product(range(1, n + 1), repeat=m):
+            t = IndexTuple(entries, n)
+            for shifted in (False, True):
+                for sign in SignConvention:
+                    assert elementary_eigenvalue(t, shifted, sign) == direct_eigenvalue(t, shifted, sign), (
+                        entries,
+                        shifted,
+                        sign,
+                    )
+
+    def test_worked_example(self):
+        for shifted in (False, True):
+            for sign in SignConvention:
+                assert elementary_eigenvalue(WORKED, shifted, sign) == direct_eigenvalue(WORKED, shifted, sign)
+
+    def test_pattern_product_is_the_pattern_tuple_unsigned(self):
+        for rho in [(1,), (1, 1), (1, 2, 1, 3), (1, 3, 2, 3, 4, 2)]:
+            t = IndexTuple(rho, max(rho))
+            assert pattern_product(rho) == direct_eigenvalue(t, False, SignConvention.LITERAL)
 
 
 def _rename_exponent(exps, iso, n):
