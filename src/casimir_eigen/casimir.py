@@ -40,6 +40,7 @@ from .tuplegraph import (
     IndexTuple,
     SignConvention,
     _check_rank,
+    _memo_pattern_product,
     elementary_eigenvalue,
     parameter,
     pattern_product,
@@ -320,13 +321,16 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     ring operations only.  The fast path is called on every tuple in both
     modes and specialises its own per-pattern product the same way (see
     elementary_eigenvalue), so the two routes share only
-    MPoly.substitute, which the tests check against ring products.
+    MPoly.substitute, which the tests check against ring products.  Both
+    per-pattern tables live for one call: the oracle's is local, and the
+    fast path's memo is cleared when the call starts.
     """
     from .jetoracle import oracle_eigenvalue  # imported here so that only verify loads the oracle
 
     _check_order(m)
     _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)
+    _memo_pattern_product.cache_clear()
     flip = SignConvention.LITERAL.factor(m) * SignConvention.ALTERNATING.factor(m)  # literal / alternating
     pattern_oracles: dict[tuple[int, ...], MPoly] = {}
     records = []

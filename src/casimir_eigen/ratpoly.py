@@ -86,6 +86,31 @@ def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[Fraction]] | 
     return (targets, shifts) if len(set(targets)) == len(targets) else None
 
 
+def _monomial(terms: Mapping[Exponent, Fraction | int]) -> tuple[list[tuple[int, int]], Fraction | int] | None:
+    """A one-term image as (its variables with their exponents, its coefficient), else None."""
+    if len(terms) != 1:
+        return None
+    ((f, g),) = terms.items()
+    return [(k, fk) for k, fk in enumerate(f) if fk], g
+
+
+def _move_exponents(
+    exps: Exponent, monomials: list, coeff: Fraction | int, nvars: int
+) -> tuple[Exponent, Fraction | int]:
+    """Exponents and coefficient of coeff * prod(m_i^e_i) over the images with a monomial m_i."""
+    target = [0] * nvars
+    for monomial, e in zip(monomials, exps):
+        if e and monomial is not None:
+            support, g = monomial
+            if g != 1:
+                coeff *= g**e
+            for k, fk in support:
+                target[k] += fk * e
+    return tuple(target), coeff
+
+
+# One request's rho-shifts need a few hundred keys at most (top <= m, q <= 2, |p| <= n + 1 over
+# the ranks n it uses); the bound only caps a caller that translates by many other constants.
 @functools.lru_cache(maxsize=1024)
 def _shift_weights(top: int, p: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Entry E lists (f, C(E,f) * q^f * p^(E-f)) for f = 0..E: (q*x + p)^E, zero weights left out."""
@@ -273,18 +298,8 @@ class MPoly:
         if translation is not None:
             return self._substitute_translation(nvars, *translation)
         dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]
-        # per image: (variables of its monomial with their exponents, integer coefficient)
-        # when it is a single monomial, else None: such an image only adds to exponents
-        monomials = []
-        gens = []
-        for img, d in zip(images, dens):
-            gen = {e: c.numerator * (d // c.denominator) for e, c in img.terms.items()}
-            gens.append(gen)
-            if len(gen) == 1:
-                (f, g), = gen.items()
-                monomials.append(([(k, fk) for k, fk in enumerate(f) if fk], g))
-            else:
-                monomials.append(None)
+        gens = [{e: c.numerator * (d // c.denominator) for e, c in img.terms.items()} for img, d in zip(images, dens)]
+        monomials = [_monomial(gen) for gen in gens]  # such an image only adds to the exponents
         tops = [max(col) for col in zip(*self.terms)]
         den = math.lcm(*(c.denominator for c in self.terms.values()))
         unit = {(0,) * nvars: 1}
@@ -292,22 +307,16 @@ class MPoly:
         out: dict[Exponent, int] = {}
         for exps, coeff in self.terms.items():
             scale = coeff.numerator * (den // coeff.denominator)
-            base = [0] * nvars
-            for d, top, e, monomial in zip(dens, tops, exps, monomials):
+            for d, top, e in zip(dens, tops, exps):
                 scale *= d ** (top - e)
-                if e and monomial is not None:
-                    support, g = monomial
-                    if g != 1:
-                        scale *= g**e
-                    for k, fk in support:
-                        base[k] += fk * e
+            base, scale = _move_exponents(exps, monomials, scale, nvars)
             factors = []
             for gen, pows, e, monomial in zip(gens, powers, exps, monomials):
                 if e and monomial is None:
                     while len(pows) <= e:
                         pows.append(_mul_terms(pows[-1], gen))
                     factors.append(pows[e])
-            term = {tuple(base): scale}
+            term = {base: scale}
             for factor in factors[:-1]:
                 term = _mul_terms(term, factor)
             _mul_terms(term, factors[-1] if factors else unit, out)  # the last product adds into out
@@ -348,21 +357,10 @@ class MPoly:
     def _substitute_monomials(self, images: Sequence[MPoly]) -> MPoly:
         """``substitute`` for images that are all single monomials; see there."""
         nvars = images[0].nvars
-        # per image: the variables of its monomial with their exponents, and its coefficient
-        monomials = []
-        for img in images:
-            (f, g), = img.terms.items()
-            monomials.append(([(k, fk) for k, fk in enumerate(f) if fk], g))
+        monomials = [_monomial(img.terms) for img in images]
         out: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
-            target = [0] * nvars
-            for (support, g), e in zip(monomials, exps):
-                if e:
-                    if g != 1:
-                        coeff *= g**e
-                    for k, fk in support:
-                        target[k] += fk * e
-            key = tuple(target)
+            key, coeff = _move_exponents(exps, monomials, coeff, nvars)
             out[key] = out[key] + coeff if key in out else coeff
         return MPoly._trusted(nvars, out)
 

@@ -106,11 +106,14 @@ class RelOrder(NamedTuple):
 
 
 def relative_order(t: IndexTuple) -> RelOrder:
-    distinct = tuple(sorted(set(t.entries)))
+    distinct = sorted(set(t.entries))
     rank = {v: r for r, v in enumerate(distinct, start=1)}
-    rho = tuple(map(rank.__getitem__, t.entries))
-    sigma = tuple(t.entries.index(v) + 1 for v in distinct)
-    return RelOrder(ell=len(distinct), rho=rho, sigma=sigma, values=distinct)
+    rho = tuple(rank[i] for i in t.entries)
+    sigma = [0] * len(distinct)
+    for pos, r in enumerate(rho, start=1):
+        if sigma[r - 1] == 0:
+            sigma[r - 1] = pos
+    return RelOrder(ell=len(distinct), rho=rho, sigma=tuple(sigma), values=tuple(distinct))
 
 
 def min_pair(values: Sequence[int]) -> tuple[int, int | None]:
@@ -221,8 +224,9 @@ def pattern_product(rho: tuple[int, ...]) -> MPoly:
     return product
 
 
-# Bounded: a long run of distinct patterns (verify at m = 8) would otherwise keep every product.
-_memo_pattern_product = functools.lru_cache(maxsize=1 << 14)(pattern_product)
+# One product per nonzero pattern seen, as verify_tuples keeps one oracle polynomial per
+# pattern; verify_tuples clears it per call, so a process holds one request's patterns.
+_memo_pattern_product = functools.lru_cache(maxsize=None)(pattern_product)
 
 
 def elementary_eigenvalue(

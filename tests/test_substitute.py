@@ -225,12 +225,19 @@ shifts = st.one_of(
 
 @st.composite
 def translation_cases(draw):
-    """(p, images): image i is x_(targets[i]) + c_i, targets distinct and in any order."""
+    """(p, images): image i is x_(targets[i]) + c_i, targets distinct and in any order.
+
+    One shift, at a drawn position, is nonzero and p is nonzero, so that
+    substitute can take neither the single-monomial nor the zero shortcut.
+    """
     source = draw(st.integers(1, 4))
     target = draw(st.integers(source, 5))
-    p = draw(mpolys(source, max_deg=4, max_terms=6))
+    p = draw(mpolys(source, max_deg=4, max_terms=6).filter(bool))
     targets = draw(st.permutations(range(target)))[:source]
-    return p, [MPoly.variable(target, t) + draw(shifts) for t in targets]
+    moved = draw(st.integers(0, source - 1))
+    return p, [
+        MPoly.variable(target, t) + draw(shifts.filter(bool) if i == moved else shifts) for i, t in enumerate(targets)
+    ]
 
 
 def x(nvars, index):
@@ -248,7 +255,7 @@ P2 = MPoly(2, {(3, 1): F(2, 3), (1, 2): F(-5), (0, 0): F(7, 4), (2, 0): F(1)})
 @example((P2, [x(2, 1), x(2, 0) + F(1, 2)]))  # one zero shift, the targets swapped
 def test_translations_match_ring_products(case):
     p, images = case
-    assert _translation(images) is not None
+    assert p and any(len(img.terms) > 1 for img in images) and _translation(images) is not None
     assert_ring_expansion(p, images)
 
 
