@@ -1,9 +1,8 @@
-"""Index-tuple combinatorics: proper cycles, fast eigenvalues, graph paths.
+"""Index-tuple combinatorics: proper cycles and fast eigenvalues.
 
 An elementary differential operator of order m is selected by a tuple
 (i1,...,im) with entries in 1..n.  Everything here works on the closed
-tuple I = (i1,...,im,i1) and on the directed, edge-ordered multigraph
-whose j-th edge runs from i_j to i_{j+1}.
+tuple I = (i1,...,im,i1).
 
 The fast eigenvalue path is a product of one linear factor per proper
 cycle of I (a contiguous sub-list with equal endpoints strictly smaller
@@ -250,32 +249,3 @@ def elementary_eigenvalue(
     order = relative_order(t)
     value = _memo_pattern_product(order.rho).substitute([parameter(v, n, shifted) for v in order.values])
     return -value if sign.factor(t.m) < 0 else value
-
-
-def _edge_ends(t: IndexTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    closed = t.closed()
-    return closed[:-1], closed[1:]  # tails, heads of edges 1..m
-
-
-def enumerate_paths(t: IndexTuple, v: int, w: int) -> list[tuple[int, ...]]:
-    """All edge subsets that chain from v to w traversing edges in increasing order.
-
-    A subset {j1 < ... < jk} qualifies when edge j1 starts at v, each
-    edge starts where the previous one ended, and edge jk ends at w.  The
-    empty subset counts as a path exactly when v = w.
-    """
-    tails, heads = _edge_ends(t)
-    m = t.m
-    found: list[tuple[int, ...]] = []
-
-    def extend(u: int, next_edge: int, acc: list[int]) -> None:
-        if u == w:
-            found.append(tuple(acc))
-        for j in range(next_edge, m + 1):
-            if tails[j - 1] == u:
-                acc.append(j)
-                extend(heads[j - 1], j + 1, acc)
-                acc.pop()
-
-    extend(v, 1, [])
-    return sorted(found)

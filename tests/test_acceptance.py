@@ -19,10 +19,11 @@ from casimir_eigen.casimir import (
     casimir_eigenvalue_patterned,
 )
 from casimir_eigen.cli import main
-from casimir_eigen.jetoracle import Jet, path_coefficient_check
+from casimir_eigen.jetoracle import Jet
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tables import classify, order3_rows
 from casimir_eigen.tuplegraph import IndexTuple
+from pathcheck import path_coefficient_check
 from polyjson import closed_form_from_obj
 
 EXPECTED_CLOSED_FORMS = {

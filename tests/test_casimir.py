@@ -257,18 +257,25 @@ class TestVerify:
             assert record.oracle_shifted == oracle_eigenvalue(t, shifted=True), record.entries
 
     def test_oracle_runs_once_per_rank_pattern(self, monkeypatch):
-        calls = []
-        gram_schmidt_norms = jetoracle.gram_schmidt_norms
+        calls, norm_calls = [], []
+        oracle, gram_schmidt_norms = jetoracle.oracle_eigenvalue, jetoracle.gram_schmidt_norms
 
-        def counting(matrix):
-            calls.append(matrix.size)
+        def counting(t, shifted=False):
+            calls.append(t.entries)
+            return oracle(t, shifted)
+
+        def counting_norms(matrix):
+            norm_calls.append(matrix.size)
             return gram_schmidt_norms(matrix)
 
-        monkeypatch.setattr(jetoracle, "gram_schmidt_norms", counting)
+        monkeypatch.setattr(jetoracle, "oracle_eigenvalue", counting)
+        monkeypatch.setattr(jetoracle, "gram_schmidt_norms", counting_norms)
         report = verify_tuples(4, 5, Exhaustive())
         assert report.total == 625
         # surjections of 4 positions onto 1..ell for ell = 1..4: 1 + 14 + 36 + 24
-        assert len(calls) == 75
+        assert len(calls) == len(set(calls)) == 75
+        # the 37 patterns of order 4 whose factor list ends in an AN tail need no Gram norms
+        assert len(norm_calls) == 75 - 37
         assert not report.mismatches
 
     def test_broken_fast_path_is_reported(self, monkeypatch):

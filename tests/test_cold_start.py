@@ -16,8 +16,8 @@ import pytest
 
 import casimir_eigen
 from casimir_eigen.casimir import CasimirRequest, Exhaustive, RandomSample
-from casimir_eigen.jetoracle import path_coefficient_check
 from casimir_eigen.tuplegraph import IndexTuple, enumerate_cycles, relative_order
+from pathcheck import path_coefficient_check
 
 SRC = str(Path(casimir_eigen.__file__).resolve().parent.parent)
 

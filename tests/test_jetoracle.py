@@ -21,10 +21,10 @@ from casimir_eigen.jetoracle import (
     eigenvalue_from_norms,
     gram_schmidt_norms,
     oracle_eigenvalue,
-    path_coefficient_check,
 )
 from casimir_eigen.ratpoly import MPoly, alpha
 from casimir_eigen.tuplegraph import IndexTuple, relative_order
+from pathcheck import path_coefficient_check
 
 
 def random_jet(rng, m, unit=False, max_terms=4):

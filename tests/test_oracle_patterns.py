@@ -15,6 +15,7 @@ import pytest
 from casimir_eigen.jetoracle import (
     Jet,
     _gram_matrix,
+    _tail_proves_zero,
     build_inverse_matrix,
     eigenvalue_from_norms,
     gram_schmidt_norms,
@@ -70,6 +71,15 @@ def full_product_top(norms, order, t, shifted):
     return top if isinstance(top, MPoly) else MPoly.const(t.n, top)
 
 
+def pivot_support(norms):
+    """The union of the pivots' masks: the t_j that reach some Gram norm."""
+    support = 0
+    for norm in norms:
+        for mask in norm.coeffs:
+            support |= mask
+    return support
+
+
 def test_small_orders_have_633_patterns():
     assert len(SMALL) == len(set(SMALL)) == 1 + 3 + 13 + 75 + 541
 
@@ -112,12 +122,48 @@ def test_every_zero_pattern_leaves_a_variable_out_of_every_pivot():
         if full_product_top(norms, relative_order(t), t, False):
             continue
         zero_patterns[t.m] += 1
-        support = 0
-        for norm in norms:
-            for mask in norm.coeffs:
-                support |= mask
-        assert support != (1 << t.m) - 1, rho
+        assert pivot_support(norms) != (1 << t.m) - 1, rho
     assert list(zero_patterns.values()) == [0, 1, 7, 49, 391]
+
+
+@pytest.mark.parametrize("m, zero", [(6, 3601), pytest.param(7, 37927, marks=pytest.mark.slow)])
+def test_support_proof_settles_every_zero_pattern_of_order(m, zero):
+    # the full route, without the tail proof: the pivots cover every t_j
+    # exactly on the nonzero patterns, and the fast path is zero exactly
+    # when some entry is below the first, i.e. when rho does not start at 1
+    full = (1 << m) - 1
+    missed = 0
+    for rho in patterns(m):
+        t = pattern_tuple(rho)
+        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        if pivot_support(norms) != full:
+            missed += 1
+        else:
+            assert eigenvalue_from_norms(norms, relative_order(t), t, False), rho
+    assert missed == zero == sum(rho[0] != 1 for rho in patterns(m))
+
+
+def test_an_tail_proves_zero_on_its_patterns_up_to_order_five():
+    # a(g n) = a(g): the t_j of a last non-loop factor in N reaches no Gram norm
+    proved = dict.fromkeys(range(1, 6), 0)
+    for rho in SMALL:
+        t = pattern_tuple(rho)
+        matrix = build_inverse_matrix(t)
+        if not _tail_proves_zero(matrix):
+            continue
+        proved[t.m] += 1
+        j = max(j for j, (a, b) in enumerate(matrix.factors) if a != b)
+        assert matrix.factors[j][0] < matrix.factors[j][1], rho
+        norms = gram_schmidt_norms(matrix)
+        assert not pivot_support(norms) & (1 << j), rho
+        order = relative_order(t)
+        for shifted in (False, True):
+            assert not full_product_top(norms, order, t, shifted), (rho, shifted)
+    assert list(proved.values()) == [0, 1, 6, 37, 270]
+
+
+def test_an_tail_proves_2341_patterns_of_order_six():
+    assert sum(_tail_proves_zero(build_inverse_matrix(pattern_tuple(rho))) for rho in patterns(6)) == 2341
 
 
 def test_norms_equal_classical_gram_schmidt_on_every_pattern():

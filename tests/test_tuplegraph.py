@@ -12,7 +12,6 @@ from casimir_eigen.tuplegraph import (
     SignConvention,
     elementary_eigenvalue,
     enumerate_cycles,
-    enumerate_paths,
     enumerate_proper_cycles,
     min_pair,
     parameter,
@@ -20,6 +19,7 @@ from casimir_eigen.tuplegraph import (
     proper_cycle_factors,
     relative_order,
 )
+from pathcheck import enumerate_paths
 
 WORKED = IndexTuple.parse("1,9,2,5,5,9,6,8,4,5", n=10)
 
