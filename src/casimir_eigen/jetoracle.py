@@ -384,6 +384,7 @@ def _tail_proves_zero(matrix: JetMatrix) -> bool:
     diagonal of T, exactly over the jets: every leading principal minor of
     G = T^T (M'^T M') T is the minor of M'^T M' times squared diagonal
     entries of T.  t_j occurs in no other factor, so it is in no Gram norm.
+    In tuple terms: the last entry that differs from i1 is smaller than i1.
     """
     for a, b in reversed(matrix.factors):
         if a != b:
