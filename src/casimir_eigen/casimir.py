@@ -342,8 +342,8 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
             pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
         oracle_raw = pattern_oracle.substitute([parameter(v, n, False) for v in order.values])
         oracle_shifted = pattern_oracle.substitute([parameter(v, n, True) for v in order.values])
-        fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING)
-        fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING)
+        fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING, order=order)
+        fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING, order=order)
         records.append(
             TupleComparison(
                 entries=entries,

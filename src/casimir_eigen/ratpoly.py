@@ -17,9 +17,13 @@ reductions everything else is expressed in:
     coefficients at the monomials a^lam with lam a partition: one linear
     equation per partition instead of one per monomial.  The coefficients
     of the eliminated power sums there are counted combinatorially and
-    memoised,
+    memoised; a_N itself is eliminated by the multinomial theorem,
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
+
+Both hot kernels run in integers over one common denominator: the
+elimination, and ``_solve_linear``, a fraction-free Gauss-Jordan solve
+behind both reductions.
 """
 
 from __future__ import annotations
@@ -84,29 +88,6 @@ def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[Fraction]] | 
         targets.append(target)
         shifts.append(shift)
     return (targets, shifts) if len(set(targets)) == len(targets) else None
-
-
-def _monomial(terms: Mapping[Exponent, Fraction | int]) -> tuple[list[tuple[int, int]], Fraction | int] | None:
-    """A one-term image as (its variables with their exponents, its coefficient), else None."""
-    if len(terms) != 1:
-        return None
-    ((f, g),) = terms.items()
-    return [(k, fk) for k, fk in enumerate(f) if fk], g
-
-
-def _move_exponents(
-    exps: Exponent, monomials: list, coeff: Fraction | int, nvars: int
-) -> tuple[Exponent, Fraction | int]:
-    """Exponents and coefficient of coeff * prod(m_i^e_i) over the images with a monomial m_i."""
-    target = [0] * nvars
-    for monomial, e in zip(monomials, exps):
-        if e and monomial is not None:
-            support, g = monomial
-            if g != 1:
-                coeff *= g**e
-            for k, fk in support:
-                target[k] += fk * e
-    return tuple(target), coeff
 
 
 # One request's rho-shifts need a few hundred keys at most (top <= m, q <= 2, |p| <= n + 1 over
@@ -260,9 +241,8 @@ class MPoly:
         All images must lie in one ring, which is the ring of the result.
         A polynomial without variables has nothing to send and is returned
         as it is; the zero polynomial maps to the zero of the images' ring
-        without any image being prepared.  The images' shape picks one of
-        three expansions, each exact; D below clears the denominators of
-        ``self``.
+        without any image being prepared.  Two shapes of images have their
+        own exact expansions; D below clears the denominators of ``self``.
 
         * every image a single monomial g_i*x^f_i: each term maps to one
           monomial, c * prod(g_i^e_i) times x^(sum e_i*f_i), with no
@@ -273,15 +253,10 @@ class MPoly:
           c_i = p_i/q over one common q, x^E becomes
           sum_f C(E,f) * q^f * p_i^(E-f) * x^f / q^E, so scaling the
           integer numerators of a term of degree |e| by q^(deg - |e|)
-          keeps every step in integers over one final divisor D * q^deg;
-        * anything else runs in integers over one common denominator.
-          Write image i as G_i / d_i with G_i integral and let top_i be
-          the largest exponent of variable i.  Each term c*x^e is scaled by
-          D * prod(d_i^(top_i - e_i)), so the scaled term times the cached
-          integer powers G_i^e_i is integral, and it is the term's image
-          times D * prod(d_i^top_i), the one divisor applied at the end.
-          Single-monomial images only add to the exponents; term dicts are
-          multiplied only by powers of the other images.
+          keeps every step in integers over one final divisor D * q^deg.
+
+        Other images get the definition, sum(c * prod(images[i]^e_i)), in
+        ring operations; eliminating a_N has its own kernel.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -297,31 +272,10 @@ class MPoly:
         translation = _translation(images)
         if translation is not None:
             return self._substitute_translation(nvars, *translation)
-        dens = [math.lcm(*(c.denominator for c in img.terms.values())) for img in images]
-        gens = [{e: c.numerator * (d // c.denominator) for e, c in img.terms.items()} for img, d in zip(images, dens)]
-        monomials = [_monomial(gen) for gen in gens]  # such an image only adds to the exponents
-        tops = [max(col) for col in zip(*self.terms)]
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        unit = {(0,) * nvars: 1}
-        powers: list[list[dict[Exponent, int]]] = [[unit] for _ in images]
-        out: dict[Exponent, int] = {}
+        total = MPoly._trusted(nvars, {})
         for exps, coeff in self.terms.items():
-            scale = coeff.numerator * (den // coeff.denominator)
-            for d, top, e in zip(dens, tops, exps):
-                scale *= d ** (top - e)
-            base, scale = _move_exponents(exps, monomials, scale, nvars)
-            factors = []
-            for gen, pows, e, monomial in zip(gens, powers, exps, monomials):
-                if e and monomial is None:
-                    while len(pows) <= e:
-                        pows.append(_mul_terms(pows[-1], gen))
-                    factors.append(pows[e])
-            term = {base: scale}
-            for factor in factors[:-1]:
-                term = _mul_terms(term, factor)
-            _mul_terms(term, factors[-1] if factors else unit, out)  # the last product adds into out
-        den *= math.prod(d**top for d, top in zip(dens, tops))
-        return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in out.items()})
+            total += math.prod((img**e for img, e in zip(images, exps) if e), start=MPoly.const(nvars, coeff))
+        return total
 
     def _substitute_translation(self, nvars: int, targets: list[int], shifts: list[Fraction]) -> MPoly:
         """``substitute`` for images x_(targets[i]) + shifts[i] on distinct targets; see there."""
@@ -357,10 +311,18 @@ class MPoly:
     def _substitute_monomials(self, images: Sequence[MPoly]) -> MPoly:
         """``substitute`` for images that are all single monomials; see there."""
         nvars = images[0].nvars
-        monomials = [_monomial(img.terms) for img in images]
+        # image i as (its variables with their exponents, its coefficient)
+        monomials = [([(k, fk) for k, fk in enumerate(f) if fk], g) for img in images for f, g in img.terms.items()]
         out: dict[Exponent, Fraction] = {}
         for exps, coeff in self.terms.items():
-            key, coeff = _move_exponents(exps, monomials, coeff, nvars)
+            key = [0] * nvars
+            for (support, g), e in zip(monomials, exps):
+                if e:
+                    if g != 1:
+                        coeff *= g**e
+                    for k, fk in support:
+                        key[k] += fk * e
+            key = tuple(key)
             out[key] = out[key] + coeff if key in out else coeff
         return MPoly._trusted(nvars, out)
 
@@ -456,12 +418,38 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     Two polynomials agree on the hyperplane sum(a_i) = 0 exactly when their
     images under this substitution are equal, so this is the canonical form
     for arithmetic modulo the ideal generated by p1.
+
+    By the multinomial theorem a_N^k is (-1)^k * sum(k!/prod(v_i!) * a^v)
+    over the vectors v of N - 1 entries summing to k; their table is built
+    once per call, a variable at a time, as multinomial(t; f, v) =
+    C(t, f) * multinomial(t - f; v).  A term c * a^h * a_N^k adds
+    c * (-1)^k times each weight at h + v, in integers over the lcm of the
+    denominators.  Below degree 256 an exponent vector packs into one int,
+    a byte per variable, so h + v is one integer sum; higher degrees take
+    ``substitute``.  With N = 1 the image is the constant p(0).
     """
     if p.nvars == 0:
         return p
     m = p.nvars - 1
-    head = [MPoly.variable(m, i) for i in range(m)]
-    return p.substitute(head + [-sum(head, MPoly.zero(m))])
+    if p.total_degree() > 255:
+        head = [MPoly.variable(m, i) for i in range(m)]
+        return p.substitute(head + [-sum(head, MPoly.zero(m))])
+    top = max((exps[m] for exps in p.terms), default=0)
+    table = [[(0, 1)]] + [[] for _ in range(top)]  # entry t lists (packed v, weight) with sum(v) = t
+    for j in range(m):
+        table = [
+            [(v + (f << 8 * j), w * math.comb(t, f)) for f in range(t + 1) for v, w in table[t - f]]
+            for t in range(top + 1)
+        ]
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[int, int] = {}
+    for exps, c in p.terms.items():
+        head = int.from_bytes(bytes(exps[:m]), "little")
+        scale = c.numerator * (den // c.denominator) * (-1) ** exps[m]
+        for v, w in table[exps[m]]:
+            key = head + v
+            out[key] = out.get(key, 0) + scale * w
+    return MPoly._trusted(m, {tuple(e.to_bytes(m, "little")): Fraction(c, den) for e, c in out.items()})
 
 
 # -- power-sum basis -------------------------------------------------------
@@ -615,40 +603,51 @@ def _is_symmetric(p: MPoly) -> bool:
 
 
 def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; returns one solution or None if inconsistent.
+    """Exact Gauss-Jordan elimination in integers; one solution, or None if inconsistent.
 
-    Underdetermined systems get free variables set to zero.
+    Each equation is scaled by the lcm of its denominators, and clearing
+    column c of row i takes p * row_i - a_ic * row_r for the pivot
+    p = a_rc; every row is divided by its gcd, so it stays a nonzero
+    multiple of the row a Fraction elimination would hold.  The pivot is
+    the first nonzero entry at or below the current row, and free
+    variables are 0.  The solution is checked against every equation in
+    integers, over the lcm of its denominators, so None is a proof.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    a = [row[:] + [b] for row, b in zip(rows, rhs)]
+    system = []
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        d = math.lcm(*(x.denominator for x in row))
+        row = [x.numerator * (d // x.denominator) for x in row]
+        g = math.gcd(*row)
+        system.append([x // g for x in row] if g > 1 else row)
+    n_rows, n_cols = len(system), len(rows[0]) if rows else 0
+    a = list(system)
     pivot_of_col: dict[int, int] = {}
-    r = 0
     for c in range(n_cols):
+        r = len(pivot_of_col)
+        if r == n_rows:
+            break
         pivot = next((i for i in range(r, n_rows) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        top, p = a[r], a[r][c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivot_of_col[c] = r
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if a[i][n_cols]:
-            return None
+    if any(row[n_cols] for row in a[len(pivot_of_col) :]):
+        return None
     solution = [Fraction(0)] * n_cols
-    for c, pr in pivot_of_col.items():
-        solution[c] = a[pr][n_cols]
-    # Verify (cheap, and guards the free-variable case).
-    for row, b in zip(rows, rhs):
-        if sum((x * s for x, s in zip(row, solution)), Fraction(0)) != b:
-            return None
+    for c, r in pivot_of_col.items():
+        solution[c] = Fraction(a[r][n_cols], a[r][c])
+    den = math.lcm(*(s.denominator for s in solution))
+    scaled = [(c, s.numerator * (den // s.denominator)) for c, s in enumerate(solution) if s]
+    if any(sum(row[c] * s for c, s in scaled) != row[n_cols] * den for row in system):
+        return None
     return solution
 
 

@@ -232,6 +232,7 @@ def elementary_eigenvalue(
     t: IndexTuple,
     shifted: bool = False,
     sign: SignConvention = SignConvention.ALTERNATING,
+    order: RelOrder | None = None,
 ) -> MPoly:
     """Eigenvalue of the elementary operator for the tuple, as a polynomial.
 
@@ -241,11 +242,13 @@ def elementary_eigenvalue(
     tuple only through its relative order: it is pattern_product(rho),
     memoised per rho, with rank k replaced by the parameter of the k-th
     smallest value.  That replacement renames variables in the plain mode
-    and translates them in the shifted one (MPoly.substitute).
+    and translates them in the shifted one (MPoly.substitute).  ``order``
+    is the tuple's relative order, when the caller has it already.
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
         return MPoly.zero(n)
-    order = relative_order(t)
+    if order is None:
+        order = relative_order(t)
     value = _memo_pattern_product(order.rho).substitute([parameter(v, n, shifted) for v in order.values])
     return -value if sign.factor(t.m) < 0 else value

@@ -128,7 +128,7 @@ class TestVerify:
         assert obj["mismatch"] == []
 
     def test_mismatch_is_printed_and_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign: MPoly.zero(t.n))
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign, order=None: MPoly.zero(t.n))
         code, out = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--exhaustive")
         assert code == 1
         assert "consistent convention: NONE" in out
@@ -138,7 +138,9 @@ class TestVerify:
         # A negated fast path at odd m is the literal convention: every nonzero
         # tuple fails the alternating one, so the JSON must list each of them.
         elementary = casimir.elementary_eigenvalue
-        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign: -elementary(t, shifted, sign))
+        monkeypatch.setattr(
+            casimir, "elementary_eigenvalue", lambda t, shifted, sign, order=None: -elementary(t, shifted, sign, order)
+        )
         code, out = run_cli(capsys, "verify", "--m", "3", "--n", "3", "--exhaustive", "--json")
         obj = json.loads(out)
         assert code == 1

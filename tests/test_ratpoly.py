@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from fractionsolve import fraction_solve
 
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
 from casimir_eigen.ratpoly import (
@@ -59,7 +60,7 @@ def dense_to_power_sum(p, n):
     monomials = set(target.terms).union(*(img.terms for img in images))
     rows = [[img.terms.get(mono, F(0)) for img in images] for mono in monomials]
     rhs = [target.terms.get(mono, F(0)) for mono in monomials]
-    solution = _solve_linear(rows, rhs)
+    solution = fraction_solve(rows, rhs)
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
     return PowerSumPoly({lam: c for lam, c in zip(basis, solution) if c})
@@ -236,6 +237,50 @@ class TestPartitionRows:
         assert len(_partitions(4)) == 12
         assert _partitions(3, max_len=1) == [(3,), (2,), (1,), ()]
         assert _partitions(3, max_len=0) == [()]
+
+
+class TestSolveLinear:
+    """The integer solver against the Fraction elimination in ``fractionsolve``."""
+
+    def test_random_systems_match_the_fraction_elimination(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(400):
+            n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+            rank = rng.randint(0, min(n_rows, n_cols))
+            basis = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_cols)] for _ in range(rank)]
+            rows = []
+            for _ in range(n_rows):  # a random combination of the basis, the zero row when all weights are 0
+                weights = [rng.choice([0, 0, 1, -2, F(1, 3)]) for _ in basis]
+                rows.append([sum((w * b[j] for w, b in zip(weights, basis)), F(0)) for j in range(n_cols)])
+            if rng.random() < 0.6:  # consistent: the image of a random vector
+                x = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n_cols)]
+                rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+            else:
+                rhs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n_rows)]
+            expected = fraction_solve(rows, rhs)
+            assert _solve_linear(rows, rhs) == expected, (rows, rhs)
+            if expected is None:
+                seen.add("inconsistent")
+            else:
+                assert all(sum((a * b for a, b in zip(row, expected)), F(0)) == c for row, c in zip(rows, rhs))
+                seen.add("full rank" if rank == n_cols else "rank-deficient")
+            if not any(map(any, rows)):
+                seen.add("all-zero matrix")
+            elif not all(map(any, rows)):
+                seen.add("zero rows")
+        assert seen == {"full rank", "rank-deficient", "inconsistent", "all-zero matrix", "zero rows"}
+
+    def test_free_coefficients_are_zero(self):
+        # x + y = 2 with y free, and a zero row: the pivot is x, so y = 0
+        assert _solve_linear([[1, 1], [0, 0]], [F(2), F(0)]) == [F(2), F(0)]
+        assert _solve_linear([[0, F(1, 2)], [0, 1]], [F(1), F(2)]) == [F(0), F(2)]
+
+    def test_degenerate_shapes(self):
+        assert _solve_linear([], []) == []
+        assert _solve_linear([[0, 0]], [F(0)]) == [F(0), F(0)]
+        assert _solve_linear([[0, 0]], [F(1, 3)]) is None
+        assert _solve_linear([[2, 4], [1, 2]], [F(2), F(3, 2)]) is None
 
 
 class TestInterpolation:

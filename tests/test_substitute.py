@@ -326,6 +326,42 @@ def test_mixed_images_match_ring_products(case):
     assert_ring_expansion(*case)
 
 
+def eliminated_by_reference(p):
+    head = [MPoly.variable(p.nvars - 1, i) for i in range(p.nvars - 1)]
+    return reference_substitute(p, head + [-sum(head, MPoly.zero(p.nvars - 1))])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MPoly(1, {(3,): F(2, 3), (1,): F(-1), (0,): F(5, 4)}),  # N = 1: a_1 maps to the empty sum, leaving p(0)
+        MPoly(1, {(2,): F(-1, 2)}),  # N = 1 without a constant term: zero in no variables
+        MPoly(2, {(2, 3): F(1, 2), (0, 1): F(-3, 7), (1, 0): F(2)}),
+        MPoly(3, {(1, 2, 4): F(5, 6), (0, 0, 3): F(-1, 10), (2, 1, 0): F(3, 4)}),
+        MPoly.zero(1),
+        MPoly.zero(3),
+        MPoly.const(1, 4),
+        MPoly.const(2, F(-7, 3)),
+        MPoly(3, {(0, 0, 255): F(1), (3, 0, 250): F(1, 2)}),  # degree 255, the largest one packed per byte
+        MPoly(3, {(0, 0, 256): F(2, 3), (1, 1, 0): F(1)}),  # degree 256 takes substitute
+    ],
+)
+def test_elimination_edge_cases_match_the_fraction_expansion(p):
+    result = eliminate_last_var(p)
+    assert result == eliminated_by_reference(p) and result.nvars == p.nvars - 1
+    assert_valid_mpoly(result)
+
+
+def test_elimination_of_one_variable_is_the_constant_term():
+    assert eliminate_last_var(MPoly(1, {(3,): F(2, 3), (0,): F(5, 4)})) == MPoly.const(0, F(5, 4))
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: mpolys(n, max_deg=4, max_terms=6)))
+def test_elimination_matches_the_fraction_expansion(p):
+    assert eliminate_last_var(p) == eliminated_by_reference(p)
+
+
 def test_rho_shift_of_a_casimir_sum():
     total = casimir_eigenvalue_patterned(CasimirRequest(m=5, n=8, shifted=False))
     images = [parameter(v, 8, True) for v in range(1, 9)]
@@ -334,8 +370,7 @@ def test_rho_shift_of_a_casimir_sum():
 
 def test_elimination_of_a_shifted_casimir_sum():
     total = casimir_eigenvalue_patterned(CasimirRequest(m=4, n=10))
-    head = [MPoly.variable(9, i) for i in range(9)]
-    assert eliminate_last_var(total) == reference_substitute(total, head + [-sum(head, MPoly.zero(9))])
+    assert eliminate_last_var(total) == eliminated_by_reference(total)
 
 
 @pytest.mark.parametrize("entries", [(1, 4, 2, 5, 3, 6, 2, 7), (1, 3, 2, 4, 1, 2, 5, 3), (1, 1, 2, 1, 3, 2, 1, 4)])
