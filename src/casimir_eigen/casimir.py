@@ -130,9 +130,10 @@ def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
     acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_ell + 1)]
     for pattern in _rank_patterns(m, max_ell):
         terms = acc[max(pattern)]
-        for exps, coeff in pattern_product(pattern).terms.items():
-            assert coeff.denominator == 1, "proper-cycle factors have integer coefficients"
-            terms[exps] = terms.get(exps, 0) + coeff.numerator
+        product = pattern_product(pattern)
+        assert product.den == 1, "proper-cycle factors have integer coefficients"
+        for exps, coeff in product.nums.items():
+            terms[exps] = terms.get(exps, 0) + coeff
     return tuple((ell, tuple((e, c) for e, c in acc[ell].items() if c)) for ell in range(1, max_ell + 1))
 
 

@@ -191,6 +191,8 @@ def _cmd_closed_form(args) -> int:
 def _cmd_verify(args) -> int:
     if args.random is not None and args.seed is None:
         raise ValueError("--random requires an explicit --seed")
+    if args.random is None and args.seed is not None:
+        raise ValueError("--seed applies only to --random")
     selection = Exhaustive() if args.exhaustive else RandomSample(args.random, args.seed)
     report = verify_tuples(args.m, args.n, selection)
     mismatches = report.mismatches

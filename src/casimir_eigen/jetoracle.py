@@ -37,9 +37,11 @@ the matrix entries are +-1 path counts, and every pivot has constant
 term 1, so inverting it never leaves the integers.  Polynomials in the
 Langlands parameters only enter through the exponents -x/2 of the final
 power stage.  There each coefficient of norm^beta is an integer
-combination of the binomials C(beta, k), kept over one common
-denominator; the product of the powers runs on integer numerators, its
-last factor only forms the top coefficient, and one division ends it.
+combination of the binomials C(beta, k), an MPoly in its own form of
+integer numerators over one denominator; the product of the powers runs
+on those numerators, its last factor only forms the top coefficient, and
+the product of the denominators becomes the result's own, so the power
+stage builds no Fraction.
 Every step is a ring operation, so the oracle depends on a tuple only
 through its relative order rho: the eigenvalue of the pattern tuple rho,
 taken in its rank variables, becomes the eigenvalue of every tuple with
@@ -232,28 +234,31 @@ class Jet:
     def power(self, beta: MPoly) -> Jet:
         """(1 + nu)^beta as the terminating binomial series sum_k C(beta, k) nu^k.
 
-        Requires constant term exactly 1 and rational coefficients.  The
-        powers of nu are formed once, so each mask's coefficient is the
-        combination sum_k nu^k[mask] * C(beta, k), with integer weights for
-        an integral jet such as a Gram norm.  The binomials
-        C(beta, k) = beta*(beta-1)*...*(beta-k+1)/k!, polynomials in the
-        Langlands parameters, come from ``_binomials`` as integer numerators
-        over one common denominator; each combination is summed on those
-        numerators and becomes one MPoly.
+        Requires constant term exactly 1 and integer coefficients, as a
+        Gram norm has.  The powers of nu are formed once, so each mask's
+        coefficient is the integer combination sum_k nu^k[mask] * C(beta, k).
+        The binomials C(beta, k) = beta*(beta-1)*...*(beta-k+1)/k!,
+        polynomials in the Langlands parameters, come from ``_binomials`` as
+        integer numerators over one common denominator; each combination is
+        summed on those numerators and becomes one MPoly over it.  Every
+        coefficient of the result, the constant 1 included, is an MPoly in
+        beta's ring.
         """
         if self.constant_term != 1:
             raise ValueError("power() needs constant term 1")
+        if not all(isinstance(c, int) for c in self.coeffs.values()):
+            raise ValueError("power() needs integer coefficients")
         powers = _nu_powers({mask: c for mask, c in self.coeffs.items() if mask})
-        den, numerators = _binomials(beta.nvars, frozenset(beta.terms.items()), self.m)
-        combos: dict[int, dict[Exponent, object]] = {}
+        den, numerators = _binomials(beta.nvars, beta.den, frozenset(beta.nums.items()), self.m)
+        combos: dict[int, dict[Exponent, int]] = {}
         for power, binomial in zip(powers, numerators):
             for mask, c in power.items():
                 acc = combos.setdefault(mask, {})
                 for e, b in binomial.items():
                     acc[e] = acc[e] + c * b if e in acc else c * b
-        out: dict[int, object] = {0: 1}
+        out = {0: MPoly._trusted(beta.nvars, 1, {(0,) * beta.nvars: 1})}
         for mask, acc in combos.items():
-            out[mask] = MPoly._trusted(beta.nvars, {e: Fraction(c, den) for e, c in acc.items()})
+            out[mask] = MPoly._trusted(beta.nvars, den, acc)
         return Jet._trusted(self.m, out)
 
     def __str__(self) -> str:
@@ -265,7 +270,7 @@ class Jet:
         for mask in sorted(self.coeffs, key=lambda s: (bin(s).count("1"), s)):
             c = self.coeffs[mask]
             body = str(c)
-            if isinstance(c, MPoly) and len(c.terms) > 1:
+            if isinstance(c, MPoly) and len(c.nums) > 1:
                 body = f"({body})"
             name = mono(mask)
             pieces.append(f"{body}*{name}" if name and body != "1" else (name or body))
@@ -308,22 +313,21 @@ def _nu_powers(nu: dict[int, object]) -> list[dict[int, object]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _binomials(nvars: int, beta: frozenset, top: int) -> tuple[int, tuple[dict[Exponent, int], ...]]:
+def _binomials(nvars: int, d: int, beta: frozenset, top: int) -> tuple[int, tuple[dict[Exponent, int], ...]]:
     """C(beta, k) for k = 1..top as integer term dicts over one common denominator.
 
-    ``beta`` is the polynomial's set of terms, which makes equal
-    polynomials one cache key.  With beta = B/d and B integral, C(beta, k) is the falling
-    product (B)(B - d)...(B - (k-1)d) over d^k k!, so every numerator is
-    an integer product scaled up to the denominator d^top top!.  Cached:
-    the values are never mutated, and verify asks for the same few
-    exponents -x/2 on every pattern of an order.
+    beta = B/d is given by its denominator d and the set of the numerator
+    terms of B, which makes equal polynomials one cache key.  C(beta, k)
+    is the falling product (B)(B - d)...(B - (k-1)d) over d^k k!, so every
+    numerator is an integer product scaled up to the denominator
+    d^top top!.  Cached: the values are never mutated, and verify asks for
+    the same few exponents -x/2 on every pattern of an order.
     """
-    d = math.lcm(*(c.denominator for _, c in beta))
     const = (0,) * nvars
     falling = {const: 1}
     numerators = []
     for k in range(1, top + 1):
-        factor = {e: c.numerator * (d // c.denominator) for e, c in beta}
+        factor = dict(beta)
         factor[const] = factor.get(const, 0) - (k - 1) * d
         falling = _mul_terms(falling, factor)
         scale = d ** (top - k) * (math.factorial(top) // math.factorial(k))
@@ -466,16 +470,6 @@ def _minus_products(g: dict[int, object], pairs: Iterable[tuple[dict, dict]]) ->
     return g if out is None else {mask: c for mask, c in out.items() if c}
 
 
-def _numerators(factor: Jet, nvars: int) -> tuple[int, dict[int, dict[Exponent, int]]]:
-    """A jet with rational or MPoly coefficients as integer term dicts over one denominator."""
-    const = (0,) * nvars
-    polys = {mask: c.terms if isinstance(c, MPoly) else {const: Fraction(c)} for mask, c in factor.coeffs.items()}
-    den = math.lcm(*(c.denominator for terms in polys.values() for c in terms.values()))
-    return den, {
-        mask: {e: c.numerator * (den // c.denominator) for e, c in terms.items()} for mask, terms in polys.items()
-    }
-
-
 def eigenvalue_from_norms(
     norms: Sequence[Jet], order: RelOrder, t: IndexTuple, shifted: bool = False
 ) -> MPoly:
@@ -484,11 +478,12 @@ def eigenvalue_from_norms(
     Every monomial of the product is a union of pivot masks, so when some
     t_j divides no monomial of any pivot the top coefficient is zero, and
     nothing else is formed.  A pivot equal to 1 contributes the factor 1.
-    Every other factor comes from ``Jet.power`` and is multiplied on
-    integer numerators; the denominators multiply up separately and divide
-    once at the end.  The last of these factors F only meets the running
-    product P in the top coefficient sum_S P[S] * F[full - S], so no other
-    mask of the full product is formed.
+    Every other factor comes from ``Jet.power``; its coefficients are
+    brought to the lcm of their denominators and multiplied on the integer
+    numerators, and the denominators multiply up separately until the
+    result takes them as its own.  The last of these factors F only meets
+    the running product P in the top coefficient sum_S P[S] * F[full - S],
+    so no other mask of the full product is formed.
     """
     n = t.n
     full = (1 << t.m) - 1
@@ -497,14 +492,16 @@ def eigenvalue_from_norms(
         for mask in norm.coeffs:
             support |= mask
     if support != full:
-        return MPoly._trusted(n, {})
+        return MPoly._trusted(n, 1, {})
     factors = [(rank, norm) for rank, norm in enumerate(norms, start=1) if norm.coeffs != _UNIT]
     den = 1
     product: dict[int, dict[Exponent, int]] = {0: {(0,) * n: 1}}
     top: dict[Exponent, int] = {}
     for rank, norm in factors:
         beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
-        factor_den, factor = _numerators(norm.power(beta), n)
+        power = norm.power(beta).coeffs
+        factor_den = math.lcm(*(c.den for c in power.values()))
+        factor = {mask: {e: c * (factor_den // p.den) for e, c in p.nums.items()} for mask, p in power.items()}
         den *= factor_den
         if rank == factors[-1][0]:
             for mask, p in product.items():
@@ -518,7 +515,7 @@ def eigenvalue_from_norms(
                 if not s1 & s2:
                     _mul_terms(p, f, grown.setdefault(s1 | s2, {}))
         product = grown
-    return MPoly._trusted(n, {e: Fraction(c, den) for e, c in top.items()})
+    return MPoly._trusted(n, den, top)
 
 
 def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
@@ -532,5 +529,5 @@ def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
     order = relative_order(t)
     matrix = build_inverse_matrix(t, order)
     if _tail_proves_zero(matrix):
-        return MPoly._trusted(t.n, {})
+        return MPoly._trusted(t.n, 1, {})
     return eigenvalue_from_norms(gram_schmidt_norms(matrix), order, t, shifted)

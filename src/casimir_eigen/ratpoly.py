@@ -1,9 +1,13 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in N variables a1..aN is stored as a dictionary mapping
-exponent tuples (one int per variable) to nonzero Fraction coefficients;
-the zero polynomial is the empty dict.  All arithmetic is exact: there is
-no floating point anywhere in this package.
+A polynomial in N variables a1..aN is stored as integer numerators over
+one common denominator: a positive int ``den`` and a dict ``nums`` from
+exponent tuples (one int per variable) to nonzero ints, in lowest terms,
+with the zero polynomial den 1 and no terms.  Ring operations, the
+substitution kernel and the reductions below all work on that pair
+directly; ``MPoly.terms`` gives the Fraction coefficients for formatting.
+All arithmetic is exact: there is no floating point anywhere in this
+package.
 
 On top of the raw polynomials this module provides the two symmetric-side
 reductions everything else is expressed in:
@@ -21,9 +25,8 @@ reductions everything else is expressed in:
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
 
-Both hot kernels run in integers over one common denominator: the
-elimination, and ``_solve_linear``, a fraction-free Gauss-Jordan solve
-behind both reductions.
+``_solve_linear``, a fraction-free Gauss-Jordan solve, is behind both
+reductions.
 """
 
 from __future__ import annotations
@@ -69,17 +72,18 @@ def _mul_terms(
     return out
 
 
-def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[Fraction]] | None:
-    """(targets, shifts) when image i is x_(targets[i]) + shifts[i] on distinct targets, else None."""
+def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[int], int] | None:
+    """(targets, shifts, q) when image i is x_(targets[i]) + shifts[i]/q on distinct targets, else None."""
+    q = math.lcm(*(img.den for img in images))
     targets: list[int] = []
-    shifts: list[Fraction] = []
+    shifts: list[int] = []
     for img in images:
-        target, shift = None, Fraction(0)
-        for e, c in img.terms.items():
+        target, shift = None, 0
+        for e, c in img.nums.items():
             degree = sum(e)
             if not degree:
-                shift = c
-            elif degree == 1 and target is None and c == 1:
+                shift = c * (q // img.den)
+            elif degree == 1 and target is None and c == img.den:
                 target = e.index(1)
             else:
                 return None
@@ -87,7 +91,7 @@ def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[Fraction]] | 
             return None
         targets.append(target)
         shifts.append(shift)
-    return (targets, shifts) if len(set(targets)) == len(targets) else None
+    return (targets, shifts, q) if len(set(targets)) == len(targets) else None
 
 
 # One request's rho-shifts need a few hundred keys at most (top <= m, q <= 2, |p| <= n + 1 over
@@ -103,18 +107,26 @@ def _shift_weights(top: int, p: int, q: int) -> tuple[tuple[tuple[int, int], ...
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable by convention: no method mutates ``terms`` after
+    Stored as integer numerators over one common denominator: ``den`` is
+    a positive int and ``nums`` maps exponent tuples to nonzero ints, so
+    the coefficient at e is nums[e] / den.  The pair is canonical,
+    gcd(den, *nums) == 1 and zero is den 1 with no terms, so equal
+    polynomials have equal fields.  ``terms`` gives the coefficients as
+    Fractions, for formatting and JSON.
+
+    Immutable by convention: no method mutates ``nums`` after
     construction, so values can be shared freely across threads.
 
     The public constructor checks every exponent tuple and converts every
-    coefficient to Fraction.  Ring operations build their results through
-    ``_trusted``, which only drops zeros: it relies on every key being a
-    tuple of ``nvars`` non-negative ints and every value a Fraction, which
-    sums, products and substitutions of valid polynomials (and of int or
+    coefficient to Fraction before clearing the denominators.  Ring
+    operations build their results through ``_trusted``, which only drops
+    zeros and divides out the gcd: it relies on every key being a tuple of
+    ``nvars`` non-negative ints and every value an int, which sums,
+    products and substitutions of valid polynomials (and of int or
     Fraction scalars) preserve.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         if nvars < 0:
@@ -128,19 +140,32 @@ class MPoly:
             c = Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> MPoly:
-        """Wrap ``terms`` without checks, dropping zeros; see the class docstring."""
+    def _trusted(cls, nvars: int, den: int, nums: dict[Exponent, int]) -> MPoly:
+        """Wrap nums / den without checks, dropping zeros and the common gcd; see the class docstring."""
+        nums = {e: c for e, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(poly, "den", den)
+        object.__setattr__(poly, "nums", nums)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as Fractions, in a new dict on every read."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -150,7 +175,7 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Fraction | int) -> MPoly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> MPoly:
@@ -163,36 +188,36 @@ class MPoly:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> MPoly | None:
-        if isinstance(other, MPoly):
-            if other.nvars != self.nvars:
-                raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.nvars, other)
-        return None
+    def _check_ring(self, other: MPoly) -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other) -> MPoly:
-        if isinstance(other, (int, Fraction)):
-            terms = {(0,) * self.nvars: Fraction(other)}
+        if isinstance(other, MPoly):
+            self._check_ring(other)
+            other_den, other_nums = other.den, other.nums
+        elif isinstance(other, (int, Fraction)):
+            other_den, other_nums = other.denominator, {(0,) * self.nvars: other.numerator}
         else:
-            rhs = self._coerce(other)
-            if rhs is None:
-                return NotImplemented
-            terms = rhs.terms
-        out = dict(self.terms)
-        for exps, coeff in terms.items():
+            return NotImplemented
+        den = math.lcm(self.den, other_den)
+        scale = den // self.den
+        out = {e: c * scale for e, c in self.nums.items()} if scale != 1 else dict(self.nums)
+        scale = den // other_den
+        for exps, coeff in other_nums.items():
+            if scale != 1:
+                coeff *= scale
             out[exps] = out[exps] + coeff if exps in out else coeff
-        return MPoly._trusted(self.nvars, out)
+        return MPoly._trusted(self.nvars, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other) -> MPoly:
         if isinstance(other, (MPoly, int, Fraction)):
@@ -206,11 +231,12 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
-            return MPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
-        rhs = self._coerce(other)
-        if rhs is None:
+            num = other.numerator
+            return MPoly._trusted(self.nvars, self.den * other.denominator, {e: c * num for e, c in self.nums.items()})
+        if not isinstance(other, MPoly):
             return NotImplemented
-        return MPoly._trusted(self.nvars, _mul_terms(self.terms, rhs.terms))
+        self._check_ring(other)
+        return MPoly._trusted(self.nvars, self.den * other.den, _mul_terms(self.nums, other.nums))
 
     __rmul__ = __mul__
 
@@ -227,13 +253,15 @@ class MPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other) if isinstance(other, (MPoly, int, Fraction)) else None
-        if rhs is None:
+        """Equality of values; polynomials in different rings are never equal."""
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(self.nvars, other)
+        elif not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == rhs.terms
+        return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def substitute(self, images: Sequence[MPoly]) -> MPoly:
         """The ring homomorphism sending variable i to ``images[i]``.
@@ -241,22 +269,18 @@ class MPoly:
         All images must lie in one ring, which is the ring of the result.
         A polynomial without variables has nothing to send and is returned
         as it is; the zero polynomial maps to the zero of the images' ring
-        without any image being prepared.  Two shapes of images have their
-        own exact expansions; D below clears the denominators of ``self``.
+        without any image being prepared.  Two expansions remain:
 
-        * every image a single monomial g_i*x^f_i: each term maps to one
-          monomial, c * prod(g_i^e_i) times x^(sum e_i*f_i), with no
-          products of term dicts at all;
         * every image a translation x_(t_i) + c_i onto distinct variables
-          (c_i may be 0), as in every rho-shift: the terms are renamed into
-          the target ring and then shifted one variable at a time.  With
-          c_i = p_i/q over one common q, x^E becomes
+          (c_i may be 0, so a plain rename is one), as in every map the
+          package makes: the integer numerators are renamed into the target
+          ring and then shifted one variable at a time.  With c_i = p_i/q
+          over one common q, x^E becomes
           sum_f C(E,f) * q^f * p_i^(E-f) * x^f / q^E, so scaling the
-          integer numerators of a term of degree |e| by q^(deg - |e|)
-          keeps every step in integers over one final divisor D * q^deg.
-
-        Other images get the definition, sum(c * prod(images[i]^e_i)), in
-        ring operations; eliminating a_N has its own kernel.
+          numerator of a term of degree |e| by q^(deg - |e|) keeps every
+          step in integers over one final denominator den * q^deg;
+        * any other images get the definition, sum(c * prod(images[i]^e_i)),
+          in ring operations.
         """
         if len(images) != self.nvars:
             raise ValueError(f"need {self.nvars} images, got {len(images)}")
@@ -265,32 +289,28 @@ class MPoly:
         nvars = images[0].nvars
         if any(img.nvars != nvars for img in images):
             raise ValueError("images must all have the same nvars")
-        if not self.terms:
-            return MPoly._trusted(nvars, {})
-        if all(len(img.terms) == 1 for img in images):
-            return self._substitute_monomials(images)
+        if not self.nums:
+            return MPoly._trusted(nvars, 1, {})
         translation = _translation(images)
         if translation is not None:
             return self._substitute_translation(nvars, *translation)
-        total = MPoly._trusted(nvars, {})
+        total = MPoly._trusted(nvars, 1, {})
         for exps, coeff in self.terms.items():
             total += math.prod((img**e for img, e in zip(images, exps) if e), start=MPoly.const(nvars, coeff))
         return total
 
-    def _substitute_translation(self, nvars: int, targets: list[int], shifts: list[Fraction]) -> MPoly:
-        """``substitute`` for images x_(targets[i]) + shifts[i] on distinct targets; see there."""
-        q = math.lcm(*(c.denominator for c in shifts))
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        deg = max(map(sum, self.terms))
+    def _substitute_translation(self, nvars: int, targets: list[int], shifts: list[int], q: int) -> MPoly:
+        """``substitute`` for images x_(targets[i]) + shifts[i]/q on distinct targets; see there."""
         slots = [len(targets)] * nvars  # target variable -> source index, or the pad 0 past the end
         for i, t in enumerate(targets):
             slots[t] = i
-        terms: dict[Exponent, int] = {
-            tuple(map((exps + (0,)).__getitem__, slots)): c.numerator * (den // c.denominator) * q ** (deg - sum(exps))
-            for exps, c in self.terms.items()
-        }
-        for t, shift, top in zip(targets, shifts, (max(col) for col in zip(*self.terms))):
-            p = shift.numerator * (q // shift.denominator)
+        terms = {tuple(map((exps + (0,)).__getitem__, slots)): c for exps, c in self.nums.items()}
+        if not any(shifts):  # a rename, and then q = 1
+            return MPoly._trusted(nvars, self.den, terms)
+        deg = max(map(sum, terms))
+        terms = {e: c * q ** (deg - sum(e)) for e, c in terms.items()}
+        for t, p in zip(targets, shifts):
+            top = max(e[t] for e in terms)
             if not top or (not p and q == 1):
                 continue
             weights = _shift_weights(top, p, q)
@@ -305,32 +325,13 @@ class MPoly:
                     key = head + (f,) + tail
                     out[key] = out.get(key, 0) + coeff * w
             terms = out
-        den *= q**deg
-        return MPoly._trusted(nvars, {e: Fraction(c, den) for e, c in terms.items()})
-
-    def _substitute_monomials(self, images: Sequence[MPoly]) -> MPoly:
-        """``substitute`` for images that are all single monomials; see there."""
-        nvars = images[0].nvars
-        # image i as (its variables with their exponents, its coefficient)
-        monomials = [([(k, fk) for k, fk in enumerate(f) if fk], g) for img in images for f, g in img.terms.items()]
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * nvars
-            for (support, g), e in zip(monomials, exps):
-                if e:
-                    if g != 1:
-                        coeff *= g**e
-                    for k, fk in support:
-                        key[k] += fk * e
-            key = tuple(key)
-            out[key] = out[key] + coeff if key in out else coeff
-        return MPoly._trusted(nvars, out)
+        return MPoly._trusted(nvars, self.den * q**deg, terms)
 
     # -- queries -----------------------------------------------------------
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def eval_at(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at a rational point (one value per variable)."""
@@ -338,13 +339,13 @@ class MPoly:
         if len(values) != self.nvars:
             raise ValueError(f"point has {len(values)} coordinates, expected {self.nvars}")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.nums.items():
             term = coeff
             for e, v in zip(exps, values):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self.den
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order (graded lexicographic, descending)."""
@@ -423,10 +424,11 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     over the vectors v of N - 1 entries summing to k; their table is built
     once per call, a variable at a time, as multinomial(t; f, v) =
     C(t, f) * multinomial(t - f; v).  A term c * a^h * a_N^k adds
-    c * (-1)^k times each weight at h + v, in integers over the lcm of the
-    denominators.  Below degree 256 an exponent vector packs into one int,
-    a byte per variable, so h + v is one integer sum; higher degrees take
-    ``substitute``.  With N = 1 the image is the constant p(0).
+    c * (-1)^k times each weight at h + v, on the integer numerators over
+    the polynomial's own denominator.  Below degree 256 an exponent vector
+    packs into one int, a byte per variable, so h + v is one integer sum;
+    higher degrees take ``substitute``.  With N = 1 the image is the
+    constant p(0).
     """
     if p.nvars == 0:
         return p
@@ -434,22 +436,21 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     if p.total_degree() > 255:
         head = [MPoly.variable(m, i) for i in range(m)]
         return p.substitute(head + [-sum(head, MPoly.zero(m))])
-    top = max((exps[m] for exps in p.terms), default=0)
+    top = max((exps[m] for exps in p.nums), default=0)
     table = [[(0, 1)]] + [[] for _ in range(top)]  # entry t lists (packed v, weight) with sum(v) = t
     for j in range(m):
         table = [
             [(v + (f << 8 * j), w * math.comb(t, f)) for f in range(t + 1) for v, w in table[t - f]]
             for t in range(top + 1)
         ]
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
     out: dict[int, int] = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.nums.items():
         head = int.from_bytes(bytes(exps[:m]), "little")
-        scale = c.numerator * (den // c.denominator) * (-1) ** exps[m]
+        scale = -c if exps[m] % 2 else c
         for v, w in table[exps[m]]:
             key = head + v
             out[key] = out.get(key, 0) + scale * w
-    return MPoly._trusted(m, {tuple(e.to_bytes(m, "little")): Fraction(c, den) for e, c in out.items()})
+    return MPoly._trusted(m, p.den, {tuple(e.to_bytes(m, "little")): c for e, c in out.items()})
 
 
 # -- power-sum basis -------------------------------------------------------
@@ -590,19 +591,17 @@ def _is_symmetric(p: MPoly) -> bool:
     """Whether ``p`` is invariant under every permutation of its variables.
 
     The transposition (1 2) and the cycle (1 2 ... N) generate S_N, so two
-    exponent permutations decide it exactly.  The coefficients are compared
-    as integer numerators over one common denominator.
+    exponent permutations decide it exactly, on the integer numerators.
     """
     if p.nvars < 2:
         return True
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    numerators = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    swapped = {(e[1], e[0], *e[2:]): c for e, c in numerators.items()}
-    rotated = {(*e[1:], e[0]): c for e, c in numerators.items()}
-    return swapped == numerators == rotated
+    nums = p.nums
+    swapped = {(e[1], e[0], *e[2:]): c for e, c in nums.items()}
+    rotated = {(*e[1:], e[0]): c for e, c in nums.items()}
+    return swapped == nums == rotated
 
 
-def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction] | None:
     """Exact Gauss-Jordan elimination in integers; one solution, or None if inconsistent.
 
     Each equation is scaled by the lcm of its denominators, and clearing
@@ -674,7 +673,7 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     """
     if p.nvars != n:
         raise ValueError(f"polynomial has nvars={p.nvars}, expected {n}")
-    if not p.terms:
+    if not p:
         return PowerSumPoly.zero()
     target = eliminate_last_var(p)
     if not _is_symmetric(target):
@@ -683,11 +682,12 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     basis = _partitions(degree, min_part=2)
     rows_at = _partitions(degree, max_len=target.nvars)
     rows = [[_reduced_coeff(mu, lam) for mu in basis] for lam in rows_at]
-    rhs = [target.terms.get(lam + (0,) * (target.nvars - len(lam)), Fraction(0)) for lam in rows_at]
+    # solved on the numerators: dividing the right-hand side by den divides the solution by it
+    rhs = [target.nums.get(lam + (0,) * (target.nvars - len(lam)), 0) for lam in rows_at]
     solution = _solve_linear(rows, rhs)
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
-    return PowerSumPoly({lam: c for lam, c in zip(basis, solution) if c})
+    return PowerSumPoly({lam: c / target.den for lam, c in zip(basis, solution) if c})
 
 
 # -- closed forms in the rank n ---------------------------------------------

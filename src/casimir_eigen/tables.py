@@ -177,10 +177,6 @@ def eigenvalue_table(m: int) -> list[TableRow]:
     return list(_rows(m))
 
 
-def order3_rows() -> list[TableRow]:
-    return eigenvalue_table(3)
-
-
 def classify(m: int, entries: tuple[int, ...]) -> TableRow:
     """First matching row for a concrete tuple (rows are checked in order)."""
     if len(entries) != m:

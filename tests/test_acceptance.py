@@ -21,7 +21,7 @@ from casimir_eigen.casimir import (
 from casimir_eigen.cli import main
 from casimir_eigen.jetoracle import Jet
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
-from casimir_eigen.tables import classify, order3_rows
+from casimir_eigen.tables import classify, eigenvalue_table
 from casimir_eigen.tuplegraph import IndexTuple
 from pathcheck import path_coefficient_check
 from polyjson import closed_form_from_obj
@@ -140,7 +140,7 @@ def test_criterion_4_order3_table(capsys):
     (md_row,) = [line for line in md_out.splitlines() if line.startswith("| i1 < i2 = i3 ")]
     assert "computed:" in md_row and "printed:" in md_row and "DISCREPANCY" in md_row
 
-    discrepant = next(r for r in order3_rows() if r.discrepancy)
+    discrepant = next(r for r in eigenvalue_table(3) if r.discrepancy)
     for entries in itertools.product(range(1, 5), repeat=3):
         row = classify(3, entries)
         for n in (4, 6):

@@ -152,6 +152,11 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--random", "3")
         assert code == 2
 
+    def test_seed_without_random_exits_2(self, capsys):
+        code = main(["verify", "--m", "2", "--n", "2", "--exhaustive", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: --seed applies only to --random\n")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

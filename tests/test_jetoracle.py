@@ -1,6 +1,7 @@
 """Tests for the jet algebra and the Iwasawa/Gram-Schmidt oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -90,10 +91,13 @@ class TestJetArithmetic:
 
 
 def assert_valid_jet(r):
-    """A ring-operation result is what the checked constructor would build."""
+    """A ring-operation result is what the checked constructor would build, with canonical polynomials."""
     assert all(0 <= mask < 1 << r.m for mask in r.coeffs)
     assert all(r.coeffs.values()), "a zero coefficient is stored"
     assert r.coeffs == Jet(r.m, r.coeffs).coeffs
+    for c in r.coeffs.values():
+        if isinstance(c, MPoly):
+            assert c.den >= 1 and math.gcd(c.den, *c.nums.values()) == 1 and all(c.nums.values())
 
 
 def naive_product(out, a, b, sign):
@@ -247,6 +251,10 @@ class TestJetPower:
     def test_nonunit_constant_rejected(self):
         with pytest.raises(ValueError):
             (2 + Jet.t(1, 1)).power(alpha(1, 1))
+
+    def test_rational_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            (1 + F(1, 2) * Jet.t(1, 1)).power(alpha(1, 1))
 
 
 class TestInverseMatrix:

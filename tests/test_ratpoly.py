@@ -100,6 +100,17 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             alpha(1, 2) + alpha(1, 3)
 
+    def test_polynomials_in_different_rings_are_unequal(self):
+        assert MPoly.zero(2) != MPoly.zero(3)
+        assert MPoly.zero(2) not in [MPoly.zero(3)]
+        assert MPoly.const(2, 5) != MPoly.const(3, 5)
+        assert alpha(1, 2) != alpha(1, 3)
+
+    def test_equal_numerators_over_other_denominators_are_unequal(self):
+        p = alpha(1, 2) + alpha(2, 2)
+        assert p * F(1, 2) != p and p * F(1, 2) != p * F(1, 3)
+        assert (p * F(1, 2)).nums == p.nums
+
     def test_ring_laws_on_random_triples(self):
         rng = random.Random(7)
         for _ in range(60):

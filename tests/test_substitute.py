@@ -1,5 +1,6 @@
 """Property tests for MPoly.substitute, the ring homomorphism behind every change of variables."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -86,11 +87,14 @@ def test_constant_without_variables_is_unchanged():
 
 
 def assert_valid_mpoly(r):
-    """A ring-operation result is what the checked constructor would build."""
-    for exps, coeff in r.terms.items():
-        assert len(exps) == r.nvars and all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is F and coeff, f"coefficient {coeff!r} at {exps}"
-    assert r.terms == MPoly(r.nvars, r.terms).terms
+    """A ring-operation result is canonical and is what the checked constructor would build."""
+    assert type(r.den) is int and r.den >= 1
+    for exps, num in r.nums.items():
+        assert type(exps) is tuple and len(exps) == r.nvars and all(type(e) is int and e >= 0 for e in exps)
+        assert type(num) is int and num, f"numerator {num!r} at {exps}"
+    assert math.gcd(r.den, *r.nums.values()) == 1, f"{r.nums} over {r.den} is not in lowest terms"
+    rebuilt = MPoly(r.nvars, r.terms)
+    assert (rebuilt.den, rebuilt.nums) == (r.den, r.nums)
 
 
 scalars = st.one_of(st.integers(-3, 3), coefficients)
@@ -227,17 +231,14 @@ shifts = st.one_of(
 def translation_cases(draw):
     """(p, images): image i is x_(targets[i]) + c_i, targets distinct and in any order.
 
-    One shift, at a drawn position, is nonzero and p is nonzero, so that
-    substitute can take neither the single-monomial nor the zero shortcut.
+    Any shift may be 0, so plain renames are drawn too.  p is nonzero, so
+    that substitute does not take the zero shortcut.
     """
     source = draw(st.integers(1, 4))
     target = draw(st.integers(source, 5))
     p = draw(mpolys(source, max_deg=4, max_terms=6).filter(bool))
     targets = draw(st.permutations(range(target)))[:source]
-    moved = draw(st.integers(0, source - 1))
-    return p, [
-        MPoly.variable(target, t) + draw(shifts.filter(bool) if i == moved else shifts) for i, t in enumerate(targets)
-    ]
+    return p, [MPoly.variable(target, t) + draw(shifts) for t in targets]
 
 
 def x(nvars, index):
@@ -253,9 +254,13 @@ P2 = MPoly(2, {(3, 1): F(2, 3), (1, 2): F(-5), (0, 0): F(7, 4), (2, 0): F(1)})
 @example((P2, [x(2, 0) + F(3, 2), x(2, 1) - F(1, 2)]))  # half-integer shifts, as in a rho-shift at even n
 @example((P2, [x(3, 2) + F(1, 3), x(3, 0) + F(5, 4)]))  # mixed denominators, targets out of order
 @example((P2, [x(2, 1), x(2, 0) + F(1, 2)]))  # one zero shift, the targets swapped
+@example((P2, [x(2, 0), x(2, 1)]))  # the identity
+@example((P2, [x(2, 1), x(2, 0)]))  # a rename that swaps the targets
+@example((P2, [x(5, 4), x(5, 1)]))  # a rename into a larger ring, targets out of order
+@example((MPoly(3, {(1, 2, 0): F(1, 6), (0, 0, 3): F(-2, 3)}), [x(4, 2), x(4, 0), x(4, 3)]))  # a rename over den 6
 def test_translations_match_ring_products(case):
     p, images = case
-    assert p and any(len(img.terms) > 1 for img in images) and _translation(images) is not None
+    assert p and _translation(images) is not None
     assert_ring_expansion(p, images)
 
 

@@ -11,7 +11,6 @@ from casimir_eigen.tables import (
     FactoredValue,
     classify,
     eigenvalue_table,
-    order3_rows,
     shifted_symbol,
     symbolic_shifted_eigenvalue,
 )
@@ -98,10 +97,10 @@ class TestRows:
 
 class TestDiscrepantRow:
     def row(self):
-        return next(r for r in order3_rows() if r.discrepancy)
+        return next(r for r in eigenvalue_table(3) if r.discrepancy)
 
     def test_only_one_discrepancy(self):
-        assert sum(1 for r in order3_rows() if r.discrepancy) == 1
+        assert sum(1 for r in eigenvalue_table(3) if r.discrepancy) == 1
         assert self.row().label == "i1 < i2 = i3"
 
     def test_variant_differs_from_computed(self):
