@@ -1,18 +1,18 @@
-"""Casimir-operator eigenvalues: full sums, pattern compression, closed forms.
+"""Casimir-operator eigenvalues: pattern-compressed sums, closed forms.
 
 The order-m Casimir operator is the sum of all elementary operators over
 tuples in {1..n}^m, so its eigenvalue is the corresponding sum of
 proper-cycle products.  Because an elementary eigenvalue depends only on
-the relative ordering of its tuple, the sum can be grouped by
+the relative ordering of its tuple, the sum is grouped by
 order-isomorphism class: the products of all patterns with ell distinct
 values (tuplegraph.pattern_product, which elementary_eigenvalue reads
 too) are summed once into one integer polynomial in ell rank variables,
 shared by every rank n in the process, and every choice of ell actual
 values only renames those variables, which moves exponents and multiplies
 nothing.  The rho-shift is one substitution (MPoly.substitute, which runs
-a translation in integers), applied once to the whole sum.  Both routes
-produce identical exact polynomials; the patterned one just evaluates
-far fewer formulas.
+a translation in integers), applied once to the whole sum.  The naive
+sum over every tuple, which evaluates far more formulas to the same exact
+polynomial, is the tests' reference (tests/references.py).
 
 This module also hosts the cross-validation driver that compares the
 fast proper-cycle path against the jet oracle tuple by tuple, under both
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .ratpoly import ClosedForm, MPoly, interpolate_in_n, to_power_sum
@@ -78,18 +77,6 @@ class CasimirRequest(_CasimirRequestFields):
     def outside_standard_range(self) -> bool:
         """True when m > n; permitted experimentally but labeled in output."""
         return self.m > self.n
-
-
-def casimir_eigenvalue(req: CasimirRequest) -> MPoly:
-    """Sum of elementary eigenvalues over all of {1..n}^m (the naive route)."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for entries in itertools.product(range(1, req.n + 1), repeat=req.m):
-        if min(entries) < entries[0]:
-            continue  # zero branch
-        value = elementary_eigenvalue(IndexTuple(entries, req.n), shifted=req.shifted, sign=req.sign)
-        for exps, coeff in value.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-    return MPoly(req.n, acc)
 
 
 def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
@@ -138,7 +125,7 @@ def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
 
 
 def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
-    """Same sum as casimir_eigenvalue, grouped by relative-order pattern.
+    """Sum of elementary eigenvalues over all of {1..n}^m, grouped by relative-order pattern.
 
     The nonzero patterns with ell distinct values sum to one integer
     polynomial P_ell in ell rank variables (see _pattern_sums).  Each

@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index or a rank beyond a machine-size int
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

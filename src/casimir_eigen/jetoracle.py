@@ -81,10 +81,11 @@ class Jet:
     multiplication of two terms with overlapping masks vanishes, which is
     the whole point of the truncation.
 
-    The public constructor checks every mask.  Ring operations build their
-    results through ``_trusted``, which only drops zeros: it relies on every
-    mask being below 2^m, which holds because sums keep the masks of their
-    operands and ``_add_product`` only forms unions of disjoint ones.
+    The public constructor checks every mask and rejects float
+    coefficients.  Ring operations build their results through
+    ``_trusted``, which only drops zeros: it relies on every mask being
+    below 2^m, which holds because sums keep the masks of their operands
+    and ``_add_product`` only forms unions of disjoint ones.
     """
 
     __slots__ = ("m", "coeffs")
@@ -97,6 +98,8 @@ class Jet:
         for mask, c in (coeffs or {}).items():
             if mask & ~full:
                 raise ValueError(f"mask {mask:b} uses variables beyond t{m}")
+            if isinstance(c, float):
+                raise ValueError(f"float coefficient {c!r}: jets are exact")
             if c:
                 clean[mask] = c
         object.__setattr__(self, "m", m)

@@ -117,7 +117,8 @@ class MPoly:
     Immutable by convention: no method mutates ``nums`` after
     construction, so values can be shared freely across threads.
 
-    The public constructor checks every exponent tuple and converts every
+    The public constructor takes only non-negative int exponents and int
+    or Fraction coefficients, so no float gets in, and converts every
     coefficient to Fraction before clearing the denominators.  Ring
     operations build their results through ``_trusted``, which only drops
     zeros and divides out the gcd: it relies on every key being a tuple of
@@ -135,8 +136,10 @@ class MPoly:
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has length != nvars={nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if not all(isinstance(e, int) and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative ints, got {exps}")
+            if not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} is neither int nor Fraction")
             c = Fraction(coeff)
             if c:
                 clean[tuple(exps)] = c
@@ -333,20 +336,6 @@ class MPoly:
         """Total degree; the zero polynomial has degree 0 by convention."""
         return max((sum(e) for e in self.nums), default=0)
 
-    def eval_at(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point (one value per variable)."""
-        values = [Fraction(v) for v in point]
-        if len(values) != self.nvars:
-            raise ValueError(f"point has {len(values)} coordinates, expected {self.nvars}")
-        total = Fraction(0)
-        for exps, coeff in self.nums.items():
-            term = coeff
-            for e, v in zip(exps, values):
-                if e:
-                    term *= v**e
-            total += term
-        return total / self.den
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order (graded lexicographic, descending)."""
         return sorted(self.terms.items(), key=lambda item: _term_order_key(item[0]))
@@ -361,16 +350,6 @@ class MPoly:
 def alpha(index: int, nvars: int) -> MPoly:
     """The Langlands-parameter variable a_index, 1-based."""
     return MPoly.variable(nvars, index - 1)
-
-
-def power_sum(k: int, nvars: int) -> MPoly:
-    """p_k = a1^k + ... + aN^k as an explicit polynomial."""
-    if k < 1:
-        raise ValueError("power sums need k >= 1")
-    out = MPoly.zero(nvars)
-    for i in range(nvars):
-        out = out + MPoly.variable(nvars, i) ** k
-    return out
 
 
 def format_rat(c: Fraction) -> str:
@@ -511,16 +490,6 @@ class PowerSumPoly(_PartitionCombination):
     def zero(cls) -> PowerSumPoly:
         return cls({})
 
-    def expand(self, nvars: int) -> MPoly:
-        """Write the combination out as an explicit polynomial in a1..aN."""
-        out = MPoly.zero(nvars)
-        for lam, coeff in self.coeffs.items():
-            term = MPoly.const(nvars, coeff)
-            for k in lam:
-                term = term * power_sum(k, nvars)
-            out = out + term
-        return out
-
     def __str__(self) -> str:
         return _join_signed(_signed_term(c, format_partition(lam)) for lam, c in self.sorted_items())
 
@@ -596,9 +565,9 @@ def _is_symmetric(p: MPoly) -> bool:
     if p.nvars < 2:
         return True
     nums = p.nums
-    swapped = {(e[1], e[0], *e[2:]): c for e, c in nums.items()}
-    rotated = {(*e[1:], e[0]): c for e, c in nums.items()}
-    return swapped == nums == rotated
+    get = nums.get
+    # A permutation sending every key to a key with the same coefficient is a bijection of the keys.
+    return all(get((e[1], e[0], *e[2:])) == c and get((*e[1:], e[0])) == c for e, c in nums.items())
 
 
 def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction] | None:

@@ -2,12 +2,12 @@
 
 For orders 2 and 3 every tuple (i1,...,im) falls into one of a handful of
 relative-order cases: a zero case i1 > ij or a rank pattern (as
-tuplegraph.relative_order gives it), which yields the row's label, its
-predicate and its shifted eigenvalue, a short product of linear factors.
-Each factor is a degree-1 MPoly over the 2m+1 symbols a_i1..a_im, (n+1)/2,
-i1..im, built by the fast path's proper-cycle rule.  Rows render with
-format_mpoly and instantiate at concrete indices and rank by substitution,
-for exact checking.
+tuplegraph.relative_order gives it), which yields the row's label and its
+shifted eigenvalue, a short product of linear factors.  Each factor is a
+degree-1 MPoly over the 2m+1 symbols a_i1..a_im, (n+1)/2, i1..im, built by
+the fast path's proper-cycle rule.  Rows render with format_mpoly
+(tests/references.py looks rows up and instantiates them, for exact
+checking).
 
 One order-3 case ("i1 < i2 = i3") circulates in print with a different
 closed form than the one exact computation gives; that row carries both
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .ratpoly import MPoly, alpha, format_mpoly
+from .ratpoly import MPoly, format_mpoly
 from .tuplegraph import IndexTuple, SignConvention, proper_cycle_factors, relative_order
 
 
@@ -69,18 +69,6 @@ class FactoredValue(NamedTuple):
                 grouped.append((f, 1))
         return cls(sign=sign, factors=tuple(grouped))
 
-    def evaluate(self, entries: Sequence[int], n: int) -> MPoly:
-        """Instantiate at concrete 1-based indices and rank: a_ij, (n+1)/2, ij by value."""
-        images = (
-            [alpha(i, n) for i in entries]
-            + [MPoly.const(n, Fraction(n + 1, 2))]
-            + [MPoly.const(n, i) for i in entries]
-        )
-        out = MPoly.const(n, self.sign)
-        for form, mult in self.factors:
-            out = out * form.substitute(images) ** mult
-        return out
-
     def render(self) -> str:
         if not self.factors:
             return str(self.sign)
@@ -111,7 +99,7 @@ def symbolic_shifted_eigenvalue(representative: tuple[int, ...]) -> FactoredValu
 
 
 class TableRow(NamedTuple):
-    """One relative-order case: label, predicate, and its symbolic value.
+    """One relative-order case: its label and its symbolic value.
 
     ``computed`` is None for the zero cases.  ``variant`` holds a second,
     historically printed closed form when it disagrees with the computed
@@ -120,14 +108,8 @@ class TableRow(NamedTuple):
     """
 
     label: str
-    matches: Callable[[tuple[int, ...]], bool]
     computed: FactoredValue | None
     variant: FactoredValue | None = None
-
-    def evaluate(self, entries: Sequence[int], n: int) -> MPoly:
-        if self.computed is None:
-            return MPoly.zero(n)
-        return self.computed.evaluate(entries, n)
 
     @property
     def discrepancy(self) -> bool:
@@ -157,7 +139,6 @@ def _pattern_label(pattern: tuple[int, ...]) -> str:
 def _pattern_row(pattern: tuple[int, ...]) -> TableRow:
     return TableRow(
         _pattern_label(pattern),
-        lambda e: relative_order(IndexTuple(e, max(e))).rho == pattern,
         symbolic_shifted_eigenvalue(pattern),
         variant=_printed_order3_variant() if pattern == (1, 2, 2) else None,
     )
@@ -168,20 +149,10 @@ def _rows(m: int) -> tuple[TableRow, ...]:
     """The rows of order m, built once: every row and value in them is immutable."""
     if m not in _PATTERNS:
         raise ValueError("symbolic tables exist for m = 2 and m = 3 only")
-    zero_rows = [TableRow(f"i1 > i{j + 1}", lambda e, j=j: e[0] > e[j], None) for j in range(1, m)]
+    zero_rows = [TableRow(f"i1 > i{j + 1}", None) for j in range(1, m)]
     return tuple(zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]])
 
 
 def eigenvalue_table(m: int) -> list[TableRow]:
     """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern, as a new list."""
     return list(_rows(m))
-
-
-def classify(m: int, entries: tuple[int, ...]) -> TableRow:
-    """First matching row for a concrete tuple (rows are checked in order)."""
-    if len(entries) != m:
-        raise ValueError(f"tuple {entries} has length != {m}")
-    for row in _rows(m):
-        if row.matches(entries):
-            return row
-    raise AssertionError(f"no case covers {entries}")  # the cases are exhaustive

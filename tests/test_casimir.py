@@ -18,7 +18,6 @@ from casimir_eigen.casimir import (
     Exhaustive,
     RandomSample,
     _select_tuples,
-    casimir_eigenvalue,
     casimir_eigenvalue_patterned,
     closed_form,
     verify_tuples,
@@ -26,6 +25,7 @@ from casimir_eigen.casimir import (
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue
+from references import casimir_eigenvalue, eval_at
 
 # The expected closed forms, frozen as exact coefficient data:
 #   m=1: 0
@@ -107,11 +107,11 @@ class TestCasimirSum:
             for _ in range(25):
                 point = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n - 1)]
                 point.append(-sum(point, F(0)))
-                reference = value.eval_at(point)
+                reference = eval_at(value, point)
                 for _ in range(5):
                     perm = list(point)
                     rng.shuffle(perm)
-                    assert value.eval_at(perm) == reference
+                    assert eval_at(value, perm) == reference
 
 
 class TestPatterned:

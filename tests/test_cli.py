@@ -91,6 +91,12 @@ class TestCasimir:
         assert obj["canonical"] is False
         assert obj["note"] == "m > n lies outside the standard range 1 <= m <= n"
 
+    def test_raw_power_sum_has_no_form_exits_2(self, capsys):
+        # the unshifted sum is not symmetric modulo p1, so it has no power-sum form
+        code = main(["casimir", "--m", "3", "--n", "3", "--raw", "--basis", "power-sum"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: polynomial is not symmetric modulo p1 = 0\n")
+
     def test_canonical_outputs_carry_no_label(self, capsys):
         _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "4", "--basis", "power-sum", "--json")
         assert "canonical" not in json.loads(out)
@@ -147,6 +153,16 @@ class TestVerify:
         assert obj["match_alternating"] == obj["zero"] < obj["total"]
         assert len(obj["mismatch"]) == obj["total"] - obj["zero"]
         assert obj["mismatch"][0] == [1, 1, 1]
+
+    def test_literal_fast_path_is_named_and_exits_1(self, capsys, monkeypatch):
+        elementary = casimir.elementary_eigenvalue
+        monkeypatch.setattr(
+            casimir, "elementary_eigenvalue", lambda t, shifted, sign, order=None: -elementary(t, shifted, sign, order)
+        )
+        code, out = run_cli(capsys, "verify", "--m", "3", "--n", "3", "--exhaustive")
+        assert code == 1
+        assert "consistent convention: literal\n" in out
+        assert "MISMATCH under the alternating convention: [(1, 1, 1)," in out
 
     def test_random_without_seed_exits_2(self, capsys):
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--random", "3")
@@ -234,6 +250,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["casimir", "--m", "2", "--n", "2", "--basis", "monomials"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["elementary", "--tuple", "99999999999999999999999"],
+            ["casimir", "--m", "2", "--n", "99999999999999999999999"],
+            ["verify", "--m", "2", "--n", "99999999999999999999999", "--random", "2", "--seed", "1"],
+        ],
+    )
+    def test_index_too_large_exits_2(self, capsys, argv):
+        # too large for a machine-size index; exit 1 is kept for a verification mismatch
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # Full stdout of `tables`, pinned byte for byte.

@@ -66,6 +66,10 @@ class TestJetArithmetic:
         with pytest.raises(ValueError):
             Jet.t(2, 1) * Jet.t(3, 1)
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            Jet(2, {0: 0.5})
+
     def test_ring_laws(self):
         rng = random.Random(17)
         for _ in range(120):
