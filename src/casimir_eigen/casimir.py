@@ -19,8 +19,10 @@ fast proper-cycle path against the jet oracle tuple by tuple, under both
 sign conventions and in both the plain and rho-shifted modes.  Both
 routes work the same way: one polynomial per relative-order pattern (the
 oracle's here, the proper-cycle product memoised in tuplegraph), and two
-ring maps per tuple.  verify_tuples imports the oracle when it starts, so
-the other subcommands never load it.
+ring maps per tuple through tuplegraph.specialise, whose value-keyed memo
+lets the routes share a specialisation when their polynomials agree.
+verify_tuples imports the oracle when it starts, so the other
+subcommands never load it.
 
 Requests, selections and reports are typing.NamedTuple records; the ones
 that validate their fields (CasimirRequest, RandomSample) do it in the
@@ -39,11 +41,13 @@ from .tuplegraph import (
     IndexTuple,
     SignConvention,
     _check_rank,
+    _memo_negated_pattern_product,
     _memo_pattern_product,
     elementary_eigenvalue,
     parameter,
     pattern_product,
     relative_order,
+    specialise,
 )
 
 # Terms of an integer polynomial: (exponent tuple, nonzero int coefficient) pairs.
@@ -149,7 +153,7 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
             for exps, c in padded:
                 key = tuple(map(exps.__getitem__, slots))
                 acc[key] = acc.get(key, 0) + c
-    total = MPoly(n, acc)
+    total = MPoly._trusted(n, 1, acc)
     if req.shifted:
         total = total.substitute([parameter(v, n, True) for v in range(1, n + 1)])
     return total
@@ -295,6 +299,13 @@ def _tuple_at(index: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _equals_signed(p: MPoly, q: MPoly, flip: int) -> bool:
+    """Whether flip * p == q for flip = +-1, without forming flip * p: the sign keeps den canonical."""
+    if p.nvars != q.nvars or p.den != q.den or len(p.nums) != len(q.nums):
+        return False
+    return all(q.nums.get(e) == flip * c for e, c in p.nums.items())
+
+
 def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     """Compare the proper-cycle product against the jet oracle, tuple by tuple.
 
@@ -305,13 +316,25 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     itself: that gives the eigenvalue as a polynomial in the ell rank
     variables.  Each tuple's two oracle values are this polynomial with
     rank k replaced by the plain or the rho-shifted parameter of its k-th
-    smallest value, which is exact because the oracle's power stage uses
-    ring operations only.  The fast path is called on every tuple in both
-    modes and specialises its own per-pattern product the same way (see
-    elementary_eigenvalue), so the two routes share only
-    MPoly.substitute, which the tests check against ring products.  Both
-    per-pattern tables live for one call: the oracle's is local, and the
-    fast path's memo is cleared when the call starts.
+    smallest value (tuplegraph.specialise), which is exact because the
+    oracle's power stage uses ring operations only.  The fast path is
+    called on every tuple in both modes and specialises its own signed
+    per-pattern product through the same function (see
+    elementary_eigenvalue), so the two routes share only the translation
+    kernel, which the tests check against ring products.
+
+    specialise memoises on the polynomial's value, so when the routes
+    agree the fast path's two specialisations of a tuple are memo hits
+    and a tuple costs one rename and one rho-shift.  That is exact: a hit
+    returns the image of an equal polynomial under the same ring map.
+    The oracle's pattern polynomial still comes from the oracle alone,
+    and each tuple's fast value is still elementary_eigenvalue's own
+    return value, compared with the oracle's specialisation; a fast path
+    that is wrong in either mode misses the memo and is reported as
+    before.  The per-pattern tables and the memo live for one call: the
+    oracle's table is local, and the fast path's memos are cleared when
+    the call starts.  The literal verdict compares the alternating value
+    with the oracle's up to the sign (-1)^m in place.
     """
     from .jetoracle import oracle_eigenvalue  # imported here so that only verify loads the oracle
 
@@ -319,6 +342,8 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)
     _memo_pattern_product.cache_clear()
+    _memo_negated_pattern_product.cache_clear()
+    specialise.cache_clear()
     flip = SignConvention.LITERAL.factor(m) * SignConvention.ALTERNATING.factor(m)  # literal / alternating
     pattern_oracles: dict[tuple[int, ...], MPoly] = {}
     records = []
@@ -328,8 +353,8 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
         pattern_oracle = pattern_oracles.get(order.rho)
         if pattern_oracle is None:
             pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
-        oracle_raw = pattern_oracle.substitute([parameter(v, n, False) for v in order.values])
-        oracle_shifted = pattern_oracle.substitute([parameter(v, n, True) for v in order.values])
+        oracle_raw = specialise(pattern_oracle, order.values, n, False)
+        oracle_shifted = specialise(pattern_oracle, order.values, n, True)
         fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING, order=order)
         fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING, order=order)
         records.append(
@@ -339,7 +364,9 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
                 oracle_shifted=oracle_shifted,
                 fast_raw=fast_raw,
                 fast_shifted=fast_shifted,
-                match_literal=(flip * fast_raw == oracle_raw and flip * fast_shifted == oracle_shifted),
+                match_literal=(
+                    _equals_signed(fast_raw, oracle_raw, flip) and _equals_signed(fast_shifted, oracle_shifted, flip)
+                ),
                 match_alternating=(fast_raw == oracle_raw and fast_shifted == oracle_shifted),
             )
         )

@@ -72,6 +72,9 @@ class NotInvertibleError(ValueError):
     """Jet has no inverse: its constant term is zero."""
 
 
+_SCALARS = (int, Fraction, MPoly)  # what jet arithmetic takes besides jets
+
+
 class Jet:
     """Element of Q[a][t1..tm] / (t1^2, ..., tm^2).
 
@@ -82,10 +85,12 @@ class Jet:
     the whole point of the truncation.
 
     The public constructor checks every mask and rejects float
-    coefficients.  Ring operations build their results through
-    ``_trusted``, which only drops zeros: it relies on every mask being
-    below 2^m, which holds because sums keep the masks of their operands
-    and ``_add_product`` only forms unions of disjoint ones.
+    coefficients, and the operators return NotImplemented for a scalar
+    that is not an int, Fraction or MPoly, so no float gets in.  Ring
+    operations build their results through ``_trusted``, which only drops
+    zeros: it relies on every mask being below 2^m, which holds because
+    sums keep the masks of their operands and ``_add_product`` only forms
+    unions of disjoint ones.
     """
 
     __slots__ = ("m", "coeffs")
@@ -167,8 +172,10 @@ class Jet:
             self._check(other)
             for mask, c in other.coeffs.items():
                 out[mask] = out[mask] + c if mask in out else c
-        else:
+        elif isinstance(other, _SCALARS):
             out[0] = out[0] + other if 0 in out else other
+        else:
+            return NotImplemented
         return Jet._trusted(self.m, out)
 
     __radd__ = __add__
@@ -177,15 +184,21 @@ class Jet:
         return Jet._trusted(self.m, {mask: -c for mask, c in self.coeffs.items()})
 
     def __sub__(self, other) -> Jet:
-        return self + (-other if isinstance(other, Jet) else -1 * other)
+        if isinstance(other, (Jet, *_SCALARS)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other) -> Jet:
-        return (-self) + other
+        if isinstance(other, _SCALARS):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other) -> Jet:
         if isinstance(other, Jet):
             self._check(other)
             return Jet._trusted(self.m, _add_product({}, self.coeffs, other.coeffs))
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return Jet._trusted(self.m, {mask: c * other for mask, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -252,7 +265,7 @@ class Jet:
         if not all(isinstance(c, int) for c in self.coeffs.values()):
             raise ValueError("power() needs integer coefficients")
         powers = _nu_powers({mask: c for mask, c in self.coeffs.items() if mask})
-        den, numerators = _binomials(beta.nvars, beta.den, frozenset(beta.nums.items()), self.m)
+        den, numerators = _binomials(beta, self.m)
         combos: dict[int, dict[Exponent, int]] = {}
         for power, binomial in zip(powers, numerators):
             for mask, c in power.items():
@@ -316,21 +329,22 @@ def _nu_powers(nu: dict[int, object]) -> list[dict[int, object]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _binomials(nvars: int, d: int, beta: frozenset, top: int) -> tuple[int, tuple[dict[Exponent, int], ...]]:
+def _binomials(beta: MPoly, top: int) -> tuple[int, tuple[dict[Exponent, int], ...]]:
     """C(beta, k) for k = 1..top as integer term dicts over one common denominator.
 
-    beta = B/d is given by its denominator d and the set of the numerator
-    terms of B, which makes equal polynomials one cache key.  C(beta, k)
-    is the falling product (B)(B - d)...(B - (k-1)d) over d^k k!, so every
+    Keyed on beta's value, so equal polynomials are one cache entry.  With
+    beta = B/d, its numerators over its denominator, C(beta, k) is the
+    falling product (B)(B - d)...(B - (k-1)d) over d^k k!, so every
     numerator is an integer product scaled up to the denominator
     d^top top!.  Cached: the values are never mutated, and verify asks for
     the same few exponents -x/2 on every pattern of an order.
     """
-    const = (0,) * nvars
+    d = beta.den
+    const = (0,) * beta.nvars
     falling = {const: 1}
     numerators = []
     for k in range(1, top + 1):
-        factor = dict(beta)
+        factor = dict(beta.nums)
         factor[const] = factor.get(const, 0) - (k - 1) * d
         falling = _mul_terms(falling, factor)
         scale = d ** (top - k) * (math.factorial(top) // math.factorial(k))

@@ -257,11 +257,22 @@ class MPoly:
 
     def __eq__(self, other) -> bool:
         """Equality of values; polynomials in different rings are never equal."""
+        if self is other:
+            return True
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.nvars, other)
         elif not isinstance(other, MPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        """Consistent with ``__eq__``: a constant hashes like the int or Fraction it equals."""
+        nums = self.nums
+        if not nums:
+            return hash(0)
+        if len(nums) == 1 and not any(next(iter(nums))):
+            return hash(Fraction(next(iter(nums.values())), self.den))
+        return hash((self.nvars, self.den, frozenset(nums.items())))
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -276,12 +287,8 @@ class MPoly:
 
         * every image a translation x_(t_i) + c_i onto distinct variables
           (c_i may be 0, so a plain rename is one), as in every map the
-          package makes: the integer numerators are renamed into the target
-          ring and then shifted one variable at a time.  With c_i = p_i/q
-          over one common q, x^E becomes
-          sum_f C(E,f) * q^f * p_i^(E-f) * x^f / q^E, so scaling the
-          numerator of a term of degree |e| by q^(deg - |e|) keeps every
-          step in integers over one final denominator den * q^deg;
+          package makes: ``_translation`` reads the (targets, shifts, q)
+          triple off the images and ``_substitute_translation`` runs it;
         * any other images get the definition, sum(c * prod(images[i]^e_i)),
           in ring operations.
         """
@@ -302,8 +309,23 @@ class MPoly:
             total += math.prod((img**e for img, e in zip(images, exps) if e), start=MPoly.const(nvars, coeff))
         return total
 
-    def _substitute_translation(self, nvars: int, targets: list[int], shifts: list[int], q: int) -> MPoly:
-        """``substitute`` for images x_(targets[i]) + shifts[i]/q on distinct targets; see there."""
+    def _substitute_translation(self, nvars: int, targets: Sequence[int], shifts: Sequence[int], q: int) -> MPoly:
+        """The image under x_i -> x_(targets[i]) + shifts[i]/q, in ``nvars`` variables.
+
+        The translation kernel: ``substitute`` dispatches here when its
+        images have that shape, and a caller that maps many polynomials
+        through one translation (tuplegraph.specialise) may keep the
+        (targets, shifts, q) triple of ``_translation`` and call it
+        directly.  The targets must be distinct and q positive; the zero
+        polynomial maps to zero.  The integer numerators are renamed into
+        the target ring and then shifted one variable at a time.  x^E
+        becomes sum_f C(E,f) * q^f * p^(E-f) * x^f / q^E for a shift p/q,
+        so scaling the numerator of a term of degree |e| by q^(deg - |e|)
+        keeps every step in integers over one final denominator
+        den * q^deg.
+        """
+        if not self.nums:
+            return MPoly._trusted(nvars, 1, {})
         slots = [len(targets)] * nvars  # target variable -> source index, or the pad 0 past the end
         for i, t in enumerate(targets):
             slots[t] = i

@@ -10,7 +10,8 @@ than all interior entries).  The cycles, and so the product, depend on
 the tuple only through its relative order rho: pattern_product forms it
 once per pattern in the ell rank variables, and every tuple of that
 pattern is one ring map away (rank k goes to the parameter of the k-th
-smallest value).  Its sign convention is deliberately configurable: the
+smallest value; specialise, which the oracle's pattern polynomials go
+through too).  Its sign convention is deliberately configurable: the
 product as usually printed disagrees with direct computation by
 (-1)^m, and the jet oracle arbitrates (see jetoracle).
 """
@@ -22,7 +23,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .ratpoly import MPoly, alpha
+from .ratpoly import MPoly, _translation, alpha
 
 
 class SignConvention(enum.Enum):
@@ -228,6 +229,38 @@ def pattern_product(rho: tuple[int, ...]) -> MPoly:
 _memo_pattern_product = functools.lru_cache(maxsize=None)(pattern_product)
 
 
+@functools.lru_cache(maxsize=None)
+def _memo_negated_pattern_product(rho: tuple[int, ...]) -> MPoly:
+    """-pattern_product(rho), the product signed for an odd order; cleared with the product memo."""
+    return -_memo_pattern_product(rho)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_map(values: tuple[int, ...], n: int, shifted: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The (targets, shifts, q) of rank k -> parameter(values[k-1], n, shifted); see MPoly._substitute_translation."""
+    targets, shifts, q = _translation([parameter(v, n, shifted) for v in values])
+    return tuple(targets), tuple(shifts), q
+
+
+@functools.lru_cache(maxsize=4096)
+def specialise(poly: MPoly, values: tuple[int, ...], n: int, shifted: bool) -> MPoly:
+    """The pattern polynomial ``poly`` with rank k sent to parameter(values[k-1], n, shifted).
+
+    ``poly`` lives in the ell = len(values) rank variables of a relative
+    order and ``values`` are the tuple's distinct values, ascending; the
+    result is in the n parameters.  It is ``poly.substitute`` with the
+    parameter images: a rename in the plain mode, a translation in the
+    shifted one.  The translation kernel runs directly, with the rank map
+    cached per (values, n, shifted), and the result is memoised on the
+    polynomial's value and that key, so two equal polynomials, from
+    either route of verify_tuples or from two patterns, are specialised
+    once.  A memo hit is exact: it is the image of an equal polynomial
+    under the same ring map.  Both caches are bounded; verify_tuples
+    clears the memo when it starts.
+    """
+    return poly._substitute_translation(n, *_rank_map(values, n, shifted))
+
+
 def elementary_eigenvalue(
     t: IndexTuple,
     shifted: bool = False,
@@ -240,15 +273,15 @@ def elementary_eigenvalue(
     of the proper-cycle factors, with x the plain parameter or its
     rho-shift, signed by ``sign.factor(m)``.  The product depends on the
     tuple only through its relative order: it is pattern_product(rho),
-    memoised per rho, with rank k replaced by the parameter of the k-th
-    smallest value.  That replacement renames variables in the plain mode
-    and translates them in the shifted one (MPoly.substitute).  ``order``
-    is the tuple's relative order, when the caller has it already.
+    memoised per rho and, when the sign is -1, negated once per rho, and
+    then specialised to the tuple (rank k goes to the parameter of the
+    k-th smallest value; see specialise).  ``order`` is the tuple's
+    relative order, when the caller has it already.
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
-        return MPoly.zero(n)
+        return MPoly._trusted(n, 1, {})
     if order is None:
         order = relative_order(t)
-    value = _memo_pattern_product(order.rho).substitute([parameter(v, n, shifted) for v in order.values])
-    return -value if sign.factor(t.m) < 0 else value
+    memo = _memo_negated_pattern_product if sign.factor(t.m) < 0 else _memo_pattern_product
+    return specialise(memo(order.rho), order.values, n, shifted)

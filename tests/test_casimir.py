@@ -17,6 +17,7 @@ from casimir_eigen.casimir import (
     CasimirRequest,
     Exhaustive,
     RandomSample,
+    _equals_signed,
     _select_tuples,
     casimir_eigenvalue_patterned,
     closed_form,
@@ -24,7 +25,7 @@ from casimir_eigen.casimir import (
 )
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
-from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue
+from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, specialise
 from references import casimir_eigenvalue, eval_at
 
 # The expected closed forms, frozen as exact coefficient data:
@@ -198,6 +199,21 @@ class TestClosedForm:
         assert str(closed_form(4)) == "p4 - n*p3 + 1/2*p2 - (n^5 - n)/80"
 
 
+def test_signed_comparison_matches_the_product():
+    rng = random.Random(41)
+
+    def poly(nvars):
+        exps = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(3)]
+        return MPoly(nvars, {e: F(rng.randint(-6, 6), rng.randint(1, 4)) for e in exps})
+
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        p = poly(nvars)
+        for q in (p, -p, 2 * p, poly(nvars), -p + MPoly.one(nvars), MPoly.zero(nvars), -poly(nvars + 1)):
+            for flip in (1, -1):
+                assert _equals_signed(p, q, flip) == (flip * p == q), (p, q, flip)
+
+
 class TestVerify:
     def test_loop_after_edge_tuple(self):
         report = verify_tuples(3, 2, Exhaustive())
@@ -286,6 +302,30 @@ class TestVerify:
         assert broken.zero == sound.zero > 0
         assert broken.mismatches == [r.entries for r in sound.records if not r.is_zero]
         assert broken.consistent_convention() is None
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 3)])
+    def test_fast_path_wrong_only_when_shifted_is_reported(self, m, n, monkeypatch):
+        sound = verify_tuples(m, n, Exhaustive())
+
+        def shifted_wrong(t, shifted, sign, order=None):
+            value = elementary_eigenvalue(t, shifted, sign, order)
+            return 2 * value if shifted else value
+
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", shifted_wrong)
+        broken = verify_tuples(m, n, Exhaustive())
+        nonzero = [r.entries for r in sound.records if not r.is_zero]
+        assert broken.zero == sound.zero and nonzero
+        assert broken.mismatches == nonzero
+        for good, bad in zip(sound.records, broken.records):
+            assert bad.fast_raw == good.fast_raw and bad.oracle_shifted == good.oracle_shifted
+            assert bad.match_literal == bad.match_alternating == good.is_zero
+        assert broken.consistent_convention() is None
+
+    def test_fast_path_specialisations_are_memo_hits(self):
+        report = verify_tuples(4, 5, Exhaustive())
+        nonzero = sum(1 for r in report.records if min(r.entries) == r.entries[0])
+        # the oracle's two specialisations of a tuple come first; the fast path's equal ones hit
+        assert specialise.cache_info().hits >= 2 * nonzero
 
     def test_random_count_covering_everything(self):
         report = verify_tuples(2, 2, RandomSample(100, 1))

@@ -70,6 +70,31 @@ class TestJetArithmetic:
         with pytest.raises(ValueError):
             Jet(2, {0: 0.5})
 
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: Jet.one(2) + 0.5,
+            lambda: 0.5 + Jet.one(2),
+            lambda: Jet.t(2, 1) * 0.5,
+            lambda: 0.5 * Jet.t(2, 1),
+            lambda: Jet.one(2) - 0.5,
+            lambda: 0.5 - Jet.one(2),
+        ],
+    )
+    def test_float_scalar_rejected(self, operation):
+        with pytest.raises(TypeError):
+            operation()
+
+    @pytest.mark.parametrize("name", ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"])
+    def test_operators_decline_a_float(self, name):
+        assert getattr(Jet.t(2, 1), name)(0.5) is NotImplemented
+
+    def test_exact_scalars_accepted(self):
+        x = alpha(1, 2)
+        assert Jet.one(2) + F(1, 2) == Jet(2, {0: F(3, 2)})
+        assert 3 - Jet.t(2, 1) == Jet(2, {0: 3, 1: -1})
+        assert Jet.t(2, 1) * x - x == Jet(2, {0: -x, 1: x})
+
     def test_ring_laws(self):
         rng = random.Random(17)
         for _ in range(120):

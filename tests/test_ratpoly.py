@@ -130,6 +130,34 @@ class TestArithmetic:
         assert p**3 == p * p * p
 
 
+class TestHash:
+    def test_equal_polynomials_hash_equal(self):
+        rng = random.Random(29)
+        a1, a2 = alpha(1, 2), alpha(2, 2)
+        assert hash((a1 + a2) * (a1 - a2)) == hash(a1**2 - a2**2)
+        for _ in range(40):
+            p, q = random_mpoly(rng, 3), random_mpoly(rng, 3)
+            assert (p + q) * (p - q) == p * p - q * q
+            assert hash((p + q) * (p - q)) == hash(p * p - q * q)
+            copy = MPoly(3, p.terms)
+            assert copy is not p and hash(copy) == hash(p)
+
+    @pytest.mark.parametrize("c", [0, 1, -7, F(3, 4), F(-5, 2), F(6, 3)])
+    def test_constant_hashes_like_its_value(self, c):
+        for nvars in (0, 1, 3):
+            p = MPoly.const(nvars, c)
+            assert p == c and hash(p) == hash(c)
+
+    def test_polynomials_work_as_dict_keys(self):
+        x = alpha(1, 2)
+        table = {x + 1: "x+1", MPoly.const(2, F(1, 2)): "half", MPoly.zero(2): "zero"}
+        assert table[alpha(1, 2) + MPoly.one(2)] == "x+1"
+        assert table[MPoly(2, {(0, 0): F(2, 4)})] == "half"
+        assert table[x - x] == "zero"
+        assert x not in table and alpha(1, 3) + 1 not in table
+        assert len({x * 2, 2 * x, x + x}) == 1
+
+
 class TestConstructor:
     @pytest.mark.parametrize(
         "nvars, terms",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned  # noqa: E402
 from casimir_eigen.jetoracle import oracle_eigenvalue  # noqa: E402
 from casimir_eigen.ratpoly import MPoly, _translation, eliminate_last_var  # noqa: E402
-from casimir_eigen.tuplegraph import IndexTuple, parameter, relative_order  # noqa: E402
+from casimir_eigen.tuplegraph import IndexTuple, parameter, relative_order, specialise  # noqa: E402
 from references import eval_at  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -387,3 +387,45 @@ def test_pattern_oracle_at_parameters(entries, shifted):
     values = [2 * v + 1 for v in order.values]
     images = [parameter(v, 16, shifted) for v in values]
     assert oracle.substitute(images) == reference_substitute(oracle, images)
+
+
+# -- specialise: the pattern-to-tuple map of both verify routes ----------------
+
+
+@st.composite
+def specialise_cases(draw):
+    """(poly, values, n, shifted): a polynomial in ell rank variables, ell distinct values in 1..n."""
+    ell = draw(st.integers(1, 4))
+    n = draw(st.integers(ell, ell + 4))
+    values = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=ell, max_size=ell, unique=True))))
+    poly = draw(st.one_of(st.just(MPoly.zero(ell)), coefficients.map(lambda c: MPoly.const(ell, c)), mpolys(ell)))
+    return poly, values, n, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(specialise_cases())
+@example((MPoly.zero(2), (1, 3), 4, True))
+@example((MPoly.const(1, F(-5, 3)), (2,), 2, True))
+@example((P2, (1, 2), 2, True))  # a half-integer rho-shift
+@example((P2, (2, 5), 5, True))  # an integer rho-shift, one of them zero
+@example((P2, (3, 4), 6, False))
+def test_specialise_is_substitute_at_the_parameters(case):
+    poly, values, n, shifted = case
+    result = specialise(poly, values, n, shifted)
+    assert result == poly.substitute([parameter(v, n, shifted) for v in values])
+    assert result.nvars == n
+    assert_valid_mpoly(result)
+
+
+def test_specialise_memo_is_keyed_by_value():
+    specialise.cache_clear()
+    first = (x(2, 0) - x(2, 1)) * (x(2, 1) + 1)
+    second = MPoly(2, first.terms)
+    assert second is not first and second == first
+    image = specialise(first, (2, 4), 5, True)
+    assert specialise(second, (2, 4), 5, True) is image  # a hit on an equal value
+    assert specialise.cache_info().hits == 1
+    other = first + x(2, 0)
+    assert specialise(other, (2, 4), 5, True) != image  # another polynomial, one rank map
+    assert specialise(first, (2, 4), 5, False) != image  # one polynomial, another map
+    assert specialise(first, (1, 4), 5, True) != image
