@@ -9,8 +9,9 @@ values (tuplegraph.pattern_product, which elementary_eigenvalue reads
 too) are summed once into one integer polynomial in ell rank variables,
 shared by every rank n in the process, and every choice of ell actual
 values only renames those variables, which moves exponents and multiplies
-nothing.  The rho-shift is one substitution (MPoly.substitute, which runs
-a translation in integers), applied once to the whole sum.  The naive
+nothing.  The rho-shift is one MPoly.translate through the rank map of
+the values 1..n (tuplegraph._rank_map), applied once to the whole sum in
+integers.  The naive
 sum over every tuple, which evaluates far more formulas to the same exact
 polynomial, is the tests' reference (tests/references.py).
 
@@ -43,8 +44,8 @@ from .tuplegraph import (
     _check_rank,
     _memo_negated_pattern_product,
     _memo_pattern_product,
+    _rank_map,
     elementary_eigenvalue,
-    parameter,
     pattern_product,
     relative_order,
     specialise,
@@ -137,8 +138,10 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
     with rank k renamed to x_{v_k}, which only moves exponents: the sum is
     Gessel's monomial quasisymmetric sum.  It is taken in the parameters
     x_v, signed by the request's convention, and the x_v are then replaced
-    once by their rho-shifts when req.shifted.  Zero patterns (some rank
-    below the first) are never generated.
+    once by their rho-shifts when req.shifted: one translate through the
+    rank map of the values 1..n, not specialise, whose memo would hash and
+    keep the whole sum.  Zero patterns (some rank below the first) are
+    never generated.
     """
     n, m = req.n, req.m
     sign = req.sign.factor(m)
@@ -155,7 +158,7 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
                 acc[key] = acc.get(key, 0) + c
     total = MPoly._trusted(n, 1, acc)
     if req.shifted:
-        total = total.substitute([parameter(v, n, True) for v in range(1, n + 1)])
+        total = total.translate(n, *_rank_map(tuple(range(1, n + 1)), n, True))
     return total
 
 

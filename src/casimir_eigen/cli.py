@@ -10,7 +10,8 @@ Subcommands:
 
 Every invocation is fully determined by argv (randomized verification
 requires an explicit seed), and identical argv produces byte-identical
-stdout.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+stdout.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 
 A process loads only what its subcommand runs: the jet oracle is imported
 by verify_tuples and the tables module by the tables handler.  JSON is
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -300,10 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that went away shows here, not in the interpreter's last flush
+        return code
     except (ValueError, OverflowError) as exc:  # OverflowError: an index or a rank beyond a machine-size int
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so the final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 def run() -> None:

@@ -4,8 +4,10 @@ A polynomial in N variables a1..aN is stored as integer numerators over
 one common denominator: a positive int ``den`` and a dict ``nums`` from
 exponent tuples (one int per variable) to nonzero ints, in lowest terms,
 with the zero polynomial den 1 and no terms.  Ring operations, the
-substitution kernel and the reductions below all work on that pair
-directly; ``MPoly.terms`` gives the Fraction coefficients for formatting.
+reductions below and ``MPoly.translate``, the one change of variables
+(x_i -> x_(targets[i]) + shifts[i]/q, which covers every rename and
+rho-shift the package makes), all work on that pair directly;
+``MPoly.terms`` gives the Fraction coefficients for formatting.
 All arithmetic is exact: there is no floating point anywhere in this
 package.
 
@@ -72,28 +74,6 @@ def _mul_terms(
     return out
 
 
-def _translation(images: Sequence[MPoly]) -> tuple[list[int], list[int], int] | None:
-    """(targets, shifts, q) when image i is x_(targets[i]) + shifts[i]/q on distinct targets, else None."""
-    q = math.lcm(*(img.den for img in images))
-    targets: list[int] = []
-    shifts: list[int] = []
-    for img in images:
-        target, shift = None, 0
-        for e, c in img.nums.items():
-            degree = sum(e)
-            if not degree:
-                shift = c * (q // img.den)
-            elif degree == 1 and target is None and c == img.den:
-                target = e.index(1)
-            else:
-                return None
-        if target is None:
-            return None
-        targets.append(target)
-        shifts.append(shift)
-    return (targets, shifts, q) if len(set(targets)) == len(targets) else None
-
-
 # One request's rho-shifts need a few hundred keys at most (top <= m, q <= 2, |p| <= n + 1 over
 # the ranks n it uses); the bound only caps a caller that translates by many other constants.
 @functools.lru_cache(maxsize=1024)
@@ -123,7 +103,7 @@ class MPoly:
     operations build their results through ``_trusted``, which only drops
     zeros and divides out the gcd: it relies on every key being a tuple of
     ``nvars`` non-negative ints and every value an int, which sums,
-    products and substitutions of valid polynomials (and of int or
+    products and translations of valid polynomials (and of int or
     Fraction scalars) preserve.
     """
 
@@ -277,52 +257,19 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def substitute(self, images: Sequence[MPoly]) -> MPoly:
-        """The ring homomorphism sending variable i to ``images[i]``.
-
-        All images must lie in one ring, which is the ring of the result.
-        A polynomial without variables has nothing to send and is returned
-        as it is; the zero polynomial maps to the zero of the images' ring
-        without any image being prepared.  Two expansions remain:
-
-        * every image a translation x_(t_i) + c_i onto distinct variables
-          (c_i may be 0, so a plain rename is one), as in every map the
-          package makes: ``_translation`` reads the (targets, shifts, q)
-          triple off the images and ``_substitute_translation`` runs it;
-        * any other images get the definition, sum(c * prod(images[i]^e_i)),
-          in ring operations.
-        """
-        if len(images) != self.nvars:
-            raise ValueError(f"need {self.nvars} images, got {len(images)}")
-        if not images:
-            return self
-        nvars = images[0].nvars
-        if any(img.nvars != nvars for img in images):
-            raise ValueError("images must all have the same nvars")
-        if not self.nums:
-            return MPoly._trusted(nvars, 1, {})
-        translation = _translation(images)
-        if translation is not None:
-            return self._substitute_translation(nvars, *translation)
-        total = MPoly._trusted(nvars, 1, {})
-        for exps, coeff in self.terms.items():
-            total += math.prod((img**e for img, e in zip(images, exps) if e), start=MPoly.const(nvars, coeff))
-        return total
-
-    def _substitute_translation(self, nvars: int, targets: Sequence[int], shifts: Sequence[int], q: int) -> MPoly:
+    def translate(self, nvars: int, targets: Sequence[int], shifts: Sequence[int], q: int) -> MPoly:
         """The image under x_i -> x_(targets[i]) + shifts[i]/q, in ``nvars`` variables.
 
-        The translation kernel: ``substitute`` dispatches here when its
-        images have that shape, and a caller that maps many polynomials
-        through one translation (tuplegraph.specialise) may keep the
-        (targets, shifts, q) triple of ``_translation`` and call it
-        directly.  The targets must be distinct and q positive; the zero
-        polynomial maps to zero.  The integer numerators are renamed into
-        the target ring and then shifted one variable at a time.  x^E
-        becomes sum_f C(E,f) * q^f * p^(E-f) * x^f / q^E for a shift p/q,
-        so scaling the numerator of a term of degree |e| by q^(deg - |e|)
-        keeps every step in integers over one final denominator
-        den * q^deg.
+        The package's one change of variables: every map it makes sends
+        rank k to a parameter a_v, maybe rho-shifted by (n+1)/2 - v (see
+        tuplegraph._rank_map).  There is one target and one int shift per
+        variable of ``self``; the targets must be distinct and q positive.
+        The zero polynomial maps to zero.  The integer numerators are
+        renamed into the target ring and then shifted one variable at a
+        time.  x^E becomes sum_f C(E,f) * q^f * p^(E-f) * x^f / q^E for a
+        shift p/q, so scaling the numerator of a term of degree |e| by
+        q^(deg - |e|) keeps every step in integers over one final
+        denominator den * q^deg.
         """
         if not self.nums:
             return MPoly._trusted(nvars, 1, {})
@@ -330,7 +277,7 @@ class MPoly:
         for i, t in enumerate(targets):
             slots[t] = i
         terms = {tuple(map((exps + (0,)).__getitem__, slots)): c for exps, c in self.nums.items()}
-        if not any(shifts):  # a rename, and then q = 1
+        if not any(shifts):  # a rename, whatever q is
             return MPoly._trusted(nvars, self.den, terms)
         deg = max(map(sum, terms))
         terms = {e: c * q ** (deg - sum(e)) for e, c in terms.items()}
@@ -426,17 +373,18 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     once per call, a variable at a time, as multinomial(t; f, v) =
     C(t, f) * multinomial(t - f; v).  A term c * a^h * a_N^k adds
     c * (-1)^k times each weight at h + v, on the integer numerators over
-    the polynomial's own denominator.  Below degree 256 an exponent vector
-    packs into one int, a byte per variable, so h + v is one integer sum;
-    higher degrees take ``substitute``.  With N = 1 the image is the
-    constant p(0).
+    the polynomial's own denominator.  An exponent vector packs into one
+    int, a byte per variable, so h + v is one integer sum; that limits the
+    total degree to 255, and a higher degree raises ValueError.  No request
+    that finishes comes near it: the patterned sum at order 256 would
+    enumerate Fubini(256) patterns.  With N = 1 the image is the constant
+    p(0).
     """
     if p.nvars == 0:
         return p
     m = p.nvars - 1
-    if p.total_degree() > 255:
-        head = [MPoly.variable(m, i) for i in range(m)]
-        return p.substitute(head + [-sum(head, MPoly.zero(m))])
+    if (degree := p.total_degree()) > 255:
+        raise ValueError(f"total degree {degree} is above 255, the most a byte per exponent holds")
     top = max((exps[m] for exps in p.nums), default=0)
     table = [[(0, 1)]] + [[] for _ in range(top)]  # entry t lists (packed v, weight) with sum(v) = t
     for j in range(m):

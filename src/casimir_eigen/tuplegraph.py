@@ -9,8 +9,9 @@ cycle of I (a contiguous sub-list with equal endpoints strictly smaller
 than all interior entries).  The cycles, and so the product, depend on
 the tuple only through its relative order rho: pattern_product forms it
 once per pattern in the ell rank variables, and every tuple of that
-pattern is one ring map away (rank k goes to the parameter of the k-th
-smallest value; specialise, which the oracle's pattern polynomials go
+pattern is one MPoly.translate away.  Its rank map sends rank k to the
+parameter a_v of the k-th smallest value v, or to its rho-shift
+a_v + (n+1)/2 - v (specialise, which the oracle's pattern polynomials go
 through too).  Its sign convention is deliberately configurable: the
 product as usually printed disagrees with direct computation by
 (-1)^m, and the jet oracle arbitrates (see jetoracle).
@@ -23,7 +24,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .ratpoly import MPoly, _translation, alpha
+from .ratpoly import MPoly, alpha
 
 
 class SignConvention(enum.Enum):
@@ -235,11 +236,18 @@ def _memo_negated_pattern_product(rho: tuple[int, ...]) -> MPoly:
     return -_memo_pattern_product(rho)
 
 
-@functools.lru_cache(maxsize=4096)
 def _rank_map(values: tuple[int, ...], n: int, shifted: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The (targets, shifts, q) of rank k -> parameter(values[k-1], n, shifted); see MPoly._substitute_translation."""
-    targets, shifts, q = _translation([parameter(v, n, shifted) for v in values])
-    return tuple(targets), tuple(shifts), q
+    """The MPoly.translate triple (targets, shifts, q) of rank k -> parameter(values[k-1], n, shifted).
+
+    Rank k goes to a_v, v = values[k-1], which is variable v - 1, shifted
+    by (n+1)/2 - v in the shifted mode: over q = 2 when n is even, over
+    q = 1 when n is odd, and by 0 in the plain mode.
+    """
+    targets = tuple(v - 1 for v in values)
+    if not shifted:
+        return targets, (0,) * len(values), 1
+    q = 2 - n % 2
+    return targets, tuple(q * (n + 1) // 2 - q * v for v in values), q
 
 
 @functools.lru_cache(maxsize=4096)
@@ -248,17 +256,15 @@ def specialise(poly: MPoly, values: tuple[int, ...], n: int, shifted: bool) -> M
 
     ``poly`` lives in the ell = len(values) rank variables of a relative
     order and ``values`` are the tuple's distinct values, ascending; the
-    result is in the n parameters.  It is ``poly.substitute`` with the
-    parameter images: a rename in the plain mode, a translation in the
-    shifted one.  The translation kernel runs directly, with the rank map
-    cached per (values, n, shifted), and the result is memoised on the
-    polynomial's value and that key, so two equal polynomials, from
-    either route of verify_tuples or from two patterns, are specialised
-    once.  A memo hit is exact: it is the image of an equal polynomial
-    under the same ring map.  Both caches are bounded; verify_tuples
-    clears the memo when it starts.
+    result is in the n parameters.  It is ``poly.translate`` through the
+    rank map: a rename in the plain mode, a translation in the shifted
+    one.  The result is memoised on the polynomial's value and on
+    (values, n, shifted), so two equal polynomials, from either route of
+    verify_tuples or from two patterns, are specialised once.  A memo hit
+    is exact: it is the image of an equal polynomial under the same ring
+    map.  The memo is bounded; verify_tuples clears it when it starts.
     """
-    return poly._substitute_translation(n, *_rank_map(values, n, shifted))
+    return poly.translate(n, *_rank_map(values, n, shifted))
 
 
 def elementary_eigenvalue(

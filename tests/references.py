@@ -1,10 +1,11 @@
 """Reference computations the tests compare the package against.
 
 No subcommand runs these, so they live here rather than in the package:
-the naive Casimir sum over every tuple, exact evaluation at a point,
-explicit power sums and their products, and the per-case tables looked up
-and instantiated at concrete indices.  Each is the direct definition,
-written without the shortcuts the package takes.
+the naive Casimir sum over every tuple, exact evaluation at a point, the
+general ring map (substitute), explicit power sums and their products,
+and the per-case tables looked up and instantiated at concrete indices.
+Each is the direct definition, written without the shortcuts the package
+takes.
 """
 
 import itertools
@@ -43,6 +44,36 @@ def eval_at(p: MPoly, point: Sequence[Fraction | int]) -> Fraction:
                 term *= v**e
         total += term
     return total / p.den
+
+
+def _product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return out
+
+
+def substitute(p: MPoly, images: Sequence[MPoly]) -> MPoly:
+    """The ring map sending variable i to images[i]: sum of c * prod(images[i]^e_i).
+
+    Expanded over Fractions, term by term with cached image powers, for
+    any images in one ring; MPoly.translate is tested against it.
+    """
+    nvars = images[0].nvars
+    powers = [[{(0,) * nvars: Fraction(1)}] for _ in images]
+    out: dict = {}
+    for exps, coeff in p.terms.items():
+        term = {(0,) * nvars: coeff}
+        for img, pows, e in zip(images, powers, exps):
+            if e:
+                while len(pows) <= e:
+                    pows.append(_product(pows[-1], img.terms))
+                term = _product(term, pows[e])
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return MPoly(nvars, out)
 
 
 def power_sum(k: int, nvars: int) -> MPoly:
@@ -109,7 +140,7 @@ def evaluate_factored(value: FactoredValue, entries: Sequence[int], n: int) -> M
     )
     out = MPoly.const(n, value.sign)
     for form, mult in value.factors:
-        out = out * form.substitute(images) ** mult
+        out = out * substitute(form, images) ** mult
     return out
 
 

@@ -26,7 +26,7 @@ from casimir_eigen.casimir import (
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, specialise
-from references import casimir_eigenvalue, eval_at
+from references import casimir_eigenvalue, eval_at, expand
 
 # The expected closed forms, frozen as exact coefficient data:
 #   m=1: 0
@@ -192,6 +192,21 @@ class TestClosedForm:
     @pytest.mark.slow
     def test_order_seven(self):
         assert str(closed_form(7)) == CLOSED_FORM_7_TEXT
+
+    @staticmethod
+    def order_two_at(n, a):
+        """The order-2 eigenvalue at the parameters a, from the closed form and from the sum at rank n."""
+        return eval_at(expand(closed_form(2).at(n), n), a), eval_at(casimir_eigenvalue_patterned(CasimirRequest(2, n)), a)
+
+    def test_order_two_at_rank_two_is_minus_twice_s_one_minus_s(self):
+        # a = (nu, -nu) and s = 1/2 + nu: the value is -2 * lambda with lambda = s(1 - s)
+        nu = F(1, 3)
+        s = F(1, 2) + nu
+        assert self.order_two_at(2, (nu, -nu)) == (-2 * s * (1 - s),) * 2 == (F(-5, 18),) * 2
+
+    def test_order_two_at_rank_three_and_zero_parameters_is_minus_two(self):
+        # lambda = (n^3 - n)/24 - p2/2 is 1 at n = 3 and a = 0
+        assert self.order_two_at(3, (0, 0, 0)) == (-2, -2)
 
     def test_rendering(self):
         assert str(closed_form(2)) == "p2 - (n^3 - n)/12"

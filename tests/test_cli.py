@@ -1,10 +1,15 @@
 """CLI behavior: output formats, determinism, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import casimir_eigen
 from casimir_eigen import casimir
 from casimir_eigen.cli import emit_polynomial_json, main
 from casimir_eigen.ratpoly import ClosedForm, MPoly, alpha
@@ -349,3 +354,29 @@ def test_literal_sign_golden_stdout(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == LITERAL_GOLDEN[argv]
+
+
+SRC = str(Path(casimir_eigen.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["closed-form", "--m", "3"], ["verify", "--m", "3", "--n", "3", "--exhaustive"]], ids=["closed-form", "verify"]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
+    """A reader that closed the pipe is not a verify mismatch (exit 1) and gets no traceback."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "casimir_eigen.cli", *argv], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -4,9 +4,11 @@ Each subcommand runs in its own interpreter, and the modules it leaves
 loaded are compared with those of a bare ``python -c pass``.  Only
 ``verify`` may load the jet oracle, only ``tables`` the tables module, and
 no subcommand may load ``dataclasses`` (its import pulls in ``inspect``,
-``ast`` and ``dis``).
+``ast`` and ``dis``).  Every module of the package imports only the
+standard library and its own modules.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -69,6 +71,30 @@ def test_only_verify_loads_the_jet_oracle(loaded_by_subcommand):
 def test_only_tables_loads_the_tables(loaded_by_subcommand):
     loaders = {name for name, modules in loaded_by_subcommand.items() if "casimir_eigen.tables" in modules}
     assert loaders == {"tables"}
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    """The top-level names of a module's absolute imports; relative ones (from . import) are the package's own."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name.split(".")[0] for name in names]
+
+
+PACKAGE_MODULES = sorted(Path(casimir_eigen.__file__).resolve().parent.glob("*.py"))
+
+
+def test_package_has_modules_to_check():
+    assert {path.name for path in PACKAGE_MODULES} >= {"__init__.py", "cli.py", "ratpoly.py", "jetoracle.py"}
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library(path):
+    outside = [name for name in _absolute_imports(path) if name not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"
 
 
 def test_index_tuple_keeps_entries_as_a_tuple():

@@ -10,6 +10,7 @@ from casimir_eigen.ratpoly import MPoly, alpha
 from casimir_eigen.tuplegraph import (
     IndexTuple,
     SignConvention,
+    _rank_map,
     elementary_eigenvalue,
     enumerate_cycles,
     enumerate_proper_cycles,
@@ -154,6 +155,15 @@ class TestParameter:
     def test_shared_across_calls(self):
         assert parameter(3, 7, True) is parameter(3, 7, True)
         assert parameter(3, 7, True) is not parameter(3, 7, False)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_rank_map_sends_rank_k_to_the_parameter(self, n, shifted):
+        values = tuple(range(1, n + 1, 2))  # every other value, so ranks and values differ
+        targets, shifts, q = _rank_map(values, n, shifted)
+        assert q == (2 if shifted and n % 2 == 0 else 1)
+        images = [MPoly.variable(n, t) + F(s, q) for t, s in zip(targets, shifts)]
+        assert images == [parameter(v, n, shifted) for v in values]
 
 
 class TestElementaryEigenvalue:
