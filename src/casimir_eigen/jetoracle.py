@@ -48,13 +48,14 @@ taken in its rank variables, becomes the eigenvalue of every tuple with
 that pattern under the substitution rank k -> parameter of the k-th
 smallest value (see verify_tuples).
 
-All jet multiplication goes through one kernel, ``_add_product``, which
+Jet multiplication goes through one kernel, ``_add_product``, which
 accumulates sign * a * b into a single dict and skips overlapping masks.
 ``Jet.__mul__``, the pivot updates and the powers of nu = norm - 1 all
 accumulate through it, and each builds its result once, with the
 unchecked ``Jet._trusted``: ring operations on valid jets cannot produce
 an invalid mask.  A matrix factor multiplies by a single t_j, which only
-shifts masks, in the matrix and in G alike.
+shifts masks, in the matrix and in G alike.  ``eigenvalue_from_norms``
+multiplies the powers in its own loop over disjoint mask pairs instead.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ class Jet:
     multiplication of two terms with overlapping masks vanishes, which is
     the whole point of the truncation.
 
-    The public constructor checks every mask and rejects float
-    coefficients, and the operators return NotImplemented for a scalar
-    that is not an int, Fraction or MPoly, so no float gets in.  Ring
+    The public constructor checks every mask and takes only int, Fraction
+    or MPoly coefficients, and the operators return NotImplemented for any
+    other scalar, so no float, complex or Decimal gets in.  Ring
     operations build their results through ``_trusted``, which only drops
     zeros: it relies on every mask being below 2^m, which holds because
     sums keep the masks of their operands and ``_add_product`` only forms
@@ -103,8 +104,8 @@ class Jet:
         for mask, c in (coeffs or {}).items():
             if mask & ~full:
                 raise ValueError(f"mask {mask:b} uses variables beyond t{m}")
-            if isinstance(c, float):
-                raise ValueError(f"float coefficient {c!r}: jets are exact")
+            if not isinstance(c, _SCALARS):
+                raise ValueError(f"coefficient {c!r} is not an int, Fraction or MPoly: jets are exact")
             if c:
                 clean[mask] = c
         object.__setattr__(self, "m", m)

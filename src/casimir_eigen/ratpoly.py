@@ -4,10 +4,10 @@ A polynomial in N variables a1..aN is stored as integer numerators over
 one common denominator: a positive int ``den`` and a dict ``nums`` from
 exponent tuples (one int per variable) to nonzero ints, in lowest terms,
 with the zero polynomial den 1 and no terms.  Ring operations, the
-reductions below and ``MPoly.translate``, the one change of variables
-(x_i -> x_(targets[i]) + shifts[i]/q, which covers every rename and
-rho-shift the package makes), all work on that pair directly;
-``MPoly.terms`` gives the Fraction coefficients for formatting.
+reductions below and two changes of variables, ``MPoly.translate`` (every
+rho-shift and ``specialise`` rename) and ``eliminate_last_var`` (every
+reduction modulo p1), work on that pair directly; ``MPoly.terms`` gives
+the Fraction coefficients for formatting.
 All arithmetic is exact: there is no floating point anywhere in this
 package.
 
@@ -21,9 +21,9 @@ reductions everything else is expressed in:
     variables, so the polynomial must be too (checked exactly on two
     generators of the symmetric group), and then it suffices to match
     coefficients at the monomials a^lam with lam a partition: one linear
-    equation per partition instead of one per monomial.  The coefficients
-    of the eliminated power sums there are counted combinatorially and
-    memoised; a_N itself is eliminated by the multinomial theorem,
+    equation per partition instead of one per monomial.  The power-sum
+    products are eliminated like the target, once per degree, and cached
+    as partition coefficients,
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
 
@@ -38,6 +38,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -260,10 +261,10 @@ class MPoly:
     def translate(self, nvars: int, targets: Sequence[int], shifts: Sequence[int], q: int) -> MPoly:
         """The image under x_i -> x_(targets[i]) + shifts[i]/q, in ``nvars`` variables.
 
-        The package's one change of variables: every map it makes sends
-        rank k to a parameter a_v, maybe rho-shifted by (n+1)/2 - v (see
-        tuplegraph._rank_map).  There is one target and one int shift per
-        variable of ``self``; the targets must be distinct and q positive.
+        Every map the package makes with it sends rank k to a parameter
+        a_v, maybe rho-shifted by (n+1)/2 - v (see tuplegraph._rank_map).
+        There is one target and one int shift per variable of ``self``;
+        the targets must be distinct and q positive.
         The zero polynomial maps to zero.  The integer numerators are
         renamed into the target ring and then shifted one variable at a
         time.  x^E becomes sum_f C(E,f) * q^f * p^(E-f) * x^f / q^E for a
@@ -488,42 +489,33 @@ def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) 
     return sorted(out, key=_term_order_key)
 
 
-def _bounded_vectors(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """Vectors v with 0 <= v[i] <= bounds[i] whose entries sum to total."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_vectors(total - first, bounds[1:]):
-            yield (first, *rest)
-
-
 @functools.lru_cache(maxsize=None)
-def _reduced_coeff(mu: Partition, lam: Partition) -> int:
-    """Coefficient of a^lam in eliminate_last_var(p_mu), in any N >= len(lam) variables.
+def _power_sum_columns(degree: int) -> tuple[Mapping[Partition, int], ...]:
+    """Coefficients of eliminate_last_var(p_mu) at a^lam, keyed by lam, per mu in _partitions(degree, min_part=2).
 
-    p_k becomes sum_j a_j^k + (-(a_1 + ... + a_N))^k, so the last part k of
-    mu either sits on one position of lam or is spread over positions as a
-    vector v with weight (-1)^k multinomial(k; v).  The other parts of mu
-    must make up lam - v, whose coefficient depends only on its sorted
-    parts because every image is invariant under permuting a_1..a_N.
+    p_mu is built in degree + 1 variables, room for every partition of
+    weight <= degree.  Its image has the same coefficient at a^lam in any
+    N > len(lam) variables: setting a_j = 0 for a j < N commutes with the
+    elimination and leaves each p_k in one variable fewer.  So one image,
+    built on the first call for its degree and shared read-only, serves
+    every rank.
     """
-    if sum(mu) != sum(lam):
-        return 0
-    if not mu:
-        return 1
-    k = mu[-1]
-    total = 0
-    for v in _bounded_vectors(k, lam):
-        weight = (-1) ** k * math.factorial(k)
-        for x in v:
-            weight //= math.factorial(x)
-        if k in v:
-            weight += 1
-        rest = tuple(sorted((x - y for x, y in zip(lam, v) if x != y), reverse=True))
-        total += weight * _reduced_coeff(mu[:-1], rest)
-    return total
+    nvars = degree + 1
+    power_sum = {
+        k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (degree - i): 1 for i in range(nvars)}) for k in range(2, nvars)
+    }
+    partitions = _partitions(degree)
+    columns = []
+    for mu in _partitions(degree, min_part=2):
+        product = functools.reduce(operator.mul, [power_sum[k] for k in mu], MPoly.one(nvars))
+        coeffs = _partition_coeffs(eliminate_last_var(product), partitions)
+        columns.append(MappingProxyType(dict(zip(partitions, coeffs))))
+    return tuple(columns)
+
+
+def _partition_coeffs(p: MPoly, partitions: Iterable[Partition]) -> list[int]:
+    """The numerators of ``p`` at a^lam, one per lam in ``partitions``; none has more than p.nvars parts."""
+    return [p.nums.get(lam + (0,) * (p.nvars - len(lam)), 0) for lam in partitions]
 
 
 def _is_symmetric(p: MPoly) -> bool:
@@ -601,11 +593,12 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     a target that is not invariant has no representation, and for one that
     is, a combination equals it exactly when the two agree at every
     monomial a^lam with lam a partition.  So the system has one row per
-    partition of weight <= deg with at most N parts, not one per monomial.
-    Its columns have the null space of the full system, and
-    ``_solve_linear`` picks pivot columns from the null space alone, so
-    when n < deg the free coefficients are set to 0 exactly as they would
-    be over every monomial.
+    partition of weight <= deg with at most N parts, not one per monomial,
+    and column mu reads the image of p_mu (``_power_sum_columns``) there
+    as the right-hand side reads the target.  Its columns have the null
+    space of the full system, and ``_solve_linear`` picks pivot columns
+    from the null space alone, so when n < deg the free coefficients are
+    set to 0 exactly as they would be over every monomial.
 
     Raises:
         NotSymmetricError: no representation exists.
@@ -620,9 +613,10 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     degree = p.total_degree()
     basis = _partitions(degree, min_part=2)
     rows_at = _partitions(degree, max_len=target.nvars)
-    rows = [[_reduced_coeff(mu, lam) for mu in basis] for lam in rows_at]
+    columns = _power_sum_columns(degree)
+    rows = [[column[lam] for column in columns] for lam in rows_at]
     # solved on the numerators: dividing the right-hand side by den divides the solution by it
-    rhs = [target.nums.get(lam + (0,) * (target.nvars - len(lam)), 0) for lam in rows_at]
+    rhs = _partition_coeffs(target, rows_at)
     solution = _solve_linear(rows, rhs)
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")

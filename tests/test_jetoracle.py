@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,11 @@ class TestJetArithmetic:
     def test_float_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Jet(2, {0: 0.5})
+
+    @pytest.mark.parametrize("coefficient", [1.5j, Decimal("0.5"), "x"])
+    def test_coefficient_other_than_int_fraction_or_mpoly_rejected(self, coefficient):
+        with pytest.raises(ValueError, match="not an int, Fraction or MPoly"):
+            Jet(1, {0: coefficient, 1: 1})
 
     @pytest.mark.parametrize(
         "operation",

@@ -16,7 +16,7 @@ from casimir_eigen.ratpoly import (
     NotSymmetricError,
     PowerSumPoly,
     _partitions,
-    _reduced_coeff,
+    _power_sum_columns,
     _solve_linear,
     alpha,
     eliminate_last_var,
@@ -277,15 +277,20 @@ class TestPartitionRows:
             to_power_sum(power_sum(2, n) + MPoly(n, dict.fromkeys(exponents, 1)), n)
 
     def test_column_entries_match_the_eliminated_power_sums(self):
-        for nvars in range(1, 5):
-            for mu in _partitions(6):
-                image = MPoly.one(nvars + 1)
-                for k in mu:
-                    image = image * power_sum(k, nvars + 1)
-                image = eliminate_last_var(image)
-                for lam in _partitions(6, max_len=nvars):
-                    padded = lam + (0,) * (nvars - len(lam))
-                    assert _reduced_coeff(mu, lam) == image.terms.get(padded, 0), (nvars, mu, lam)
+        """The cached columns, built once in degree + 1 variables, match images built in N + 1 for each N."""
+        for degree in range(7):
+            columns = _power_sum_columns(degree)
+            basis = _partitions(degree, min_part=2)
+            assert len(columns) == len(basis)
+            for nvars in range(1, degree + 2):
+                for mu, column in zip(basis, columns):
+                    image = MPoly.one(nvars + 1)
+                    for k in mu:
+                        image = image * power_sum(k, nvars + 1)
+                    image = eliminate_last_var(image)
+                    for lam in _partitions(degree, max_len=nvars):
+                        padded = lam + (0,) * (nvars - len(lam))
+                        assert column[lam] == image.terms.get(padded, 0), (degree, nvars, mu, lam)
 
     def test_partition_generator(self):
         assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]
