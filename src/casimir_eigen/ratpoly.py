@@ -22,8 +22,8 @@ reductions everything else is expressed in:
     generators of the symmetric group), and then it suffices to match
     coefficients at the monomials a^lam with lam a partition: one linear
     equation per partition instead of one per monomial.  The power-sum
-    products are eliminated like the target, once per degree, and cached
-    as partition coefficients,
+    products are eliminated like the target, once per degree and rank
+    min(degree, N), and cached as partition coefficients,
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
 
@@ -490,21 +490,22 @@ def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) 
 
 
 @functools.lru_cache(maxsize=None)
-def _power_sum_columns(degree: int) -> tuple[Mapping[Partition, int], ...]:
+def _power_sum_columns(degree: int, rank: int) -> tuple[Mapping[Partition, int], ...]:
     """Coefficients of eliminate_last_var(p_mu) at a^lam, keyed by lam, per mu in _partitions(degree, min_part=2).
 
-    p_mu is built in degree + 1 variables, room for every partition of
-    weight <= degree.  Its image has the same coefficient at a^lam in any
-    N > len(lam) variables: setting a_j = 0 for a j < N commutes with the
-    elimination and leaves each p_k in one variable fewer.  So one image,
-    built on the first call for its degree and shared read-only, serves
-    every rank.
+    p_mu is built in rank + 1 variables, and lam runs over the partitions
+    of weight <= degree with at most rank parts.  The image has the same
+    coefficient at a^lam in any N > len(lam) variables: setting a_j = 0
+    for a j < N commutes with the elimination and leaves each p_k in one
+    variable fewer.  So the columns for rank min(degree, n - 1) serve
+    every n; they are built on the first call for that pair and shared
+    read-only, and a small rank keeps a high degree cheap.
     """
-    nvars = degree + 1
+    nvars = rank + 1
     power_sum = {
-        k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (degree - i): 1 for i in range(nvars)}) for k in range(2, nvars)
+        k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (rank - i): 1 for i in range(nvars)}) for k in range(2, degree + 1)
     }
-    partitions = _partitions(degree)
+    partitions = _partitions(degree, max_len=rank)
     columns = []
     for mu in _partitions(degree, min_part=2):
         product = functools.reduce(operator.mul, [power_sum[k] for k in mu], MPoly.one(nvars))
@@ -613,7 +614,7 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     degree = p.total_degree()
     basis = _partitions(degree, min_part=2)
     rows_at = _partitions(degree, max_len=target.nvars)
-    columns = _power_sum_columns(degree)
+    columns = _power_sum_columns(degree, min(degree, target.nvars))
     rows = [[column[lam] for column in columns] for lam in rows_at]
     # solved on the numerators: dividing the right-hand side by den divides the solution by it
     rhs = _partition_coeffs(target, rows_at)

@@ -96,6 +96,12 @@ class TestCasimir:
         assert obj["canonical"] is False
         assert obj["note"] == "m > n lies outside the standard range 1 <= m <= n"
 
+    def test_power_sum_far_below_order(self, capsys):
+        # the columns are built at rank 1, so order 10 stays as quick as the patterned sum
+        code, out = run_cli(capsys, "casimir", "--m", "10", "--n", "2", "--basis", "power-sum")
+        assert code == 0
+        assert out.splitlines()[0] == "eigenvalue: p10 + 35/4*p8 + 45/8*p6 - 21/32*p4 - 75/256*p2 - 9/512"
+
     def test_raw_power_sum_has_no_form_exits_2(self, capsys):
         # the unshifted sum is not symmetric modulo p1, so it has no power-sum form
         code = main(["casimir", "--m", "3", "--n", "3", "--raw", "--basis", "power-sum"])

@@ -8,6 +8,7 @@ import pytest
 from fractionsolve import fraction_solve
 from references import eval_at, expand, power_sum
 
+from casimir_eigen import ratpoly
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
 from casimir_eigen.ratpoly import (
     ClosedForm,
@@ -277,20 +278,41 @@ class TestPartitionRows:
             to_power_sum(power_sum(2, n) + MPoly(n, dict.fromkeys(exponents, 1)), n)
 
     def test_column_entries_match_the_eliminated_power_sums(self):
-        """The cached columns, built once in degree + 1 variables, match images built in N + 1 for each N."""
+        """The cached columns at each rank match images built in N + 1 variables for each N."""
         for degree in range(7):
-            columns = _power_sum_columns(degree)
             basis = _partitions(degree, min_part=2)
-            assert len(columns) == len(basis)
+            images = {}
             for nvars in range(1, degree + 2):
-                for mu, column in zip(basis, columns):
+                for mu in basis:
                     image = MPoly.one(nvars + 1)
                     for k in mu:
                         image = image * power_sum(k, nvars + 1)
-                    image = eliminate_last_var(image)
-                    for lam in _partitions(degree, max_len=nvars):
-                        padded = lam + (0,) * (nvars - len(lam))
-                        assert column[lam] == image.terms.get(padded, 0), (degree, nvars, mu, lam)
+                    images[nvars, mu] = eliminate_last_var(image)
+            for rank in range(degree + 1):
+                columns = _power_sum_columns(degree, rank)
+                assert len(columns) == len(basis)
+                for mu, column in zip(basis, columns):
+                    assert sorted(column) == sorted(_partitions(degree, max_len=rank))
+                    for nvars in range(1, degree + 2):
+                        for lam in _partitions(degree, max_len=min(nvars, rank)):
+                            padded = lam + (0,) * (nvars - len(lam))
+                            assert column[lam] == images[nvars, mu].terms.get(padded, 0), (degree, rank, nvars, mu, lam)
+
+    def test_columns_are_built_at_the_rank_not_the_degree(self, monkeypatch):
+        """A degree-10 target at n = 2 expands each p_mu in two variables only."""
+        seen = []
+
+        def recording(p):
+            seen.append(p.nvars)
+            return eliminate_last_var(p)
+
+        _power_sum_columns.cache_clear()
+        monkeypatch.setattr(ratpoly, "eliminate_last_var", recording)
+        try:
+            assert to_power_sum(power_sum(10, 2), 2) == PowerSumPoly({(10,): 1})
+        finally:
+            _power_sum_columns.cache_clear()
+        assert len(seen) == 1 + len(_partitions(10, min_part=2)) and set(seen) == {2}
 
     def test_partition_generator(self):
         assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]
