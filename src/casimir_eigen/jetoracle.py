@@ -12,25 +12,31 @@ becomes exact polynomial arithmetic.  The truncation is sound because
 each t_j occurs in exactly one matrix factor and only the full monomial
 is extracted at the end: every discarded term carries some t_j^2.
 
-Most zero patterns never reach the Gram matrix.  By the Iwasawa
-decomposition g = kan, a(gn) = a(g) for every unipotent upper-triangular
-n.  Loop factors I - t_j E_{a,a} are diagonal, in A.  When the last factor
-with a != b has a < b, it lies in N, and the product of it and the loops
-after it lies in AN, with a diagonal free of its t_j; so that t_j reaches
-no Gram norm and the eigenvalue is zero, read off the factor list alone
-(``_tail_proves_zero``).  Of the zero patterns of orders 2 to 8 this
-proves 1/1, 6/7, 37/49, 270/391, 2341/3601, 23646/37927 and
-272917/451249, and it never fires on a nonzero pattern.  The rest take
-the full route below.
+No zero pattern reaches the Gram matrix, up to order 8 at least.  By the
+Iwasawa decomposition g = kan, a(gn) = a(g) for every unipotent
+upper-triangular n.  Write M = M1 F_j M2, with F_j = I - t_j E_{a,b} a
+factor with a != b and M2 the factors after it.  Then
+F_j M2 = M2 (I - t_j u w^T), with u = M2^-1 e_a and w^T = e_b^T M2.  When
+every rank in the support of u is below every rank in the support of w,
+that last factor is in N, so M and M1 M2 have the same leading principal
+minors of their Gram matrices: t_j, which occurs in no other factor,
+reaches no Gram norm, and the eigenvalue is zero, read off the factor list
+alone (``_factor_in_n``).  That is a proof for every order.  That it fires
+on every zero pattern, the patterns whose first rank is not 1, and on no
+other, is checked only up to order 8 (451,249 of the 545,835 patterns
+there); above it the support proof below remains the fallback.
 
 Orthogonalizing the columns is never spelled out: the Gram norms are the
 pivots d_v of the LDL^T factorization of the Gram matrix G = M^T M, which
 are the norms Gram-Schmidt would give.  G never goes through M: it starts
 at I and takes one rank-two update per factor, each a mask shift.  A
-pivot equal to 1 is not inverted, and the last pivot is never inverted,
-since nothing divides by it.  Before the power stage, the masks of the
-pivots are ORed: if some t_j is in none of them, no product of their
-powers reaches t1*...*tm and the eigenvalue is zero, with no power formed.
+pivot equal to 1 is not inverted.  The last pivot takes no LDL^T row:
+det G = det(M)^2 is the product of (1 - t_j)^2 = 1 - 2 t_j over the loop
+factors, so the last pivot is that product times the inverses of the
+other pivots, which the LDL^T has formed already.  Before the power
+stage, the masks of the pivots are ORed: if some t_j is in none of them,
+no product of their powers reaches t1*...*tm and the eigenvalue is zero,
+with no power formed.
 
 Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
 the matrix entries are +-1 path counts, and every pivot has constant
@@ -397,21 +403,35 @@ def build_inverse_matrix(t: IndexTuple, order: RelOrder | None = None) -> JetMat
     return JetMatrix(size=ro.ell, m=t.m, factors=tuple(zip(ranks, ranks[1:] + ranks[:1])))
 
 
-def _tail_proves_zero(matrix: JetMatrix) -> bool:
-    """Whether the last non-loop factor lies in N, which makes the eigenvalue 0.
+def _factor_in_n(matrix: JetMatrix) -> int | None:
+    """The index j of a factor that moves into N, which makes the eigenvalue 0; None if none does.
 
-    Write M = M'T, with T that factor times the loops after it: T is upper
-    triangular and its diagonal is free of the factor's t_j.  Since
-    a(gn) = a(g), the Gram norms of M are those of M' times the squared
-    diagonal of T, exactly over the jets: every leading principal minor of
-    G = T^T (M'^T M') T is the minor of M'^T M' times squared diagonal
-    entries of T.  t_j occurs in no other factor, so it is in no Gram norm.
-    In tuple terms: the last entry that differs from i1 is smaller than i1.
+    Moving F_j = I - t_j E_{a,b} past the factors after it, M2, leaves
+    I - t_j u w^T with u = M2^-1 e_a and w^T = e_b^T M2.  Its supports are
+    rank bitmasks: starting from {a} and {b}, the factor (a_i, b_i) adds a_i
+    to u when u holds b_i, and b_i to w when w holds a_i (loops add nothing).
+    When the highest rank of u is below the lowest of w, u w^T is strictly
+    upper triangular, so the moved factor is in N and, since a(gn) = a(g),
+    t_j reaches no Gram norm.  Both masks only grow, so a failed comparison
+    ends the walk.  The last non-loop factor is tried first: after it only
+    loops follow, and the test is a < b.
     """
-    for a, b in reversed(matrix.factors):
-        if a != b:
-            return a < b
-    return False
+    factors = matrix.factors
+    for j in reversed(range(len(factors))):
+        a, b = factors[j]
+        if a == b:
+            continue
+        u, w = 1 << a, 1 << b
+        for a_i, b_i in factors[j + 1 :]:
+            if u >> b_i & 1:
+                u |= 1 << a_i
+            if w >> a_i & 1:
+                w |= 1 << b_i
+            if u >= w & -w:
+                break
+        if u < w & -w:
+            return j
+    return None
 
 
 _UNIT = {0: 1}  # coefficients of the jet 1
@@ -449,22 +469,27 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
     matrix G = M^T M, the same jets classical Gram-Schmidt gives: both are
     ratios of consecutive leading principal minors of G.  G comes from
     the matrix factors by rank-two updates (``_gram_matrix``); then, with
-    W = L D built row by row,
+    W = L D built row by row for v < ell - 1,
 
         W_vk = G_vk - sum_{j<k} W_vj L_kj,   L_vk = W_vk / d_k,
         d_v  = G_vv - sum_{k<v} W_vk L_vk.
 
     Division only ever happens by pivots, whose constant terms are 1 for
     inverse-factor matrices, so every intermediate stays exactly
-    representable.  A pivot equal to 1 is not inverted and L_vk = W_vk;
-    the last pivot is never inverted, since nothing uses it.
+    representable.  A pivot equal to 1 is not inverted and L_vk = W_vk.
+    The last pivot takes no row: det G = det(M)^2, and det M is the
+    product of 1 - t_j over the loop factors, so
+
+        d_{ell-1} = prod_{loops} (1 - 2 t_j) * prod_{v < ell-1} d_v^-1,
+
+    from the inverses the rows have formed.  All ell pivots are returned.
     """
     ell, m = matrix.size, matrix.m
     gram = _gram_matrix(matrix)
     norms: list[Jet] = []
     inverses: list[Jet | None] = []  # None for a unit pivot
     lower: list[list[dict[int, object]]] = []  # lower[v][k] = L_vk
-    for v in range(ell):
+    for v in range(ell - 1):
         w_row: list[dict[int, object]] = []
         l_row: list[dict[int, object]] = []
         for k in range(v):
@@ -474,8 +499,15 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
             l_row.append((Jet._trusted(m, w) * inverse).coeffs if w and inverse is not None else w)
         norms.append(Jet._trusted(m, _minus_products(gram[v][v], zip(w_row, l_row))))
         lower.append(l_row)
-        if v < ell - 1:
-            inverses.append(None if norms[-1].coeffs == _UNIT else norms[-1].inv())
+        inverses.append(None if norms[-1].coeffs == _UNIT else norms[-1].inv())
+    last = dict(_UNIT)  # det G = prod (1 - 2 t_j) over the loops, then divided by each earlier pivot
+    for j, (a, b) in enumerate(matrix.factors):
+        if a == b:
+            last.update([(mask | (1 << j), -2 * c) for mask, c in last.items()])
+    for inverse in inverses:
+        if inverse is not None:
+            last = _add_product({}, last, inverse.coeffs)
+    norms.append(Jet._trusted(m, last))
     return norms
 
 
@@ -541,11 +573,12 @@ def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
 
     This never looks at proper cycles: it follows the Iwasawa route
     (inverse factor matrix, Gram norms as LDL^T pivots, -x/2 powers,
-    mixed partial) in exact arithmetic.  A pattern whose factor list ends
-    in an AN tail is zero before any Gram or LDL^T work (``_tail_proves_zero``).
+    mixed partial) in exact arithmetic.  A pattern with a factor that moves
+    into N is zero before any Gram or LDL^T work (``_factor_in_n``); up to
+    order 8 that is every zero pattern.
     """
     order = relative_order(t)
     matrix = build_inverse_matrix(t, order)
-    if _tail_proves_zero(matrix):
+    if _factor_in_n(matrix) is not None:
         return MPoly._trusted(t.n, 1, {})
     return eigenvalue_from_norms(gram_schmidt_norms(matrix), order, t, shifted)

@@ -305,8 +305,9 @@ class TestVerify:
         assert report.total == 625
         # surjections of 4 positions onto 1..ell for ell = 1..4: 1 + 14 + 36 + 24
         assert len(calls) == len(set(calls)) == 75
-        # the 37 patterns of order 4 whose factor list ends in an AN tail need no Gram norms
-        assert len(norm_calls) == 75 - 37
+        # the 49 zero patterns of order 4 each have a factor that moves into N and need no
+        # Gram norms, so only the 26 nonzero ones, those starting at rank 1, take them
+        assert len(norm_calls) == 26
         assert not report.mismatches
 
     def test_broken_fast_path_is_reported(self, monkeypatch):

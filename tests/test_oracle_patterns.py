@@ -14,8 +14,8 @@ import pytest
 
 from casimir_eigen.jetoracle import (
     Jet,
+    _factor_in_n,
     _gram_matrix,
-    _tail_proves_zero,
     build_inverse_matrix,
     eigenvalue_from_norms,
     gram_schmidt_norms,
@@ -143,40 +143,96 @@ def test_support_proof_settles_every_zero_pattern_of_order(m, zero):
     assert missed == zero == sum(rho[0] != 1 for rho in patterns(m))
 
 
-def test_an_tail_proves_zero_on_its_patterns_up_to_order_five():
-    # a(g n) = a(g): the t_j of a last non-loop factor in N reaches no Gram norm
+def tail_rule(matrix):
+    """The AN-tail case of the proof: the last non-loop factor has a < b, so it and the loops after it lie in AN."""
+    for a, b in reversed(matrix.factors):
+        if a != b:
+            return a < b
+    return False
+
+
+def test_factor_in_n_is_sound_up_to_order_five():
+    # a(g n) = a(g): the t_j of the factor moved into N reaches no Gram norm
     proved = dict.fromkeys(range(1, 6), 0)
     for rho in SMALL:
         t = pattern_tuple(rho)
         matrix = build_inverse_matrix(t)
-        if not _tail_proves_zero(matrix):
+        j = _factor_in_n(matrix)
+        if j is None:
             continue
         proved[t.m] += 1
-        j = max(j for j, (a, b) in enumerate(matrix.factors) if a != b)
-        assert matrix.factors[j][0] < matrix.factors[j][1], rho
+        assert matrix.factors[j][0] != matrix.factors[j][1], rho
         norms = gram_schmidt_norms(matrix)
         assert not pivot_support(norms) & (1 << j), rho
         order = relative_order(t)
         for shifted in (False, True):
             assert not full_product_top(norms, order, t, shifted), (rho, shifted)
-    assert list(proved.values()) == [0, 1, 6, 37, 270]
+    assert list(proved.values()) == [0, 1, 7, 49, 391]
 
 
-def test_an_tail_proves_2341_patterns_of_order_six():
-    proved = 0
-    for rho in patterns(6):
-        fires = _tail_proves_zero(build_inverse_matrix(pattern_tuple(rho)))
-        # in tuple terms: the last entry that differs from the first is smaller than it
-        last_other = next((r for r in reversed(rho) if r != rho[0]), rho[0])
-        assert fires == (last_other < rho[0]), rho
-        proved += fires
-    assert proved == 2341
+@pytest.mark.parametrize(
+    "m, count, zero",
+    [
+        (1, 1, 0),
+        (2, 3, 1),
+        (3, 13, 7),
+        (4, 75, 49),
+        (5, 541, 391),
+        (6, 4683, 3601),
+        (7, 47293, 37927),
+        pytest.param(8, 545835, 451249, marks=pytest.mark.slow),
+    ],
+)
+def test_factor_in_n_fires_exactly_on_the_zero_patterns_of_order(m, count, zero):
+    # the fast path is zero exactly when some entry is below the first, i.e. when rho does not start at 1
+    seen = fired = 0
+    for rho in patterns(m):
+        matrix = build_inverse_matrix(pattern_tuple(rho))
+        fires = _factor_in_n(matrix) is not None
+        assert fires == (rho[0] != 1), rho
+        assert fires or not tail_rule(matrix), rho
+        seen += 1
+        fired += fires
+    assert (seen, fired) == (count, zero)
+
+
+def assert_norms_are_classical_gram_schmidt(rhos):
+    for rho in rhos:
+        matrix = build_inverse_matrix(pattern_tuple(rho))
+        assert gram_schmidt_norms(matrix) == classical_gram_schmidt_norms(matrix), rho
 
 
 def test_norms_equal_classical_gram_schmidt_on_every_pattern():
-    for rho in SMALL:
-        matrix = build_inverse_matrix(pattern_tuple(rho))
-        assert gram_schmidt_norms(matrix) == classical_gram_schmidt_norms(matrix), rho
+    assert_norms_are_classical_gram_schmidt(SMALL)
+
+
+@pytest.mark.slow
+def test_norms_equal_classical_gram_schmidt_on_every_pattern_of_order_six():
+    rhos = list(patterns(6))
+    assert len(rhos) == 4683
+    assert_norms_are_classical_gram_schmidt(rhos)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_one_rank_pivot_is_the_determinant(m):
+    # ell = 1: every factor is a loop, M = prod (1 - t_j) and d_0 = det G = prod (1 - 2 t_j)
+    matrix = build_inverse_matrix(IndexTuple((1,) * m, 1))
+    assert all(a == b == 0 for a, b in matrix.factors)
+    expected = Jet(m, {mask: (-2) ** bin(mask).count("1") for mask in range(1 << m)})
+    assert gram_schmidt_norms(matrix) == classical_gram_schmidt_norms(matrix) == [expected]
+
+
+@pytest.mark.parametrize("rho", [(1, 3, 2, 4, 2, 3), (3, 1, 4, 2, 5, 1, 2)])
+def test_pivots_of_a_pattern_without_loops_have_product_one(rho):
+    # no loop factor: det M = 1, so the product of the pivots is det G = 1
+    matrix = build_inverse_matrix(pattern_tuple(rho))
+    assert all(a != b for a, b in matrix.factors)
+    norms = gram_schmidt_norms(matrix)
+    assert norms == classical_gram_schmidt_norms(matrix)
+    product = Jet.one(matrix.m)
+    for norm in norms:
+        product = product * norm
+    assert product == 1
 
 
 def test_eigenvalue_is_the_top_of_the_full_product_on_every_pattern():
