@@ -206,10 +206,9 @@ def _cmd_verify(args) -> int:
             f"total={report.total} zero={report.zero} "
             f"match_literal={report.match_literal} match_alternating={report.match_alternating}"
         )
-        convention = report.consistent_convention()
-        print(f"consistent convention: {convention if convention else 'NONE'}")
+        print(f"consistent convention: {report.convention or 'NONE'}")
         if mismatches:
-            print(f"MISMATCH under the alternating convention: {mismatches[:10]}")
+            print(f"MISMATCH under the alternating convention: {list(mismatches[:10])}")
         else:
             print("OK: fast path agrees with the oracle under the alternating convention")
     return 1 if mismatches else 0

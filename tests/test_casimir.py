@@ -25,7 +25,7 @@ from casimir_eigen.casimir import (
 )
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
-from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, specialise
+from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, relative_order, specialise
 from references import casimir_eigenvalue, eval_at, expand
 
 # The expected closed forms, frozen as exact coefficient data:
@@ -229,13 +229,69 @@ def test_signed_comparison_matches_the_product():
                 assert _equals_signed(p, q, flip) == (flip * p == q), (p, q, flip)
 
 
+def verify_one(monkeypatch, entries, n):
+    """verify_tuples with the selection narrowed to the single tuple ``entries``."""
+    monkeypatch.setattr(casimir, "_select_tuples", lambda m, n, selection: ([entries], "one tuple"))
+    return verify_tuples(len(entries), n, Exhaustive())
+
+
+def verify_walk(monkeypatch, m, n, selection):
+    """verify_tuples(m, n, selection) and the tuples it walked, in order."""
+    walked = []
+
+    def recording(t):
+        walked.append(t.entries)
+        return relative_order(t)
+
+    monkeypatch.setattr(casimir, "relative_order", recording)
+    return verify_tuples(m, n, selection), walked
+
+
+def oracle_nonzero(m, n):
+    """The tuples of {1..n}^m whose oracle value is nonzero in some mode, in grid order."""
+    return tuple(
+        entries
+        for entries in itertools.product(range(1, n + 1), repeat=m)
+        if any(oracle_eigenvalue(IndexTuple(entries, n), shifted) for shifted in (False, True))
+    )
+
+
+def reference_report(m, n):
+    """The exhaustive report, tallied here from the oracle and both signed fast paths, called directly."""
+    zero = literal = alternating = 0
+    literal_everywhere = alternating_everywhere = True
+    mismatches = []
+    modes = (False, True)
+    grid = list(itertools.product(range(1, n + 1), repeat=m))
+    for entries in grid:
+        t = IndexTuple(entries, n)
+        oracle = [oracle_eigenvalue(t, shifted) for shifted in modes]
+        lit = [elementary_eigenvalue(t, shifted, SignConvention.LITERAL) for shifted in modes] == oracle
+        alt = [elementary_eigenvalue(t, shifted, SignConvention.ALTERNATING) for shifted in modes] == oracle
+        literal += lit
+        alternating += alt
+        if any(oracle):
+            literal_everywhere = literal_everywhere and lit
+            alternating_everywhere = alternating_everywhere and alt
+        else:
+            zero += 1
+        if not alt:
+            mismatches.append(entries)
+    if literal_everywhere and alternating_everywhere:
+        convention = "both"
+    else:
+        convention = "alternating" if alternating_everywhere else "literal" if literal_everywhere else None
+    return (m, n, "exhaustive", len(grid), zero, literal, alternating, convention, tuple(mismatches))
+
+
 class TestVerify:
-    def test_loop_after_edge_tuple(self):
-        report = verify_tuples(3, 2, Exhaustive())
-        record = next(r for r in report.records if r.entries == (1, 2, 2))
+    def test_loop_after_edge_tuple(self, monkeypatch):
+        t = IndexTuple((1, 2, 2), 2)
         expected = (alpha(1, 2) - alpha(2, 2)) * (1 - alpha(2, 2))
-        assert record.oracle_raw == expected
-        assert record.match_alternating and not record.match_literal
+        assert oracle_eigenvalue(t) == elementary_eigenvalue(t) == expected
+        report = verify_one(monkeypatch, t.entries, t.n)
+        # one tuple, nonzero, matching under the alternating convention only
+        assert report == (3, 2, "one tuple", 1, 0, 0, 1, "alternating", ())
 
     def test_worked_tuple_even_order(self):
         t = IndexTuple.parse("1,9,2,5,5,9,6,8,4,5", n=10)
@@ -245,10 +301,10 @@ class TestVerify:
         assert fast == oracle_eigenvalue(t)
         assert elementary_eigenvalue(t, sign=SignConvention.LITERAL) == fast  # even m
 
-    def test_descending_pair_trivially_matches(self):
-        report = verify_tuples(2, 2, Exhaustive())
-        record = next(r for r in report.records if r.entries == (2, 1))
-        assert record.is_zero and record.match_literal and record.match_alternating
+    def test_descending_pair_trivially_matches(self, monkeypatch):
+        report = verify_one(monkeypatch, (2, 1), 2)
+        # one tuple, zero, matching under both conventions
+        assert report == (2, 2, "one tuple", 1, 1, 1, 1, "both", ())
 
     def test_exhaustive_consistency_small(self):
         # a single consistent convention across every nonzero tuple,
@@ -259,17 +315,16 @@ class TestVerify:
                 assert report.total == n**m
                 assert not report.mismatches
                 expected = "both" if m % 2 == 0 else "alternating"
-                if all(r.is_zero for r in report.records):
+                if report.zero == report.total:
                     continue  # nothing nonzero to separate the conventions
-                assert report.consistent_convention() == expected, (m, n)
+                assert report.convention == expected, (m, n)
 
-    def test_random_selection_is_seeded_and_sorted(self):
-        first = verify_tuples(3, 3, RandomSample(10, 99))
-        second = verify_tuples(3, 3, RandomSample(10, 99))
-        assert [r.entries for r in first.records] == [r.entries for r in second.records]
-        entries = [r.entries for r in first.records]
+    def test_random_selection_is_seeded_and_sorted(self, monkeypatch):
+        first, entries = verify_walk(monkeypatch, 3, 3, RandomSample(10, 99))
+        second, again = verify_walk(monkeypatch, 3, 3, RandomSample(10, 99))
+        assert first == second and entries == again
         assert entries == sorted(entries)
-        assert len(set(entries)) == 10
+        assert len(set(entries)) == first.total == 10
 
     def test_random_selection_draws_as_from_the_full_population(self):
         tuples, _ = _select_tuples(6, 7, RandomSample(100, 5))
@@ -280,12 +335,15 @@ class TestVerify:
         "m, n, selection",
         [(4, 5, Exhaustive()), (3, 4, Exhaustive()), (6, 7, RandomSample(120, 23))],
     )
-    def test_pattern_oracle_relabelling_is_exact(self, m, n, selection):
-        for record in verify_tuples(m, n, selection).records:
-            t = IndexTuple(record.entries, n)
-            assert record.oracle_raw.nvars == record.oracle_shifted.nvars == n
-            assert record.oracle_raw == oracle_eigenvalue(t), record.entries
-            assert record.oracle_shifted == oracle_eigenvalue(t, shifted=True), record.entries
+    def test_pattern_oracle_relabelling_is_exact(self, m, n, selection, monkeypatch):
+        # with the oracle itself, run on each tuple, as the fast path, every tuple matches
+        # exactly when the relabelled pattern oracle is the tuple's oracle in both modes
+        def oracle_as_fast_path(t, shifted, sign, order=None):
+            return oracle_eigenvalue(t, shifted)
+
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", oracle_as_fast_path)
+        report = verify_tuples(m, n, selection)
+        assert report.mismatches == () and report.match_alternating == report.total > 0
 
     def test_oracle_runs_once_per_rank_pattern(self, monkeypatch):
         calls, norm_calls = [], []
@@ -316,8 +374,8 @@ class TestVerify:
         broken = verify_tuples(3, 3, Exhaustive())
         # zero verdicts come from the oracle alone; every nonzero tuple now fails
         assert broken.zero == sound.zero > 0
-        assert broken.mismatches == [r.entries for r in sound.records if not r.is_zero]
-        assert broken.consistent_convention() is None
+        assert broken.mismatches == oracle_nonzero(3, 3)
+        assert broken.convention is None
 
     @pytest.mark.parametrize("m, n", [(3, 3), (4, 3)])
     def test_fast_path_wrong_only_when_shifted_is_reported(self, m, n, monkeypatch):
@@ -329,17 +387,17 @@ class TestVerify:
 
         monkeypatch.setattr(casimir, "elementary_eigenvalue", shifted_wrong)
         broken = verify_tuples(m, n, Exhaustive())
-        nonzero = [r.entries for r in sound.records if not r.is_zero]
-        assert broken.zero == sound.zero and nonzero
+        nonzero = oracle_nonzero(m, n)
+        assert broken.zero == sound.zero == n**m - len(nonzero) and nonzero
         assert broken.mismatches == nonzero
-        for good, bad in zip(sound.records, broken.records):
-            assert bad.fast_raw == good.fast_raw and bad.oracle_shifted == good.oracle_shifted
-            assert bad.match_literal == bad.match_alternating == good.is_zero
-        assert broken.consistent_convention() is None
+        # a zero tuple matches under both conventions, a nonzero one under neither
+        assert broken.match_literal == broken.match_alternating == sound.zero
+        assert broken.convention is None
 
     def test_fast_path_specialisations_are_memo_hits(self):
         report = verify_tuples(4, 5, Exhaustive())
-        nonzero = sum(1 for r in report.records if min(r.entries) == r.entries[0])
+        nonzero = sum(1 for e in itertools.product(range(1, 6), repeat=4) if min(e) == e[0])
+        assert nonzero == report.total - report.zero
         # the oracle's two specialisations of a tuple come first; the fast path's equal ones hit
         assert specialise.cache_info().hits >= 2 * nonzero
 
@@ -352,7 +410,5 @@ class TestVerify:
             RandomSample(0, 7)
 
     def test_summary_counts_match_records(self):
-        report = verify_tuples(2, 3, Exhaustive())
-        assert report.total == len(report.records)
-        assert report.zero == sum(1 for r in report.records if r.is_zero)
-        assert report.match_alternating == sum(1 for r in report.records if r.match_alternating)
+        for m, n in [(2, 3), (3, 3)]:
+            assert verify_tuples(m, n, Exhaustive()) == reference_report(m, n), (m, n)

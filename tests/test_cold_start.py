@@ -1,14 +1,16 @@
-"""Cold start: what a fresh CLI process imports, and the records it builds.
+"""Cold start: what a fresh CLI process imports and holds, and the records it builds.
 
 Each subcommand runs in its own interpreter, and the modules it leaves
 loaded are compared with those of a bare ``python -c pass``.  Only
 ``verify`` may load the jet oracle, only ``tables`` the tables module, and
 no subcommand may load ``dataclasses`` (its import pulls in ``inspect``,
 ``ast`` and ``dis``).  Every module of the package imports only the
-standard library and its own modules.
+standard library and its own modules.  An exhaustive ``verify`` keeps
+its peak memory flat as the grid grows.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import casimir_eigen
-from casimir_eigen.casimir import CasimirRequest, Exhaustive, RandomSample
+from casimir_eigen.casimir import CasimirRequest, Exhaustive, RandomSample, verify_tuples
 from casimir_eigen.tuplegraph import IndexTuple, enumerate_cycles, relative_order
 from pathcheck import path_coefficient_check
 
@@ -41,11 +43,15 @@ SUBCOMMANDS = {
 }
 
 
-def _loaded_modules(code: str, *argv: str) -> set[str]:
+def _run_fresh(code: str, *argv: str, timeout: int = 60) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a new interpreter that imports the package under test."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _loaded_modules(code: str, *argv: str) -> set[str]:
+    proc = _run_fresh(code, *argv)
+    proc.check_returncode()
     for line in proc.stderr.splitlines():
         if line.startswith("MODULES "):
             return set(line.split()[1:])
@@ -71,6 +77,31 @@ def test_only_verify_loads_the_jet_oracle(loaded_by_subcommand):
 def test_only_tables_loads_the_tables(loaded_by_subcommand):
     loaders = {name for name, modules in loaded_by_subcommand.items() if "casimir_eigen.tables" in modules}
     assert loaders == {"tables"}
+
+
+# Runs one CLI request, then writes the peak resident set size of its own address space on stderr.
+# ru_maxrss would not do: Linux carries the forking process's high-water mark over exec, so under
+# a large test process it reads that process's peak (61 MB after the order-8 pattern tests, 23 MB alone).
+MEMORY_PROBE = (
+    "import sys\n"
+    "from casimir_eigen.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as status:\n"
+    "    print(*(line for line in status if line.startswith('VmHWM:')), end='', file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_exhaustive_verify_memory_stays_flat():
+    # 160,000 tuples: a record kept per tuple took about 110 MB, a tally takes about 23 MB
+    proc = _run_fresh(MEMORY_PROBE, "verify", "--m", "4", "--n", "20", "--exhaustive", "--json", timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["total"], report["zero"], report["mismatch"]) == (160000, 115900, [])
+    peak_kib = next(int(line.split()[1]) for line in proc.stderr.splitlines() if line.startswith("VmHWM:"))
+    assert peak_kib < 48 * 1024
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -111,6 +142,7 @@ def _records():
         Exhaustive(),
         RandomSample(5, 1),
         path_coefficient_check(IndexTuple((1, 2), 2)),
+        verify_tuples(2, 2, Exhaustive()),
     ]
 
 

@@ -7,7 +7,6 @@ the Gram matrix as inner products of the matrix columns, classical
 Gram-Schmidt on jets, and the full product of the norm powers.
 """
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -26,11 +25,24 @@ from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, paramete
 
 
 def patterns(m):
-    """Every relative order of an m-tuple: the tuples over 1..ell using each rank."""
+    """Every relative order of an m-tuple: the tuples over 1..ell using each rank, lexicographic per ell.
+
+    A prefix is extended by a rank only while the ranks it leaves unused
+    still fit in the positions after it, so no tuple is built and dropped.
+    """
+
+    def grow(prefix, unused, ell):
+        if len(prefix) == m:
+            yield prefix
+            return
+        room = m - len(prefix) - 1
+        for v in range(1, ell + 1):
+            rest = unused - {v}
+            if len(rest) <= room:
+                yield from grow(prefix + (v,), rest, ell)
+
     for ell in range(1, m + 1):
-        for rho in itertools.product(range(1, ell + 1), repeat=m):
-            if len(set(rho)) == ell:
-                yield rho
+        yield from grow((), frozenset(range(1, ell + 1)), ell)
 
 
 SMALL = [rho for m in range(1, 6) for rho in patterns(m)]
