@@ -42,7 +42,6 @@ from .tuplegraph import (
     IndexTuple,
     SignConvention,
     _check_rank,
-    _memo_negated_pattern_product,
     _memo_pattern_product,
     _rank_map,
     elementary_eigenvalue,
@@ -175,7 +174,7 @@ def closed_form(m: int) -> ClosedForm:
     samples = []
     for n in range(m, 2 * m + 3):
         request = CasimirRequest(m=m, n=n)
-        samples.append((n, to_power_sum(casimir_eigenvalue_patterned(request), n)))
+        samples.append((n, to_power_sum(casimir_eigenvalue_patterned(request))))
     return interpolate_in_n(samples, degree_bound=m + 1)
 
 
@@ -310,7 +309,6 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     _check_rank(n)
     tuples, label = _select_tuples(m, n, selection)
     _memo_pattern_product.cache_clear()
-    _memo_negated_pattern_product.cache_clear()
     specialise.cache_clear()
     flip = SignConvention.LITERAL.factor(m) * SignConvention.ALTERNATING.factor(m)  # literal / alternating
     pattern_oracles: dict[tuple[int, ...], MPoly] = {}

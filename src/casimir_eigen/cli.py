@@ -155,10 +155,7 @@ def _cmd_casimir(args) -> int:
     )
     value = casimir_eigenvalue_patterned(request)
     note = "m > n lies outside the standard range 1 <= m <= n" if request.outside_standard_range else None
-    reduced = to_power_sum(value, request.n) if args.basis == "power-sum" else None
-    # With n < m the power sums of weight <= m are dependent on the hyperplane
-    # p1 = 0, and to_power_sum returns the solution with free coefficients 0.
-    canonical = reduced is None or not request.outside_standard_range
+    reduced = to_power_sum(value) if args.basis == "power-sum" else None
     if args.json:
         obj = {
             "m": request.m,
@@ -169,15 +166,11 @@ def _cmd_casimir(args) -> int:
         }
         if note:
             obj["note"] = note
-        if not canonical:
-            obj["canonical"] = False
         print(_dump(obj))
         return 0
     print(f"eigenvalue: {_format_value(value, args.latex) if reduced is None else reduced}")
     if note:
         print(f"note: {note}")
-    if not canonical:
-        print("note: the power-sum form is not unique when n < m; free coefficients are set to 0")
     return 0
 
 

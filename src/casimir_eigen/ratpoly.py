@@ -15,11 +15,11 @@ On top of the raw polynomials this module provides the two symmetric-side
 reductions everything else is expressed in:
 
   * ``to_power_sum``: rewrite a polynomial that is symmetric modulo the
-    relation a1 + ... + aN = 0 as a rational combination of power sums
-    p_k = sum(a_i^k) with parts k >= 2.  After a_N is eliminated, every
-    power-sum product is invariant under permuting the remaining
-    variables, so the polynomial must be too (checked exactly on two
-    generators of the symmetric group), and then it suffices to match
+    relation a1 + ... + aN = 0 as the one rational combination of power
+    sums p_k = sum(a_i^k) with parts 2 <= k <= N.  After a_N is
+    eliminated, every power-sum product is invariant under permuting the
+    remaining variables, so the polynomial must be too (checked exactly
+    on two generators of the symmetric group), and then it suffices to match
     coefficients at the monomials a^lam with lam a partition: one linear
     equation per partition instead of one per monomial.  The power-sum
     products are eliminated like the target, once per degree and rank
@@ -490,28 +490,33 @@ def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) 
 
 
 @functools.lru_cache(maxsize=None)
-def _power_sum_columns(degree: int, rank: int) -> tuple[Mapping[Partition, int], ...]:
-    """Coefficients of eliminate_last_var(p_mu) at a^lam, keyed by lam, per mu in _partitions(degree, min_part=2).
+def _power_sum_columns(degree: int, rank: int) -> Mapping[Partition, Mapping[Partition, int]]:
+    """Coefficients of eliminate_last_var(p_mu) at a^lam, keyed by mu and then by lam.
 
-    p_mu is built in rank + 1 variables, and lam runs over the partitions
-    of weight <= degree with at most rank parts.  The image has the same
-    coefficient at a^lam in any N > len(lam) variables: setting a_j = 0
-    for a j < N commutes with the elimination and leaves each p_k in one
-    variable fewer.  So the columns for rank min(degree, n - 1) serve
-    every n; they are built on the first call for that pair and shared
-    read-only, and a small rank keeps a high degree cheap.
+    mu runs over the partitions of weight <= degree with parts in
+    2..rank + 1, and lam over those with at most rank parts; p_mu is built
+    in rank + 1 variables.  At rank min(degree, n - 1) the mu are those
+    with parts in 2..n, and on the hyperplane sum(a_i) = 0 in n variables
+    p_2..p_n are free generators of the symmetric functions, so the
+    system to_power_sum reads off the columns has one solution.  The
+    image has the same coefficient at a^lam in any N > len(lam)
+    variables: setting a_j = 0 for a j < N commutes with the elimination
+    and leaves each p_k in one variable fewer.  So the columns for rank
+    min(degree, n - 1) serve rank n; they are built on the first call for
+    that pair and shared read-only, and a small rank keeps a high degree
+    cheap.
     """
     nvars = rank + 1
     power_sum = {
         k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (rank - i): 1 for i in range(nvars)}) for k in range(2, degree + 1)
     }
     partitions = _partitions(degree, max_len=rank)
-    columns = []
-    for mu in _partitions(degree, min_part=2):
+    columns = {}
+    for mu in [mu for mu in _partitions(degree, min_part=2) if all(k <= nvars for k in mu)]:
         product = functools.reduce(operator.mul, [power_sum[k] for k in mu], MPoly.one(nvars))
         coeffs = _partition_coeffs(eliminate_last_var(product), partitions)
-        columns.append(MappingProxyType(dict(zip(partitions, coeffs))))
-    return tuple(columns)
+        columns[mu] = MappingProxyType(dict(zip(partitions, coeffs)))
+    return MappingProxyType(columns)
 
 
 def _partition_coeffs(p: MPoly, partitions: Iterable[Partition]) -> list[int]:
@@ -582,12 +587,13 @@ def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -
     return solution
 
 
-def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
-    """Rewrite ``p`` over power sums p_2..p_deg, assuming p1 = 0.
+def to_power_sum(p: MPoly) -> PowerSumPoly:
+    """Rewrite ``p`` over power sums p_2..p_n, n = p.nvars, assuming p1 = 0.
 
     The result agrees with ``p`` as a function on the hyperplane
     sum(a_i) = 0; a representation exists iff ``p`` is symmetric modulo
-    that relation, and it is unique whenever n >= deg(p).
+    that relation, and it is unique, since p_2..p_n are free generators
+    there.
 
     Modulo p1 means after ``eliminate_last_var``, in N = n - 1 variables.
     Every image of a p_mu there is invariant under permuting a_1..a_N, so
@@ -596,32 +602,26 @@ def to_power_sum(p: MPoly, n: int) -> PowerSumPoly:
     monomial a^lam with lam a partition.  So the system has one row per
     partition of weight <= deg with at most N parts, not one per monomial,
     and column mu reads the image of p_mu (``_power_sum_columns``) there
-    as the right-hand side reads the target.  Its columns have the null
-    space of the full system, and ``_solve_linear`` picks pivot columns
-    from the null space alone, so when n < deg the free coefficients are
-    set to 0 exactly as they would be over every monomial.
+    as the right-hand side reads the target.
 
     Raises:
         NotSymmetricError: no representation exists.
     """
-    if p.nvars != n:
-        raise ValueError(f"polynomial has nvars={p.nvars}, expected {n}")
     if not p:
         return PowerSumPoly.zero()
     target = eliminate_last_var(p)
     if not _is_symmetric(target):
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
     degree = p.total_degree()
-    basis = _partitions(degree, min_part=2)
     rows_at = _partitions(degree, max_len=target.nvars)
     columns = _power_sum_columns(degree, min(degree, target.nvars))
-    rows = [[column[lam] for column in columns] for lam in rows_at]
+    rows = [[column[lam] for column in columns.values()] for lam in rows_at]
     # solved on the numerators: dividing the right-hand side by den divides the solution by it
     rhs = _partition_coeffs(target, rows_at)
     solution = _solve_linear(rows, rhs)
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
-    return PowerSumPoly({lam: c / target.den for lam, c in zip(basis, solution) if c})
+    return PowerSumPoly({mu: c / target.den for mu, c in zip(columns, solution) if c})
 
 
 # -- closed forms in the rank n ---------------------------------------------

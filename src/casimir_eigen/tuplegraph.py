@@ -225,15 +225,15 @@ def pattern_product(rho: tuple[int, ...]) -> MPoly:
     return product
 
 
-# One product per nonzero pattern seen, as verify_tuples keeps one oracle polynomial per
-# pattern; verify_tuples clears it per call, so a process holds one request's patterns.
-_memo_pattern_product = functools.lru_cache(maxsize=None)(pattern_product)
-
-
 @functools.lru_cache(maxsize=None)
-def _memo_negated_pattern_product(rho: tuple[int, ...]) -> MPoly:
-    """-pattern_product(rho), the product signed for an odd order; cleared with the product memo."""
-    return -_memo_pattern_product(rho)
+def _memo_pattern_product(rho: tuple[int, ...], sign: int) -> MPoly:
+    """sign * pattern_product(rho) for sign = +-1, once per nonzero pattern and sign seen.
+
+    verify_tuples keeps one oracle polynomial per pattern and clears this
+    memo per call, so a process holds one request's patterns.
+    """
+    product = pattern_product(rho)
+    return -product if sign < 0 else product
 
 
 def _rank_map(values: tuple[int, ...], n: int, shifted: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -279,15 +279,14 @@ def elementary_eigenvalue(
     of the proper-cycle factors, with x the plain parameter or its
     rho-shift, signed by ``sign.factor(m)``.  The product depends on the
     tuple only through its relative order: it is pattern_product(rho),
-    memoised per rho and, when the sign is -1, negated once per rho, and
-    then specialised to the tuple (rank k goes to the parameter of the
-    k-th smallest value; see specialise).  ``order`` is the tuple's
-    relative order, when the caller has it already.
+    memoised per rho and sign, and then specialised to the tuple (rank k
+    goes to the parameter of the k-th smallest value; see specialise).
+    ``order`` is the tuple's relative order, when the caller has it
+    already.
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
         return MPoly._trusted(n, 1, {})
     if order is None:
         order = relative_order(t)
-    memo = _memo_negated_pattern_product if sign.factor(t.m) < 0 else _memo_pattern_product
-    return specialise(memo(order.rho), order.values, n, shifted)
+    return specialise(_memo_pattern_product(order.rho, sign.factor(t.m)), order.values, n, shifted)

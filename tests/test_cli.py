@@ -81,26 +81,39 @@ class TestCasimir:
         _, out = run_cli(capsys, "casimir", "--m", "3", "--n", "2", "--basis", "power-sum")
         assert "outside the standard range" in out
 
-    def test_power_sum_not_unique_below_order_text(self, capsys):
+    def test_power_sum_unique_below_order_text(self, capsys):
+        # below the order the form is the one in p2..pn, so it needs no label
         code, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--basis", "power-sum")
         assert code == 0
         assert out == (
-            "eigenvalue: p4 + 1/2*p2 - 3/8\n"
+            "eigenvalue: 1/2*p2^2 + 1/2*p2 - 3/8\n"
             "note: m > n lies outside the standard range 1 <= m <= n\n"
-            "note: the power-sum form is not unique when n < m; free coefficients are set to 0\n"
         )
 
-    def test_power_sum_not_unique_below_order_json(self, capsys):
+    def test_power_sum_unique_below_order_json(self, capsys):
         _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--basis", "power-sum", "--json")
-        obj = json.loads(out)
-        assert obj["canonical"] is False
-        assert obj["note"] == "m > n lies outside the standard range 1 <= m <= n"
+        assert json.loads(out) == {
+            "m": 4,
+            "n": 2,
+            "shifted": True,
+            "basis": "power-sum",
+            "eigenvalue": {
+                "partitions": [
+                    {"parts": [2, 2], "coeff_n": ["1/2"]},
+                    {"parts": [2], "coeff_n": ["1/2"]},
+                    {"parts": [], "coeff_n": ["-3/8"]},
+                ]
+            },
+            "note": "m > n lies outside the standard range 1 <= m <= n",
+        }
 
     def test_power_sum_far_below_order(self, capsys):
         # the columns are built at rank 1, so order 10 stays as quick as the patterned sum
         code, out = run_cli(capsys, "casimir", "--m", "10", "--n", "2", "--basis", "power-sum")
         assert code == 0
-        assert out.splitlines()[0] == "eigenvalue: p10 + 35/4*p8 + 45/8*p6 - 21/32*p4 - 75/256*p2 - 9/512"
+        assert out.splitlines()[0] == (
+            "eigenvalue: 1/16*p2^5 + 35/32*p2^4 + 45/32*p2^3 - 21/64*p2^2 - 75/256*p2 - 9/512"
+        )
 
     def test_raw_power_sum_has_no_form_exits_2(self, capsys):
         # the unshifted sum is not symmetric modulo p1, so it has no power-sum form
@@ -109,12 +122,18 @@ class TestCasimir:
         assert (code, captured.out, captured.err) == (2, "", "error: polynomial is not symmetric modulo p1 = 0\n")
 
     def test_canonical_outputs_carry_no_label(self, capsys):
-        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "4", "--basis", "power-sum", "--json")
-        assert "canonical" not in json.loads(out)
-        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "2", "--json")  # monomials are unique
-        assert "canonical" not in json.loads(out)
-        _, out = run_cli(capsys, "casimir", "--m", "4", "--n", "4", "--basis", "power-sum")
-        assert "not unique" not in out
+        # monomials and power sums p2..pn are both unique, at every rank
+        for n in ("4", "2"):
+            _, out = run_cli(capsys, "casimir", "--m", "4", "--n", n, "--basis", "power-sum", "--json")
+            assert "canonical" not in json.loads(out)
+            _, out = run_cli(capsys, "casimir", "--m", "4", "--n", n, "--json")
+            assert "canonical" not in json.loads(out)
+            _, out = run_cli(capsys, "casimir", "--m", "4", "--n", n, "--basis", "power-sum")
+            assert "not unique" not in out
+        # a zero eigenvalue below the order carries no label either
+        _, out = run_cli(capsys, "casimir", "--m", "2", "--n", "1", "--basis", "power-sum", "--json")
+        obj = json.loads(out)
+        assert obj["eigenvalue"] == {"partitions": []} and "canonical" not in obj
 
 
 class TestClosedForm:

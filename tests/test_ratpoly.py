@@ -45,12 +45,13 @@ def symmetrise(p):
     return out
 
 
-def dense_to_power_sum(p, n):
-    """Reference reduction: one row per monomial of every eliminated image."""
+def dense_to_power_sum(p):
+    """Reference reduction: one row per monomial of every eliminated image, over p_2..p_n."""
+    n = p.nvars
     if not p.terms:
         return PowerSumPoly.zero()
     degree = p.total_degree()
-    basis = _partitions(degree, min_part=2)
+    basis = [lam for lam in _partitions(degree, min_part=2) if all(k <= n for k in lam)]
     target = eliminate_last_var(p)
     images = []
     for lam in basis:
@@ -67,9 +68,9 @@ def dense_to_power_sum(p, n):
     return PowerSumPoly({lam: c for lam, c in zip(basis, solution) if c})
 
 
-def outcome(reduce, p, n):
+def outcome(reduce, p):
     try:
-        return reduce(p, n)
+        return reduce(p)
     except NotSymmetricError:
         return NotSymmetricError
 
@@ -204,28 +205,24 @@ class TestPowerSumReduction:
             s = MPoly.zero(n)
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 s = s + alpha(i, n) * alpha(j, n)
-            assert to_power_sum(s, n) == PowerSumPoly({(2,): F(-1, 2)})
+            assert to_power_sum(s) == PowerSumPoly({(2,): F(-1, 2)})
 
     def test_p2_is_p2(self):
-        assert to_power_sum(power_sum(2, 4), 4) == PowerSumPoly({(2,): 1})
+        assert to_power_sum(power_sum(2, 4)) == PowerSumPoly({(2,): 1})
 
     def test_p1_reduces_to_zero(self):
-        assert to_power_sum(power_sum(1, 5), 5) == PowerSumPoly.zero()
+        assert to_power_sum(power_sum(1, 5)) == PowerSumPoly.zero()
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(NotSymmetricError):
-            to_power_sum(alpha(1, 3), 3)
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            to_power_sum(power_sum(2, 3), 4)
+            to_power_sum(alpha(1, 3))
 
     def test_every_partition_recovered(self):
-        # n >= weight makes the form unique, so each p_lambda must come back as itself,
+        # the form in p2..pn is unique, so each p_lambda with parts <= n must come back as itself,
         # including those with distinct parts such as p3*p2
         n = 5
         q = PowerSumPoly({lam: k + 1 for k, lam in enumerate([(5,), (4,), (3, 2), (3,), (2, 2), (2,), ()])})
-        assert to_power_sum(expand(q, n), n) == q
+        assert to_power_sum(expand(q, n)) == q
 
     def test_round_trip_lands_in_p1_ideal(self):
         # expand(to_power_sum(p)) - p must vanish under a_n := -(a1+...+a_{n-1})
@@ -234,9 +231,19 @@ class TestPowerSumReduction:
             for _ in range(10):
                 # Symmetrize so a representation exists.
                 sym = symmetrise(random_mpoly(rng, n, max_deg=2, max_terms=3))
-                q = to_power_sum(sym, n)
+                q = to_power_sum(sym)
                 diff = expand(q, n) - sym
                 assert eliminate_last_var(diff) == MPoly.zero(n - 1)
+
+    @pytest.mark.parametrize("sign", SignConvention)
+    def test_casimir_sums_below_the_order_have_one_form(self, sign):
+        # p2..pn are free generators on the hyperplane, so the form stays in them when n < m
+        for m in range(1, 7):
+            for n in range(1, m):
+                p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, sign=sign))
+                q = to_power_sum(p)
+                assert all(k <= n for lam in q.coeffs for k in lam), (m, n, q)
+                assert eliminate_last_var(expand(q, n) - p) == MPoly.zero(n - 1), (m, n)
 
 
 class TestPartitionRows:
@@ -246,7 +253,7 @@ class TestPartitionRows:
     def test_casimir_sums_match_the_dense_solver(self, m):
         for n, sign, shifted in itertools.product(range(1, 8), SignConvention, (True, False)):
             p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, shifted=shifted, sign=sign))
-            assert outcome(to_power_sum, p, n) == outcome(dense_to_power_sum, p, n), (n, sign, shifted)
+            assert outcome(to_power_sum, p) == outcome(dense_to_power_sum, p), (n, sign, shifted)
 
     def test_random_polynomials_match_the_dense_solver(self):
         rng = random.Random(31)
@@ -258,8 +265,8 @@ class TestPartitionRows:
                 p = symmetrise(p)
             if i % 3 == 2:  # symmetric only modulo p1
                 p = p + power_sum(1, n) * random_mpoly(rng, n, max_deg=2, max_terms=3)
-            expected = outcome(dense_to_power_sum, p, n)
-            assert outcome(to_power_sum, p, n) == expected, (n, p)
+            expected = outcome(dense_to_power_sum, p)
+            assert outcome(to_power_sum, p) == expected, (n, p)
             outcomes.add((i % 3, expected is NotSymmetricError))
         # left unsymmetrised, some reduce and some fail; symmetrised, all reduce
         assert outcomes == {(0, False), (0, True), (1, False), (2, False)}
@@ -275,23 +282,24 @@ class TestPartitionRows:
     def test_asymmetric_terms_off_the_partition_rows_rejected(self, n, exponents):
         # no exponent is a partition, so the partition rows alone stay consistent
         with pytest.raises(NotSymmetricError):
-            to_power_sum(power_sum(2, n) + MPoly(n, dict.fromkeys(exponents, 1)), n)
+            to_power_sum(power_sum(2, n) + MPoly(n, dict.fromkeys(exponents, 1)))
 
     def test_column_entries_match_the_eliminated_power_sums(self):
         """The cached columns at each rank match images built in N + 1 variables for each N."""
         for degree in range(7):
-            basis = _partitions(degree, min_part=2)
             images = {}
             for nvars in range(1, degree + 2):
-                for mu in basis:
+                for mu in _partitions(degree, min_part=2):
                     image = MPoly.one(nvars + 1)
                     for k in mu:
                         image = image * power_sum(k, nvars + 1)
                     images[nvars, mu] = eliminate_last_var(image)
             for rank in range(degree + 1):
                 columns = _power_sum_columns(degree, rank)
-                assert len(columns) == len(basis)
-                for mu, column in zip(basis, columns):
+                # the basis: the partitions with parts in 2..rank + 1
+                basis = [mu for mu in _partitions(degree, min_part=2) if all(k <= rank + 1 for k in mu)]
+                assert list(columns) == basis
+                for mu, column in columns.items():
                     assert sorted(column) == sorted(_partitions(degree, max_len=rank))
                     for nvars in range(1, degree + 2):
                         for lam in _partitions(degree, max_len=min(nvars, rank)):
@@ -299,7 +307,7 @@ class TestPartitionRows:
                             assert column[lam] == images[nvars, mu].terms.get(padded, 0), (degree, rank, nvars, mu, lam)
 
     def test_columns_are_built_at_the_rank_not_the_degree(self, monkeypatch):
-        """A degree-10 target at n = 2 expands each p_mu in two variables only."""
+        """A degree-10 target at n = 2 expands each p2^k, its only basis elements, in two variables."""
         seen = []
 
         def recording(p):
@@ -309,10 +317,12 @@ class TestPartitionRows:
         _power_sum_columns.cache_clear()
         monkeypatch.setattr(ratpoly, "eliminate_last_var", recording)
         try:
-            assert to_power_sum(power_sum(10, 2), 2) == PowerSumPoly({(10,): 1})
+            # a1^10 + a2^10 = 2 * a1^10 = (2 * a1^2)^5 / 16 on a1 + a2 = 0
+            assert to_power_sum(power_sum(10, 2)) == PowerSumPoly({(2, 2, 2, 2, 2): F(1, 16)})
         finally:
             _power_sum_columns.cache_clear()
-        assert len(seen) == 1 + len(_partitions(10, min_part=2)) and set(seen) == {2}
+        # the target, then p2^0 .. p2^5
+        assert len(seen) == 1 + 6 and set(seen) == {2}
 
     def test_partition_generator(self):
         assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]

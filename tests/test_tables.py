@@ -141,9 +141,9 @@ class TestDiscrepantRow:
                 continue
             variant_sum = variant_sum + evaluate_factored(value, entries, n)
         expected = PowerSumPoly({(3,): 1, (2,): F(-3, 2), (): 3})
-        assert to_power_sum(computed_sum, n) == expected
+        assert to_power_sum(computed_sum) == expected
         with pytest.raises(NotSymmetricError):
-            to_power_sum(variant_sum, n)
+            to_power_sum(variant_sum)
 
 
 class TestSymbolicGeneration:
