@@ -12,19 +12,22 @@ becomes exact polynomial arithmetic.  The truncation is sound because
 each t_j occurs in exactly one matrix factor and only the full monomial
 is extracted at the end: every discarded term carries some t_j^2.
 
-No zero pattern reaches the Gram matrix, up to order 8 at least.  By the
-Iwasawa decomposition g = kan, a(gn) = a(g) for every unipotent
-upper-triangular n.  Write M = M1 F_j M2, with F_j = I - t_j E_{a,b} a
-factor with a != b and M2 the factors after it.  Then
-F_j M2 = M2 (I - t_j u w^T), with u = M2^-1 e_a and w^T = e_b^T M2.  When
-every rank in the support of u is below every rank in the support of w,
-that last factor is in N, so M and M1 M2 have the same leading principal
-minors of their Gram matrices: t_j, which occurs in no other factor,
-reaches no Gram norm, and the eigenvalue is zero, read off the factor list
-alone (``_factor_in_n``).  That is a proof for every order.  That it fires
-on every zero pattern, the patterns whose first rank is not 1, and on no
-other, is checked only up to order 8 (451,249 of the 545,835 patterns
-there); above it the support proof below remains the fallback.
+No zero pattern reaches the Gram matrix, at any order.  By the Iwasawa
+decomposition g = kan, a(gn) = a(g) for every unipotent upper-triangular
+n.  Write M = M1 F_k M2, with F_k = I - t_k E_{a,b} a factor with a != b
+and M2 the factors after it.  Then F_k M2 = M2 (I - t_k u w^T), with
+u = M2^-1 e_a and w^T = e_b^T M2.  When every rank in the support of u is
+below every rank in the support of w, that last factor is in N, so M and
+M1 M2 have the same leading principal minors of their Gram matrices: t_k,
+which occurs in no other factor, reaches no Gram norm, and the eigenvalue
+is zero.  Such a factor exists whenever the first rank r = rho_1 is above
+1: take k the last position with rho_k < r.  Then rho_{k+1} >= r > rho_k
+(with rho_{m+1} = rho_1), and every later factor has both ranks >= r, so
+u stays {rho_k} while w holds only ranks >= r.  These are exactly the
+zero patterns of the fast path, an entry below i1, so the oracle proves
+that rule independently, read off the factor list alone
+(``_factor_in_n``), and every pattern that reaches the Gram matrix
+starts at rank 1.
 
 Orthogonalizing the columns is never spelled out: the Gram norms are the
 pivots d_v of the LDL^T factorization of the Gram matrix G = M^T M, which
@@ -33,10 +36,7 @@ at I and takes one rank-two update per factor, each a mask shift.  A
 pivot equal to 1 is not inverted.  The last pivot takes no LDL^T row:
 det G = det(M)^2 is the product of (1 - t_j)^2 = 1 - 2 t_j over the loop
 factors, so the last pivot is that product times the inverses of the
-other pivots, which the LDL^T has formed already.  Before the power
-stage, the masks of the pivots are ORed: if some t_j is in none of them,
-no product of their powers reaches t1*...*tm and the eigenvalue is zero,
-with no power formed.
+other pivots, which the LDL^T has formed already.
 
 Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
 the matrix entries are +-1 path counts, and every pivot has constant
@@ -404,34 +404,27 @@ def build_inverse_matrix(t: IndexTuple, order: RelOrder | None = None) -> JetMat
 
 
 def _factor_in_n(matrix: JetMatrix) -> int | None:
-    """The index j of a factor that moves into N, which makes the eigenvalue 0; None if none does.
+    """The index of a factor that moves into N, which makes the eigenvalue 0; None if rho_1 = 1.
 
-    Moving F_j = I - t_j E_{a,b} past the factors after it, M2, leaves
-    I - t_j u w^T with u = M2^-1 e_a and w^T = e_b^T M2.  Its supports are
-    rank bitmasks: starting from {a} and {b}, the factor (a_i, b_i) adds a_i
-    to u when u holds b_i, and b_i to w when w holds a_i (loops add nothing).
-    When the highest rank of u is below the lowest of w, u w^T is strictly
-    upper triangular, so the moved factor is in N and, since a(gn) = a(g),
-    t_j reaches no Gram norm.  Both masks only grow, so a failed comparison
-    ends the walk.  The last non-loop factor is tried first: after it only
-    loops follow, and the test is a < b.
+    Moving F_k = I - t_k E_{a,b} past the factors after it, M2, leaves
+    I - t_k u w^T with u = M2^-1 e_a and w^T = e_b^T M2.  Walking the later
+    factors (a_i, b_i) from {a} and {b}, u gains a_i when it holds b_i, and
+    w gains b_i when it holds a_i.  When every rank of u is below every
+    rank of w, u w^T is strictly upper triangular, the moved factor is in
+    N and, since a(gn) = a(g), t_k reaches no Gram norm.
+
+    Lemma: if r = rho_1 > 1 and k is the last position with rho_k < r,
+    factor k moves into N.  Factor k is (rho_k, rho_{k+1}), with
+    rho_{m+1} = rho_1, so rho_{k+1} >= r > rho_k and it is not a loop.
+    Every later factor has both ranks >= r.  So no b_i is in u, which stays
+    {rho_k}, and w starts at rho_{k+1} and gains only b_i's, so its lowest
+    rank is >= r.  Hence every pattern whose first rank is not 1 is zero,
+    at every order.  The index returned is k - 1, 0-based like the ranks.
     """
-    factors = matrix.factors
-    for j in reversed(range(len(factors))):
-        a, b = factors[j]
-        if a == b:
-            continue
-        u, w = 1 << a, 1 << b
-        for a_i, b_i in factors[j + 1 :]:
-            if u >> b_i & 1:
-                u |= 1 << a_i
-            if w >> a_i & 1:
-                w |= 1 << b_i
-            if u >= w & -w:
-                break
-        if u < w & -w:
-            return j
-    return None
+    first = matrix.factors[0][0]
+    if first == 0:
+        return None
+    return max(k for k, (a, _) in enumerate(matrix.factors) if a < first)
 
 
 _UNIT = {0: 1}  # coefficients of the jet 1
@@ -525,9 +518,10 @@ def eigenvalue_from_norms(
 ) -> MPoly:
     """Extract the top coefficient of prod_v norm_v^(-x_{i_sigma(v)} / 2).
 
-    Every monomial of the product is a union of pivot masks, so when some
-    t_j divides no monomial of any pivot the top coefficient is zero, and
-    nothing else is formed.  A pivot equal to 1 contributes the factor 1.
+    Zero patterns never get here from ``oracle_eigenvalue``; on one, the
+    t_k of the factor ``_factor_in_n`` names divides no pivot's monomial,
+    so the top coefficient comes out zero with no special case.  A pivot
+    equal to 1 contributes the factor 1.
     Every other factor comes from ``Jet.power``; its coefficients are
     brought to the lcm of their denominators and multiplied on the integer
     numerators, and the denominators multiply up separately until the
@@ -537,12 +531,6 @@ def eigenvalue_from_norms(
     """
     n = t.n
     full = (1 << t.m) - 1
-    support = 0
-    for norm in norms:
-        for mask in norm.coeffs:
-            support |= mask
-    if support != full:
-        return MPoly._trusted(n, 1, {})
     factors = [(rank, norm) for rank, norm in enumerate(norms, start=1) if norm.coeffs != _UNIT]
     den = 1
     product: dict[int, dict[Exponent, int]] = {0: {(0,) * n: 1}}
@@ -573,9 +561,10 @@ def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
 
     This never looks at proper cycles: it follows the Iwasawa route
     (inverse factor matrix, Gram norms as LDL^T pivots, -x/2 powers,
-    mixed partial) in exact arithmetic.  A pattern with a factor that moves
-    into N is zero before any Gram or LDL^T work (``_factor_in_n``); up to
-    order 8 that is every zero pattern.
+    mixed partial) in exact arithmetic.  A pattern whose first rank is not
+    1 has a factor that moves into N, so it is zero before any Gram or
+    LDL^T work (``_factor_in_n``), at every order: these are the patterns
+    the fast path's rule, an entry below i1, calls zero.
     """
     order = relative_order(t)
     matrix = build_inverse_matrix(t, order)

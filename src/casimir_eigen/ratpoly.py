@@ -27,8 +27,8 @@ reductions everything else is expressed in:
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
 
-``_solve_linear``, a fraction-free Gauss-Jordan solve, is behind both
-reductions.
+``_solve_linear``, a fraction-free Gauss-Jordan solve of a system with
+full column rank, is behind both reductions.
 """
 
 from __future__ import annotations
@@ -539,15 +539,19 @@ def _is_symmetric(p: MPoly) -> bool:
 
 
 def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -> list[Fraction] | None:
-    """Exact Gauss-Jordan elimination in integers; one solution, or None if inconsistent.
+    """Exact Gauss-Jordan elimination in integers; the solution, or None if inconsistent.
 
-    Each equation is scaled by the lcm of its denominators, and clearing
-    column c of row i takes p * row_i - a_ic * row_r for the pivot
-    p = a_rc; every row is divided by its gcd, so it stays a nonzero
-    multiple of the row a Fraction elimination would hold.  The pivot is
-    the first nonzero entry at or below the current row, and free
-    variables are 0.  The solution is checked against every equation in
-    integers, over the lcm of its denominators, so None is a proof.
+    Every caller's system has full column rank: p_2..p_n are free on the
+    hyperplane in ``to_power_sum``, and ``interpolate_in_n`` fits a
+    Vandermonde matrix at distinct ranks.  So column c's pivot is row c,
+    the first nonzero entry at or below it, and a column with none is an
+    internal error (RuntimeError, not a ValueError: no input can cause
+    it).  Each equation is scaled by the lcm of its denominators, and
+    clearing column c of row i takes p * row_i - a_ic * row_c for the
+    pivot p = a_cc; every row is divided by its gcd, so it stays a nonzero
+    multiple of the row a Fraction elimination would hold.  The solution
+    is checked against every equation in integers, over the lcm of its
+    denominators, so None is a proof.
     """
     system = []
     for row, b in zip(rows, rhs):
@@ -558,28 +562,21 @@ def _solve_linear(rows: list[list[Fraction | int]], rhs: list[Fraction | int]) -
         system.append([x // g for x in row] if g > 1 else row)
     n_rows, n_cols = len(system), len(rows[0]) if rows else 0
     a = list(system)
-    pivot_of_col: dict[int, int] = {}
     for c in range(n_cols):
-        r = len(pivot_of_col)
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if a[i][c]), None)
+        pivot = next((i for i in range(c, n_rows) if a[i][c]), None)
         if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top, p = a[r], a[r][c]
+            raise RuntimeError(f"column {c} has no pivot: the system is rank-deficient")
+        a[c], a[pivot] = a[pivot], a[c]
+        top, p = a[c], a[c][c]
         for i, row in enumerate(a):
             f = row[c]
-            if f and i != r:
+            if f and i != c:
                 row = [p * x - f * y for x, y in zip(row, top)]
                 g = math.gcd(*row)
                 a[i] = [x // g for x in row] if g > 1 else row
-        pivot_of_col[c] = r
-    if any(row[n_cols] for row in a[len(pivot_of_col) :]):
+    if any(row[n_cols] for row in a[n_cols:]):
         return None
-    solution = [Fraction(0)] * n_cols
-    for c, r in pivot_of_col.items():
-        solution[c] = Fraction(a[r][n_cols], a[r][c])
+    solution = [Fraction(a[c][n_cols], a[c][c]) for c in range(n_cols)]
     den = math.lcm(*(s.denominator for s in solution))
     scaled = [(c, s.numerator * (den // s.denominator)) for c, s in enumerate(solution) if s]
     if any(sum(row[c] * s for c, s in scaled) != row[n_cols] * den for row in system):

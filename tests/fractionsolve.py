@@ -1,16 +1,18 @@
 """A Fraction Gauss-Jordan solver, the reference for ``ratpoly._solve_linear``.
 
-``_solve_linear`` eliminates in integers; this is the textbook elimination
-over Fractions with the same pivot rule (the first nonzero entry of the
-column at or below the current row, free variables 0), so both must return
-the same solution, or both None.
+``_solve_linear`` eliminates in integers and takes only systems of full
+column rank; this is the textbook elimination over Fractions with the
+same pivot rule (the first nonzero entry of the column at or below the
+current row, free variables 0).  On a system of full column rank both
+must return the same solution, or both None; ``matrix_rank`` tells which
+systems those are.
 """
 
 from fractions import Fraction
 
 
-def fraction_solve(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; returns one solution or None if inconsistent."""
+def _eliminate(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> tuple[list[list[Fraction]], dict[int, int]]:
+    """The reduced augmented matrix and the pivot row of each pivot column."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
@@ -31,7 +33,19 @@ def fraction_solve(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> lis
         r += 1
         if r == n_rows:
             break
-    if any(a[i][n_cols] for i in range(r, n_rows)):
+    return a, pivot_of_col
+
+
+def matrix_rank(rows: list[list[Fraction | int]]) -> int:
+    """The rank of the coefficient matrix."""
+    return len(_eliminate(rows, [Fraction(0)] * len(rows))[1])
+
+
+def fraction_solve(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Exact Gaussian elimination; returns one solution or None if inconsistent."""
+    n_cols = len(rows[0]) if rows else 0
+    a, pivot_of_col = _eliminate(rows, rhs)
+    if any(a[i][n_cols] for i in range(len(pivot_of_col), len(rows))):
         return None
     solution = [Fraction(0)] * n_cols
     for c, pr in pivot_of_col.items():

@@ -3,7 +3,8 @@
 No subcommand runs these, so they live here rather than in the package:
 the naive Casimir sum over every tuple, exact evaluation at a point, the
 general ring map (substitute), explicit power sums and their products,
-and the per-case tables looked up and instantiated at concrete indices.
+the per-case tables looked up and instantiated at concrete indices, and
+the support walk that moves a jet-oracle factor into N.
 Each is the direct definition, written without the shortcuts the package
 takes.
 """
@@ -95,6 +96,35 @@ def expand(q: PowerSumPoly, nvars: int) -> MPoly:
             term = term * power_sum(k, nvars)
         out = out + term
     return out
+
+
+def moves_into_n(factors: Sequence[tuple[int, int]], j: int) -> bool:
+    """Whether factor j = (a, b) of an inverse factor matrix moves into N past the factors after it.
+
+    Moving I - t_j E_{a,b} past M2 leaves I - t_j u w^T with u = M2^-1 e_a
+    and w^T = e_b^T M2.  Their supports are rank bitmasks: starting from
+    {a} and {b}, the factor (a_i, b_i) adds a_i to u when u holds b_i, and
+    b_i to w when w holds a_i (loops add nothing).  The factor is in N when
+    the highest rank of u is below the lowest of w.  Both masks only grow,
+    so a failed comparison ends the walk.
+    """
+    a, b = factors[j]
+    if a == b:
+        return False
+    u, w = 1 << a, 1 << b
+    for a_i, b_i in factors[j + 1 :]:
+        if u >> b_i & 1:
+            u |= 1 << a_i
+        if w >> a_i & 1:
+            w |= 1 << b_i
+        if u >= w & -w:
+            return False
+    return u < w & -w
+
+
+def factor_in_n(factors: Sequence[tuple[int, int]]) -> int | None:
+    """The last factor that moves into N by the support walk, or None if none does."""
+    return next((j for j in reversed(range(len(factors))) if moves_into_n(factors, j)), None)
 
 
 def _position(entries: Sequence[int], name: str) -> int:

@@ -4,7 +4,9 @@ Both routes read a tuple only through its relative order, so a check over
 all patterns of order m covers every tuple of that order.  The reference
 implementations below are the plain textbook forms of three oracle stages:
 the Gram matrix as inner products of the matrix columns, classical
-Gram-Schmidt on jets, and the full product of the norm powers.
+Gram-Schmidt on jets, and the full product of the norm powers.  The
+support walk that moves a factor into N, against which ``_factor_in_n``'s
+lemma is checked, is in ``references``.
 """
 
 from fractions import Fraction as F
@@ -22,6 +24,7 @@ from casimir_eigen.jetoracle import (
 )
 from casimir_eigen.ratpoly import MPoly
 from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, parameter, relative_order
+from references import factor_in_n, moves_into_n
 
 
 def patterns(m):
@@ -140,9 +143,10 @@ def test_every_zero_pattern_leaves_a_variable_out_of_every_pivot():
 
 @pytest.mark.parametrize("m, zero", [(6, 3601), pytest.param(7, 37927, marks=pytest.mark.slow)])
 def test_support_proof_settles_every_zero_pattern_of_order(m, zero):
-    # the full route, without the tail proof: the pivots cover every t_j
-    # exactly on the nonzero patterns, and the fast path is zero exactly
-    # when some entry is below the first, i.e. when rho does not start at 1
+    # the full route, without the factor moved into N: the pivots cover
+    # every t_j exactly on the nonzero patterns, and the fast path is zero
+    # exactly when some entry is below the first, i.e. when rho does not
+    # start at 1
     full = (1 << m) - 1
     missed = 0
     for rho in patterns(m):
@@ -196,15 +200,21 @@ def test_factor_in_n_is_sound_up_to_order_five():
     ],
 )
 def test_factor_in_n_fires_exactly_on_the_zero_patterns_of_order(m, count, zero):
-    # the fast path is zero exactly when some entry is below the first, i.e. when rho does not start at 1
+    # the lemma: when rho_1 > 1, the last k with rho_k < rho_1 names a factor that moves into N, and it is
+    # the last one the support walk moves; when rho_1 = 1 no factor moves, and the fast path is nonzero
     seen = fired = 0
     for rho in patterns(m):
         matrix = build_inverse_matrix(pattern_tuple(rho))
-        fires = _factor_in_n(matrix) is not None
-        assert fires == (rho[0] != 1), rho
-        assert fires or not tail_rule(matrix), rho
+        k = _factor_in_n(matrix)
+        if rho[0] == 1:
+            assert k is None, rho
+        else:
+            assert k == max(i for i, v in enumerate(rho) if v < rho[0]), rho
+            assert moves_into_n(matrix.factors, k), rho
+        assert k == factor_in_n(matrix.factors), rho
+        assert k is not None or not tail_rule(matrix), rho
         seen += 1
-        fired += fires
+        fired += k is not None
     assert (seen, fired) == (count, zero)
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from fractionsolve import fraction_solve
+from fractionsolve import fraction_solve, matrix_rank
 from references import eval_at, expand, power_sum
 
 from casimir_eigen import ratpoly
@@ -350,29 +350,35 @@ class TestSolveLinear:
                 rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
             else:
                 rhs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n_rows)]
+            if matrix_rank(rows) < n_cols:  # some column has no pivot
+                with pytest.raises(RuntimeError, match="no pivot"):
+                    _solve_linear(rows, rhs)
+                seen.add("rank-deficient" if any(map(any, rows)) else "all-zero matrix")
+                continue
             expected = fraction_solve(rows, rhs)
             assert _solve_linear(rows, rhs) == expected, (rows, rhs)
             if expected is None:
                 seen.add("inconsistent")
             else:
                 assert all(sum((a * b for a, b in zip(row, expected)), F(0)) == c for row, c in zip(rows, rhs))
-                seen.add("full rank" if rank == n_cols else "rank-deficient")
-            if not any(map(any, rows)):
-                seen.add("all-zero matrix")
-            elif not all(map(any, rows)):
+                seen.add("full rank")
+            if not all(map(any, rows)):
                 seen.add("zero rows")
         assert seen == {"full rank", "rank-deficient", "inconsistent", "all-zero matrix", "zero rows"}
 
-    def test_free_coefficients_are_zero(self):
-        # x + y = 2 with y free, and a zero row: the pivot is x, so y = 0
-        assert _solve_linear([[1, 1], [0, 0]], [F(2), F(0)]) == [F(2), F(0)]
-        assert _solve_linear([[0, F(1, 2)], [0, 1]], [F(1), F(2)]) == [F(0), F(2)]
+    def test_rank_deficient_systems_raise(self):
+        # x + y = 2 and a zero row; y alone in both rows: a column has no pivot, whatever the right-hand side
+        for rows, rhs in [([[1, 1], [0, 0]], [F(2), F(0)]), ([[0, F(1, 2)], [0, 1]], [F(1), F(2)])]:
+            with pytest.raises(RuntimeError, match="no pivot"):
+                _solve_linear(rows, rhs)
 
     def test_degenerate_shapes(self):
         assert _solve_linear([], []) == []
-        assert _solve_linear([[0, 0]], [F(0)]) == [F(0), F(0)]
-        assert _solve_linear([[0, 0]], [F(1, 3)]) is None
-        assert _solve_linear([[2, 4], [1, 2]], [F(2), F(3, 2)]) is None
+        for rows, rhs in [([[0, 0]], [F(0)]), ([[0, 0]], [F(1, 3)]), ([[2, 4], [1, 2]], [F(2), F(3, 2)])]:
+            with pytest.raises(RuntimeError, match="no pivot"):
+                _solve_linear(rows, rhs)
+        assert _solve_linear([[0], [3], [0]], [F(0), F(1), F(0)]) == [F(1, 3)]
+        assert _solve_linear([[1], [2]], [F(1), F(3)]) is None
 
 
 class TestInterpolation:
