@@ -38,29 +38,31 @@ det G = det(M)^2 is the product of (1 - t_j)^2 = 1 - 2 t_j over the loop
 factors, so the last pivot is that product times the inverses of the
 other pivots, which the LDL^T has formed already.
 
-Coefficients are duck-typed.  The matrix/Gram phase runs on plain ints:
+Jet coefficients are ints.  The Gram phase never leaves the integers:
 the matrix entries are +-1 path counts, and every pivot has constant
-term 1, so inverting it never leaves the integers.  Polynomials in the
-Langlands parameters only enter through the exponents -x/2 of the final
-power stage.  There each coefficient of norm^beta is an integer
-combination of the binomials C(beta, k), an MPoly in its own form of
-integer numerators over one denominator; the product of the powers runs
-on those numerators, its last factor only forms the top coefficient, and
-the product of the denominators becomes the result's own, so the power
-stage builds no Fraction.
+term 1, so inverting it is an integer geometric series.  Polynomials in
+the Langlands parameters only enter through the exponents -x/2 of the
+final power stage.  ``Jet.power`` writes each coefficient of norm^beta as
+an integer combination of the binomials C(beta, k), whose numerators
+share one denominator, and returns those integer numerators with it,
+with no MPoly per mask.  The product of the powers runs on the
+numerators, its last factor only forms the top coefficient, and the
+product of the denominators becomes the result's own, so the power stage
+builds one MPoly and no Fraction.
 Every step is a ring operation, so the oracle depends on a tuple only
 through its relative order rho: the eigenvalue of the pattern tuple rho,
 taken in its rank variables, becomes the eigenvalue of every tuple with
 that pattern under the substitution rank k -> parameter of the k-th
 smallest value (see verify_tuples).
 
-Jet multiplication goes through one kernel, ``_add_product``, which
-accumulates sign * a * b into a single dict and skips overlapping masks.
-``Jet.__mul__``, the pivot updates and the powers of nu = norm - 1 all
-accumulate through it, and each builds its result once, with the
-unchecked ``Jet._trusted``: ring operations on valid jets cannot produce
-an invalid mask.  A matrix factor multiplies by a single t_j, which only
-shifts masks, in the matrix and in G alike.  ``eigenvalue_from_norms``
+``Jet`` keeps the three operations the oracle runs: the product, the
+inverse and the power of a pivot.  Jet multiplication goes through one
+kernel, ``_add_product``, which accumulates sign * a * b into a single
+dict and skips overlapping masks.  ``Jet.__mul__``, the pivot updates and
+the powers of nu = norm - 1 all accumulate through it, and each result
+is wrapped once by the unchecked ``Jet`` constructor: products of valid
+jets cannot produce an invalid mask.  A matrix factor multiplies by a
+single t_j, which only shifts masks in G.  ``eigenvalue_from_norms``
 multiplies the powers in its own loop over disjoint mask pairs instead.
 """
 
@@ -75,231 +77,69 @@ from .ratpoly import Exponent, MPoly, _mul_terms
 from .tuplegraph import IndexTuple, RelOrder, parameter, relative_order
 
 
-class NotInvertibleError(ValueError):
-    """Jet has no inverse: its constant term is zero."""
-
-
-_SCALARS = (int, Fraction, MPoly)  # what jet arithmetic takes besides jets
-
-
 class Jet:
-    """Element of Q[a][t1..tm] / (t1^2, ..., tm^2).
+    """Element of Z[t1..tm] / (t1^2, ..., tm^2): a pivot of the oracle's LDL^T.
 
     Coefficients are keyed by bitmask over the m deformation variables
     (bit j-1 set means t_j divides the monomial); zero coefficients are
-    never stored.  Coefficient values may be int, Fraction, or MPoly:
-    multiplication of two terms with overlapping masks vanishes, which is
-    the whole point of the truncation.
-
-    The public constructor checks every mask and takes only int, Fraction
-    or MPoly coefficients, and the operators return NotImplemented for any
-    other scalar, so no float, complex or Decimal gets in.  Ring
-    operations build their results through ``_trusted``, which only drops
-    zeros: it relies on every mask being below 2^m, which holds because
-    sums keep the masks of their operands and ``_add_product`` only forms
-    unions of disjoint ones.
+    never stored.  The constructor checks nothing and only drops zeros: it
+    relies on every mask being below 2^m, which holds because the oracle's
+    jets come from mask shifts of the factor list and ``_add_product`` only
+    forms unions of disjoint masks.  The class has only what the oracle
+    runs; the reference algebra, with its checks and every ring operation,
+    is in the tests.
     """
 
     __slots__ = ("m", "coeffs")
 
-    def __init__(self, m: int, coeffs: dict[int, object] | None = None):
-        if m < 0:
-            raise ValueError("jet needs m >= 0 variables")
-        clean: dict[int, object] = {}
-        full = (1 << m) - 1
-        for mask, c in (coeffs or {}).items():
-            if mask & ~full:
-                raise ValueError(f"mask {mask:b} uses variables beyond t{m}")
-            if not isinstance(c, _SCALARS):
-                raise ValueError(f"coefficient {c!r} is not an int, Fraction or MPoly: jets are exact")
-            if c:
-                clean[mask] = c
+    def __init__(self, m: int, coeffs: dict[int, int]):
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def _trusted(cls, m: int, coeffs: dict[int, object]) -> Jet:
-        """Wrap ``coeffs`` without checks, dropping zeros; see the class docstring."""
-        jet = object.__new__(cls)
-        object.__setattr__(jet, "m", m)
-        object.__setattr__(jet, "coeffs", {mask: c for mask, c in coeffs.items() if c})
-        return jet
+        object.__setattr__(self, "coeffs", {mask: c for mask, c in coeffs.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
-    @classmethod
-    def zero(cls, m: int) -> Jet:
-        return cls(m, {})
+    def __mul__(self, other: Jet) -> Jet:
+        return Jet(self.m, _add_product({}, self.coeffs, other.coeffs))
 
-    @classmethod
-    def one(cls, m: int) -> Jet:
-        return cls(m, {0: 1})
-
-    @classmethod
-    def t(cls, m: int, j: int) -> Jet:
-        """The deformation variable t_j, 1-based."""
-        if not 1 <= j <= m:
-            raise ValueError(f"t index {j} outside 1..{m}")
-        return cls(m, {1 << (j - 1): 1})
-
-    @staticmethod
-    def _mask(m: int, subset: Iterable[int]) -> int:
-        mask = 0
-        for j in subset:
-            if not 1 <= j <= m:
-                raise ValueError(f"subset index {j} outside 1..{m}")
-            bit = 1 << (j - 1)
-            if mask & bit:
-                raise ValueError(f"duplicate index {j} in subset")
-            mask |= bit
-        return mask
-
-    def coefficient(self, subset: Iterable[int]):
-        """Coefficient of prod(t_j for j in subset); 0 if absent."""
-        return self.coeffs.get(Jet._mask(self.m, subset), 0)
-
-    @property
-    def constant_term(self):
-        return self.coeffs.get(0, 0)
-
-    def full_coefficient(self):
-        """Coefficient of t1*...*tm: the mixed partial at the origin."""
-        return self.coeffs.get((1 << self.m) - 1, 0)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: Jet) -> None:
-        if self.m != other.m:
-            raise ValueError(f"jet variable count mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other) -> Jet:
-        out = dict(self.coeffs)
-        if isinstance(other, Jet):
-            self._check(other)
-            for mask, c in other.coeffs.items():
-                out[mask] = out[mask] + c if mask in out else c
-        elif isinstance(other, _SCALARS):
-            out[0] = out[0] + other if 0 in out else other
-        else:
-            return NotImplemented
-        return Jet._trusted(self.m, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Jet:
-        return Jet._trusted(self.m, {mask: -c for mask, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> Jet:
-        if isinstance(other, (Jet, *_SCALARS)):
-            return self + -other
-        return NotImplemented
-
-    def __rsub__(self, other) -> Jet:
-        if isinstance(other, _SCALARS):
-            return (-self) + other
-        return NotImplemented
-
-    def __mul__(self, other) -> Jet:
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet._trusted(self.m, _add_product({}, self.coeffs, other.coeffs))
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return Jet._trusted(self.m, {mask: c * other for mask, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> Jet:
-        if k < 0:
-            raise ValueError("use inv() for negative powers")
-        result = Jet.one(self.m)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Jet):
-            return self.m == other.m and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, MPoly)):
-            return self == Jet(self.m, {0: other})
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    # -- the two series that make Gram-Schmidt exact -------------------------
+    def _nu(self) -> dict[int, int]:
+        """nu = self - 1 as a coefficient dict; the constant term must be 1, as every pivot's is."""
+        if self.coeffs.get(0) != 1:
+            raise RuntimeError("inv() and power() need constant term 1")
+        return {mask: c for mask, c in self.coeffs.items() if mask}
 
     def inv(self) -> Jet:
-        """Exact inverse via the terminating geometric series.
+        """1 / (1 + nu) as the terminating geometric series 1 - nu + nu^2 - ...
 
-        Writes self = c0 * (1 + nu) with c0 rational and nu nilpotent; the
-        series for (1 + nu)^-1 stops after at most m terms.  The powers of
-        nu are formed once on coefficient dicts, summed with alternating
-        signs and wrapped once.  A unit constant term c0 = +-1 is its own
-        inverse, so an integer jet stays integral.
+        The powers of nu are formed once, at most m of them, summed with
+        alternating signs and wrapped once; the result stays integral.
         """
-        c0 = self.constant_term
-        if not c0:
-            raise NotInvertibleError("constant term is zero")
-        c0_inv = int(c0) if c0 in (1, -1) else Fraction(1) / Fraction(c0)
-        nu = {mask: c * c0_inv for mask, c in self.coeffs.items() if mask}
-        out: dict[int, object] = {0: 1}
-        for k, power in enumerate(_nu_powers(nu), start=1):
+        out = {0: 1}
+        for k, power in enumerate(_nu_powers(self._nu()), start=1):
             for mask, c in power.items():
                 if k % 2:
                     c = -c
                 out[mask] = out[mask] + c if mask in out else c
-        if c0_inv != 1:
-            out = {mask: c * c0_inv for mask, c in out.items()}
-        return Jet._trusted(self.m, out)
+        return Jet(self.m, out)
 
-    def power(self, beta: MPoly) -> Jet:
-        """(1 + nu)^beta as the terminating binomial series sum_k C(beta, k) nu^k.
+    def power(self, beta: MPoly) -> tuple[int, dict[int, dict[Exponent, int]]]:
+        """(1 + nu)^beta = sum_k C(beta, k) nu^k as (den, numerators).
 
-        Requires constant term exactly 1 and integer coefficients, as a
-        Gram norm has.  The powers of nu are formed once, so each mask's
-        coefficient is the integer combination sum_k nu^k[mask] * C(beta, k).
-        The binomials C(beta, k) = beta*(beta-1)*...*(beta-k+1)/k!,
-        polynomials in the Langlands parameters, come from ``_binomials`` as
-        integer numerators over one common denominator; each combination is
-        summed on those numerators and becomes one MPoly over it.  Every
-        coefficient of the result, the constant 1 included, is an MPoly in
-        beta's ring.
+        The coefficient of the mask S is the polynomial numerators[S] / den
+        in beta's ring, with integer numerators: the binomials
+        C(beta, k) come from ``_binomials`` over one common denominator
+        den, so each mask's numerator is the integer combination
+        sum_k nu^k[S] * den * C(beta, k).  The constant mask is den itself.
+        Numerators that cancel stay as zeros.
         """
-        if self.constant_term != 1:
-            raise ValueError("power() needs constant term 1")
-        if not all(isinstance(c, int) for c in self.coeffs.values()):
-            raise ValueError("power() needs integer coefficients")
-        powers = _nu_powers({mask: c for mask, c in self.coeffs.items() if mask})
-        den, numerators = _binomials(beta, self.m)
-        combos: dict[int, dict[Exponent, int]] = {}
-        for power, binomial in zip(powers, numerators):
+        den, binomials = _binomials(beta, self.m)
+        out = {0: {(0,) * beta.nvars: den}}
+        for power, binomial in zip(_nu_powers(self._nu()), binomials):
             for mask, c in power.items():
-                acc = combos.setdefault(mask, {})
+                acc = out.setdefault(mask, {})
                 for e, b in binomial.items():
                     acc[e] = acc[e] + c * b if e in acc else c * b
-        out = {0: MPoly._trusted(beta.nvars, 1, {(0,) * beta.nvars: 1})}
-        for mask, acc in combos.items():
-            out[mask] = MPoly._trusted(beta.nvars, den, acc)
-        return Jet._trusted(self.m, out)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        def mono(mask):
-            return "*".join(f"t{j}" for j in range(1, self.m + 1) if mask & (1 << (j - 1)))
-        pieces = []
-        for mask in sorted(self.coeffs, key=lambda s: (bin(s).count("1"), s)):
-            c = self.coeffs[mask]
-            body = str(c)
-            if isinstance(c, MPoly) and len(c.nums) > 1:
-                body = f"({body})"
-            name = mono(mask)
-            pieces.append(f"{body}*{name}" if name and body != "1" else (name or body))
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+        return den, out
 
 
 def _add_product(
@@ -309,7 +149,7 @@ def _add_product(
 
     The one loop over mask pairs.  A pair with overlapping masks carries
     some t_j^2 and dies in the truncation, so it is skipped.  Entries that
-    cancel stay in ``out`` as zeros until ``Jet._trusted`` drops them.
+    cancel stay in ``out`` as zeros until the ``Jet`` constructor drops them.
     """
     for s1, c1 in a.items():
         if sign != 1:
@@ -371,31 +211,15 @@ class JetMatrix(NamedTuple):
     m: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def entries(self) -> tuple[tuple[Jet, ...], ...]:
-        """The matrix as rows of jets, multiplied out from the factors on every read.
-
-        Right-multiplying by I - t_j E_{a,b} replaces column b by
-        col_b - t_j col_a.  No entry has bit j yet, so t_j only sets it and
-        the new masks are new keys; column a is read in full before column b
-        changes, as a may equal b.
-        """
-        cols = [[{0: 1} if r == c else {} for r in range(self.size)] for c in range(self.size)]
-        for j, (a, b) in enumerate(self.factors):
-            bit = 1 << j
-            for cb, ca in zip(cols[b], cols[a]):
-                cb.update([(mask | bit, -c) for mask, c in ca.items()])
-        return tuple(tuple(Jet._trusted(self.m, cols[c][r]) for c in range(self.size)) for r in range(self.size))
-
 
 def build_inverse_matrix(t: IndexTuple, order: RelOrder | None = None) -> JetMatrix:
     """Product of the inverse factors over the compressed index ranks.
 
     The factor for j = 1..m is I - t_j * E_{rho(j), rho(j+1)}, with
-    rho(m+1) = rho(1); the result keeps these rank pairs and multiplies
-    them out only when its ``entries`` are read.  A loop edge's exact
-    factor has t_j/(1+t_j) in place of t_j, but those agree once t_j^2 = 0,
-    so a single factor shape covers both.  ``order`` is the tuple's
+    rho(m+1) = rho(1); the result keeps these rank pairs and never
+    multiplies them out.  A loop edge's exact factor has t_j/(1+t_j) in
+    place of t_j, but those agree once t_j^2 = 0, so a single factor shape
+    covers both.  ``order`` is the tuple's
     relative order, when the caller has it already.
     """
     ro = relative_order(t) if order is None else order
@@ -489,8 +313,8 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
             w = _minus_products(gram[v][k], zip(w_row, lower[k]))
             w_row.append(w)
             inverse = inverses[k]
-            l_row.append((Jet._trusted(m, w) * inverse).coeffs if w and inverse is not None else w)
-        norms.append(Jet._trusted(m, _minus_products(gram[v][v], zip(w_row, l_row))))
+            l_row.append((Jet(m, w) * inverse).coeffs if w and inverse is not None else w)
+        norms.append(Jet(m, _minus_products(gram[v][v], zip(w_row, l_row))))
         lower.append(l_row)
         inverses.append(None if norms[-1].coeffs == _UNIT else norms[-1].inv())
     last = dict(_UNIT)  # det G = prod (1 - 2 t_j) over the loops, then divided by each earlier pivot
@@ -500,7 +324,7 @@ def gram_schmidt_norms(matrix: JetMatrix) -> list[Jet]:
     for inverse in inverses:
         if inverse is not None:
             last = _add_product({}, last, inverse.coeffs)
-    norms.append(Jet._trusted(m, last))
+    norms.append(Jet(m, last))
     return norms
 
 
@@ -522,12 +346,12 @@ def eigenvalue_from_norms(
     t_k of the factor ``_factor_in_n`` names divides no pivot's monomial,
     so the top coefficient comes out zero with no special case.  A pivot
     equal to 1 contributes the factor 1.
-    Every other factor comes from ``Jet.power``; its coefficients are
-    brought to the lcm of their denominators and multiplied on the integer
-    numerators, and the denominators multiply up separately until the
-    result takes them as its own.  The last of these factors F only meets
-    the running product P in the top coefficient sum_S P[S] * F[full - S],
-    so no other mask of the full product is formed.
+    Every other factor comes from ``Jet.power`` as integer numerators over
+    one denominator; the product runs on the numerators, and the
+    denominators multiply up separately until the result takes them as its
+    own.  The last of these factors F only meets the running product P in
+    the top coefficient sum_S P[S] * F[full - S], so no other mask of the
+    full product is formed.
     """
     n = t.n
     full = (1 << t.m) - 1
@@ -537,9 +361,7 @@ def eigenvalue_from_norms(
     top: dict[Exponent, int] = {}
     for rank, norm in factors:
         beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
-        power = norm.power(beta).coeffs
-        factor_den = math.lcm(*(c.den for c in power.values()))
-        factor = {mask: {e: c * (factor_den // p.den) for e, c in p.nums.items()} for mask, p in power.items()}
+        factor_den, factor = norm.power(beta)
         den *= factor_den
         if rank == factors[-1][0]:
             for mask, p in product.items():

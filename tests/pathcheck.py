@@ -5,13 +5,14 @@ on t_S exactly when the edges S, taken in increasing order, chain from v
 to w in the tuple's edge-ordered multigraph.  ``enumerate_paths`` lists
 those chains independently of the jet algebra, and
 ``path_coefficient_check`` compares every coefficient of the oracle's
-matrix against them.
+factor list, multiplied out by the reference jet algebra, against them.
 """
 
 from typing import NamedTuple
 
 from casimir_eigen.jetoracle import build_inverse_matrix
 from casimir_eigen.tuplegraph import IndexTuple, relative_order
+from references import matrix_entries
 
 
 def _edge_ends(t: IndexTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -63,7 +64,7 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
     multigraph; violations are reported, not raised.
     """
     matrix = build_inverse_matrix(t)
-    entries = matrix.entries
+    entries = matrix_entries(matrix)
     ro = relative_order(t)
     m = t.m
     checked = 0

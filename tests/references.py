@@ -3,8 +3,10 @@
 No subcommand runs these, so they live here rather than in the package:
 the naive Casimir sum over every tuple, exact evaluation at a point, the
 general ring map (substitute), explicit power sums and their products,
-the per-case tables looked up and instantiated at concrete indices, and
-the support walk that moves a jet-oracle factor into N.
+the per-case tables looked up and instantiated at concrete indices, the
+support walk that moves a jet-oracle factor into N, and the truncated
+(jet) algebra with every ring operation, against which the oracle's
+product, inverse and power kernels and its factor list are checked.
 Each is the direct definition, written without the shortcuts the package
 takes.
 """
@@ -15,6 +17,7 @@ from typing import Sequence
 
 from casimir_eigen import tables
 from casimir_eigen.casimir import CasimirRequest
+from casimir_eigen.jetoracle import JetMatrix
 from casimir_eigen.ratpoly import MPoly, PowerSumPoly, alpha
 from casimir_eigen.tables import FactoredValue, TableRow
 from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, relative_order
@@ -179,3 +182,190 @@ def evaluate_row(row: TableRow, entries: Sequence[int], n: int) -> MPoly:
     if row.computed is None:
         return MPoly.zero(n)
     return evaluate_factored(row.computed, entries, n)
+
+
+_SCALARS = (int, Fraction, MPoly)  # what jet arithmetic takes besides jets
+
+
+class Jet:
+    """Element of Q[a][t1..tm] / (t1^2, ..., tm^2), written from the definition.
+
+    Coefficients are keyed by bitmask over the m deformation variables
+    (bit j-1 set means t_j divides the monomial); zero coefficients are
+    never stored.  Coefficient values may be int, Fraction or MPoly.  The
+    constructor checks every mask and coefficient, every result goes
+    through it, and the operators return NotImplemented for any other
+    scalar, so no float, complex or Decimal gets in.
+
+    The coefficient of t_S in a product is the subset-split sum
+    sum_{A <= S} a_A * b_{S - A}; the inverse is the geometric series in
+    nu = self / c0 - 1 over Fractions, for any nonzero rational constant
+    c0; the
+    power is the binomial series sum_k C(beta, k) nu^k, with the binomials
+    formed as polynomials.  The series stop because nu^(m+1) = 0.
+    """
+
+    __slots__ = ("m", "coeffs")
+
+    def __init__(self, m: int, coeffs: dict | None = None):
+        if m < 0:
+            raise ValueError("jet needs m >= 0 variables")
+        clean = {}
+        full = (1 << m) - 1
+        for mask, c in (coeffs or {}).items():
+            if mask & ~full:
+                raise ValueError(f"mask {mask:b} uses variables beyond t{m}")
+            if not isinstance(c, _SCALARS):
+                raise ValueError(f"coefficient {c!r} is not an int, Fraction or MPoly: jets are exact")
+            if c:
+                clean[mask] = c
+        self.m = m
+        self.coeffs = clean
+
+    @classmethod
+    def zero(cls, m: int) -> "Jet":
+        return cls(m, {})
+
+    @classmethod
+    def one(cls, m: int) -> "Jet":
+        return cls(m, {0: 1})
+
+    @classmethod
+    def t(cls, m: int, j: int) -> "Jet":
+        """The deformation variable t_j, 1-based."""
+        if not 1 <= j <= m:
+            raise ValueError(f"t index {j} outside 1..{m}")
+        return cls(m, {1 << (j - 1): 1})
+
+    def coefficient(self, subset) -> object:
+        """Coefficient of prod(t_j for j in subset); 0 if absent."""
+        mask = 0
+        for j in subset:
+            if not 1 <= j <= self.m:
+                raise ValueError(f"subset index {j} outside 1..{self.m}")
+            if mask & 1 << (j - 1):
+                raise ValueError(f"duplicate index {j} in subset")
+            mask |= 1 << (j - 1)
+        return self.coeffs.get(mask, 0)
+
+    @property
+    def constant_term(self):
+        return self.coeffs.get(0, 0)
+
+    def full_coefficient(self):
+        """Coefficient of t1*...*tm: the mixed partial at the origin."""
+        return self.coeffs.get((1 << self.m) - 1, 0)
+
+    def _check(self, other: "Jet") -> None:
+        if self.m != other.m:
+            raise ValueError(f"jet variable count mismatch: {self.m} vs {other.m}")
+
+    def __add__(self, other) -> "Jet":
+        if isinstance(other, _SCALARS):
+            other = Jet(self.m, {0: other})
+        elif not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.coeffs)
+        for mask, c in other.coeffs.items():
+            out[mask] = out.get(mask, 0) + c
+        return Jet(self.m, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Jet":
+        return Jet(self.m, {mask: -c for mask, c in self.coeffs.items()})
+
+    def __sub__(self, other) -> "Jet":
+        if isinstance(other, (Jet, *_SCALARS)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other) -> "Jet":
+        if isinstance(other, _SCALARS):
+            return -self + other
+        return NotImplemented
+
+    def __mul__(self, other) -> "Jet":
+        if isinstance(other, _SCALARS):
+            return Jet(self.m, {mask: c * other for mask, c in self.coeffs.items()})
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        out = {}
+        for target in {s1 | s2 for s1 in self.coeffs for s2 in other.coeffs}:  # no other mask splits
+            for sub, c in self.coeffs.items():
+                if not sub & ~target and target ^ sub in other.coeffs:
+                    out[target] = out.get(target, 0) + c * other.coeffs[target ^ sub]
+        return Jet(self.m, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Jet":
+        if k < 0:
+            raise ValueError("use inv() for negative powers")
+        result = Jet.one(self.m)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _SCALARS):
+            other = Jet(self.m, {0: other})
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.m == other.m and self.coeffs == other.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def inv(self) -> "Jet":
+        """c0^-1 * sum_k (-nu)^k with nu = self / c0 - 1, over Fractions."""
+        c0 = self.constant_term
+        if not c0:
+            raise ValueError("constant term is zero")
+        scale = Fraction(1) / c0
+        nu = self * scale - 1
+        total = term = Jet.one(self.m)
+        for _ in range(self.m):
+            term = term * -nu
+            total = total + term
+        return total * scale
+
+    def power(self, beta: MPoly) -> "Jet":
+        """sum_k C(beta, k) nu^k with nu = self - 1, for constant term 1 and integer coefficients."""
+        if self.constant_term != 1:
+            raise ValueError("power() needs constant term 1")
+        if not all(isinstance(c, int) for c in self.coeffs.values()):
+            raise ValueError("power() needs integer coefficients")
+        nu = self - 1
+        total = term = Jet.one(self.m)
+        binomial = MPoly.const(beta.nvars, 1)
+        for k in range(1, self.m + 1):
+            term = term * nu
+            binomial = binomial * (beta - (k - 1)) * Fraction(1, k)
+            total = total + term * binomial
+        return total
+
+    def __repr__(self) -> str:
+        return f"Jet({self.m}, {self.coeffs!r})"
+
+
+def from_numerators(m: int, nvars: int, den: int, numerators: dict) -> Jet:
+    """The jet of polynomials numerators[S] / den, the form the package's ``Jet.power`` returns."""
+    return Jet(m, {mask: MPoly(nvars, {e: Fraction(c, den) for e, c in nums.items()}) for mask, nums in numerators.items()})
+
+
+def matrix_entries(matrix: JetMatrix) -> tuple[tuple[Jet, ...], ...]:
+    """The inverse factor matrix as rows of jets: prod_j (I - t_j E_{a_j, b_j}), multiplied out."""
+    size, m = matrix.size, matrix.m
+    identity = [[Jet.one(m) if r == c else Jet.zero(m) for c in range(size)] for r in range(size)]
+    product = identity
+    for j, (a, b) in enumerate(matrix.factors, start=1):
+        factor = [list(row) for row in identity]
+        factor[a][b] = factor[a][b] - Jet.t(m, j)
+        product = [
+            [sum((row[k] * factor[k][c] for k in range(size) if row[k] and factor[k][c]), Jet.zero(m)) for c in range(size)]
+            for row in product
+        ]
+    return tuple(tuple(row) for row in product)

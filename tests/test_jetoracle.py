@@ -1,4 +1,9 @@
-"""Tests for the jet algebra and the Iwasawa/Gram-Schmidt oracle."""
+"""Tests for the jet kernels and the Iwasawa/Gram-Schmidt oracle.
+
+``Jet`` here is the reference truncated algebra from ``references``; the
+package's kernels, ``jetoracle.Jet``, are checked against it, and the
+oracle's pivots are compared through their ``.coeffs``.
+"""
 
 import itertools
 import math
@@ -14,10 +19,9 @@ try:
 except ImportError:  # the property tests below are then not collected
     st = None
 
+from casimir_eigen import jetoracle
 from casimir_eigen.jetoracle import (
-    Jet,
     JetMatrix,
-    NotInvertibleError,
     _add_product,
     build_inverse_matrix,
     eigenvalue_from_norms,
@@ -27,6 +31,7 @@ from casimir_eigen.jetoracle import (
 from casimir_eigen.ratpoly import MPoly, alpha
 from casimir_eigen.tuplegraph import IndexTuple, relative_order
 from pathcheck import path_coefficient_check
+from references import Jet, from_numerators, matrix_entries
 
 
 def random_jet(rng, m, unit=False, max_terms=4):
@@ -35,6 +40,17 @@ def random_jet(rng, m, unit=False, max_terms=4):
     if unit:
         coeffs[0] = 1
     return Jet(m, coeffs)
+
+
+def kernel(x):
+    """The package's jet with the coefficients of the reference jet x."""
+    return jetoracle.Jet(x.m, x.coeffs)
+
+
+def kernel_power(x, beta):
+    """The package's power of x, read back as a reference jet of polynomials over its denominator."""
+    den, numerators = kernel(x).power(beta)
+    return from_numerators(x.m, beta.nvars, den, numerators)
 
 
 def product_coefficient_brute(jets, subset):
@@ -126,7 +142,7 @@ class TestJetArithmetic:
 
 
 def assert_valid_jet(r):
-    """A ring-operation result is what the checked constructor would build, with canonical polynomials."""
+    """A result is what the reference's checked constructor would build, with canonical polynomials."""
     assert all(0 <= mask < 1 << r.m for mask in r.coeffs)
     assert all(r.coeffs.values()), "a zero coefficient is stored"
     assert r.coeffs == Jet(r.m, r.coeffs).coeffs
@@ -171,6 +187,9 @@ if st is not None:
             a, b = pair
             for r in (a + b, a - b, a * b, -a, a - a, a + c, c + a, a - c, c - a, a * c, c * a, a**2):
                 assert_valid_jet(r)
+            product = kernel(a) * kernel(b)
+            assert_valid_jet(product)
+            assert product.coeffs == (a * b).coeffs
 
         @PROPERTY
         @given(
@@ -180,8 +199,13 @@ if st is not None:
         def test_inverse_and_power(self, a, c0):
             unit = a * c0
             assert_valid_jet(unit.inv())
-            assert_valid_jet(a.power(alpha(1, 2) - alpha(2, 2)))
-            assert_valid_jet(a.power(MPoly.const(2, 0)))
+            assert_valid_jet(kernel(a).inv())
+            for beta in (alpha(1, 2) - alpha(2, 2), MPoly.const(2, 0)):
+                den, numerators = kernel(a).power(beta)
+                assert type(den) is int and den >= 1 and numerators[0] == {(0, 0): den}
+                assert all(0 <= mask < 1 << a.m for mask in numerators)
+                assert all(type(c) is int for nums in numerators.values() for c in nums.values())
+                assert_valid_jet(kernel_power(a, beta))
 
         @PROPERTY
         @given(
@@ -196,9 +220,13 @@ if st is not None:
 
 class TestJetInverse:
     def test_simple(self):
-        assert (1 + Jet.t(2, 1)).inv() == 1 - Jet.t(2, 1)
-        assert Jet.one(3).inv() == Jet.one(3)
-        assert (1 - 2 * Jet.t(2, 2)).inv() == 1 + 2 * Jet.t(2, 2)
+        for x, inverse in [
+            (1 + Jet.t(2, 1), 1 - Jet.t(2, 1)),
+            (Jet.one(3), Jet.one(3)),
+            (1 - 2 * Jet.t(2, 2), 1 + 2 * Jet.t(2, 2)),
+        ]:
+            assert x.inv() == inverse
+            assert kernel(x).inv().coeffs == inverse.coeffs
 
     def test_inverse_property(self):
         rng = random.Random(37)
@@ -206,17 +234,22 @@ class TestJetInverse:
             m = rng.randint(1, 4)
             a = random_jet(rng, m, unit=True)
             assert a * a.inv() == Jet.one(m)
+            assert a * Jet(m, kernel(a).inv().coeffs) == Jet.one(m)
 
     def test_zero_constant_rejected(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(ValueError, match="constant term is zero"):
             Jet.t(2, 1).inv()
+        with pytest.raises(RuntimeError, match="constant term 1"):
+            kernel(Jet.t(2, 1)).inv()
 
     @pytest.mark.parametrize("c0", [1, -1])
     def test_unit_constant_keeps_integers(self, c0):
+        # the kernel takes constant term 1; x with c0 = -1 is inverted as -(-x)^-1
         x = Jet(3, {0: c0, 0b001: 2, 0b110: -3, 0b111: 5})
-        inverse = x.inv()
+        inverse = kernel(x * c0).inv()
         assert all(type(c) is int for c in inverse.coeffs.values())
-        assert x * inverse == Jet.one(3)
+        assert x * Jet(3, inverse.coeffs) * c0 == Jet.one(3)
+        assert Jet(3, inverse.coeffs) * c0 == x.inv()
 
     def test_nonunit_constant_gives_exact_fractions(self):
         x = Jet(2, {0: 2, 0b01: 1, 0b11: 3})
@@ -254,13 +287,14 @@ class TestJetInverse:
 class TestJetPower:
     def test_first_order(self):
         beta = alpha(1, 1)
-        assert (1 + Jet.t(1, 1)).power(beta) == Jet(1, {0: 1, 1: beta})
+        x = 1 + Jet.t(1, 1)
+        assert x.power(beta) == kernel_power(x, beta) == Jet(1, {0: 1, 1: beta})
 
     def test_second_order_binomial(self):
         beta = alpha(1, 1)
-        result = (1 + Jet.t(2, 1) + Jet.t(2, 2)).power(beta)
+        x = 1 + Jet.t(2, 1) + Jet.t(2, 2)
         expected = Jet(2, {0: 1, 1: beta, 2: beta, 3: beta * (beta - 1)})
-        assert result == expected
+        assert x.power(beta) == kernel_power(x, beta) == expected
 
     def test_integer_exponent_cross_check(self):
         rng = random.Random(41)
@@ -268,7 +302,8 @@ class TestJetPower:
             m = rng.randint(1, 4)
             a = random_jet(rng, m, unit=True)
             for k in range(4):
-                via_power = a.power(MPoly.const(1, k))
+                via_power = kernel_power(a, MPoly.const(1, k))
+                assert via_power == a.power(MPoly.const(1, k))
                 direct = a**k
                 # promote int coefficients for comparison
                 assert {s: MPoly.const(1, 0) + c for s, c in via_power.coeffs.items()} == {
@@ -282,33 +317,66 @@ class TestJetPower:
             m = rng.randint(1, 4)
             a = random_jet(rng, m, unit=True)
             assert a.power(beta1 + beta2) == a.power(beta1) * a.power(beta2)
+            assert kernel_power(a, beta1 + beta2) == kernel_power(a, beta1) * kernel_power(a, beta2)
 
     def test_nonunit_constant_rejected(self):
         with pytest.raises(ValueError):
             (2 + Jet.t(1, 1)).power(alpha(1, 1))
+        with pytest.raises(RuntimeError, match="constant term 1"):
+            kernel(2 + Jet.t(1, 1)).power(alpha(1, 1))
 
     def test_rational_coefficients_rejected(self):
         with pytest.raises(ValueError):
             (1 + F(1, 2) * Jet.t(1, 1)).power(alpha(1, 1))
 
 
+class TestKernelsAgainstReference:
+    """The package's product, inverse and power on seeded unit jets, against the reference algebra."""
+
+    @staticmethod
+    def unit_jets(seed, count=60):
+        rng = random.Random(seed)
+        for _ in range(count):
+            m = rng.randint(1, 5)
+            yield rng, random_jet(rng, m, unit=True, max_terms=1 << m)
+
+    def test_product(self):
+        for rng, a in self.unit_jets(61):
+            b = random_jet(rng, a.m, unit=True, max_terms=1 << a.m)
+            assert (kernel(a) * kernel(b)).coeffs == (a * b).coeffs
+
+    def test_inverse(self):
+        for _, a in self.unit_jets(67):
+            inverse = kernel(a).inv()
+            assert all(type(c) is int for c in inverse.coeffs.values())
+            assert inverse.coeffs == a.inv().coeffs
+
+    def test_power(self):
+        x1, x2 = alpha(1, 2), alpha(2, 2)
+        for rng, a in self.unit_jets(71, count=40):
+            k = rng.randint(1, 4)
+            for beta in (x1 - x2, x1 * F(-1, 2), MPoly.const(2, 0), MPoly.const(2, k)):
+                assert kernel_power(a, beta) == a.power(beta), beta
+            assert kernel_power(a, MPoly.const(2, k)) == a**k
+
+
 class TestInverseMatrix:
     def test_two_cycle(self):
-        matrix = build_inverse_matrix(IndexTuple((1, 2), 2))
+        entries = matrix_entries(build_inverse_matrix(IndexTuple((1, 2), 2)))
         t1, t2 = Jet.t(2, 1), Jet.t(2, 2)
-        assert matrix.entries[0][0] == 1 + t1 * t2
-        assert matrix.entries[0][1] == -t1
-        assert matrix.entries[1][0] == -t2
-        assert matrix.entries[1][1] == Jet.one(2)
+        assert entries[0][0] == 1 + t1 * t2
+        assert entries[0][1] == -t1
+        assert entries[1][0] == -t2
+        assert entries[1][1] == Jet.one(2)
 
     def test_single_loop(self):
         matrix = build_inverse_matrix(IndexTuple((1,), 1))
         assert matrix.size == 1
-        assert matrix.entries[0][0] == 1 - Jet.t(1, 1)
+        assert matrix_entries(matrix)[0][0] == 1 - Jet.t(1, 1)
 
     def test_off_diagonal_sign(self):
         matrix = build_inverse_matrix(IndexTuple((1, 2), 2))
-        assert matrix.entries[0][1].coefficient((1,)) == -1
+        assert matrix_entries(matrix)[0][1].coefficient((1,)) == -1
 
     def test_constant_part_is_identity(self):
         rng = random.Random(47)
@@ -316,7 +384,7 @@ class TestInverseMatrix:
             m = rng.randint(1, 5)
             entries = tuple(rng.randint(1, 4) for _ in range(m))
             matrix = build_inverse_matrix(IndexTuple(entries, 4))
-            rows = matrix.entries
+            rows = matrix_entries(matrix)
             for r in range(matrix.size):
                 for c in range(matrix.size):
                     assert rows[r][c].constant_term == (1 if r == c else 0)
@@ -325,17 +393,19 @@ class TestInverseMatrix:
 class TestGramSchmidt:
     def test_identity_matrix(self):
         eye = JetMatrix(size=3, m=2, factors=())
-        assert eye.entries == tuple(tuple(Jet.one(2) if r == c else Jet.zero(2) for c in range(3)) for r in range(3))
-        assert gram_schmidt_norms(eye) == [Jet.one(2)] * 3
+        assert matrix_entries(eye) == tuple(
+            tuple(Jet.one(2) if r == c else Jet.zero(2) for c in range(3)) for r in range(3)
+        )
+        assert [norm.coeffs for norm in gram_schmidt_norms(eye)] == [Jet.one(2).coeffs] * 3
 
     def test_two_cycle_norms(self):
         norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1, 2), 2)))
         t1t2 = Jet.t(2, 1) * Jet.t(2, 2)
-        assert norms == [1 + 2 * t1t2, 1 - 2 * t1t2]
+        assert [norm.coeffs for norm in norms] == [(1 + 2 * t1t2).coeffs, (1 - 2 * t1t2).coeffs]
 
     def test_single_loop_norm(self):
         norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1,), 1)))
-        assert norms == [1 - 2 * Jet.t(1, 1)]
+        assert [norm.coeffs for norm in norms] == [(1 - 2 * Jet.t(1, 1)).coeffs]
 
     def test_norms_stay_integral(self):
         norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1, 3, 2, 3, 1, 2), 3)))
@@ -354,9 +424,10 @@ class TestGramSchmidt:
             matrix = build_inverse_matrix(t)
             norms = gram_schmidt_norms(matrix)
             # recompute basis directly and check pairwise inner products vanish
+            entries = matrix_entries(matrix)
             basis = []
             for v in range(1, matrix.size + 1):
-                col = [row[v - 1] for row in matrix.entries]
+                col = [row[v - 1] for row in entries]
                 for prev in basis:
                     num = _inner(col, prev)
                     col = [c - num * _inner(prev, prev).inv() * p for c, p in zip(col, prev)]
@@ -364,7 +435,7 @@ class TestGramSchmidt:
             for i in range(len(basis)):
                 for j in range(i):
                     assert _inner(basis[i], basis[j]) == Jet.zero(m)
-                assert _inner(basis[i], basis[i]) == norms[i]
+                assert _inner(basis[i], basis[i]).coeffs == norms[i].coeffs
 
 
 def _inner(x, y):
@@ -411,10 +482,10 @@ class TestPathCoefficients:
     def test_two_cycle_entries(self):
         report = path_coefficient_check(IndexTuple((1, 2), 2))
         assert report.ok
-        matrix = build_inverse_matrix(IndexTuple((1, 2), 2))
-        assert matrix.entries[0][0].coefficient((1, 2)) == 1  # (-1)^2 on the 2-cycle
-        assert matrix.entries[0][1].coefficient((2,)) == 0  # edge 2 starts at vertex 2
-        assert matrix.entries[0][0].coefficient(()) == 1  # empty path convention
+        entries = matrix_entries(build_inverse_matrix(IndexTuple((1, 2), 2)))
+        assert entries[0][0].coefficient((1, 2)) == 1  # (-1)^2 on the 2-cycle
+        assert entries[0][1].coefficient((2,)) == 0  # edge 2 starts at vertex 2
+        assert entries[0][0].coefficient(()) == 1  # empty path convention
 
     def test_small_tuples(self):
         for m in range(1, 4):
