@@ -21,7 +21,8 @@ sign conventions and in both the plain and rho-shifted modes.  Both
 routes work the same way: one polynomial per relative-order pattern (the
 oracle's here, the proper-cycle product memoised in tuplegraph), and two
 ring maps per tuple through tuplegraph.specialise, whose value-keyed memo
-lets the routes share a specialisation when their polynomials agree.
+lets the routes share a specialisation when their polynomials agree; a
+zero oracle polynomial takes no ring map.
 verify_tuples imports the oracle when it starts, so the other
 subcommands never load it.
 
@@ -280,7 +281,9 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     variables.  Each tuple's two oracle values are this polynomial with
     rank k replaced by the plain or the rho-shifted parameter of its k-th
     smallest value (tuplegraph.specialise), which is exact because the
-    oracle's power stage uses ring operations only.  The fast path is
+    oracle's power stage uses ring operations only.  A zero pattern
+    polynomial is not specialised: both values are the zero in the n
+    parameters, since every ring map sends zero to zero.  The fast path is
     called on every tuple in both modes and specialises its own signed
     per-pattern product through the same function (see
     elementary_eigenvalue), so the two routes share only the translation
@@ -312,6 +315,7 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     specialise.cache_clear()
     flip = SignConvention.LITERAL.factor(m) * SignConvention.ALTERNATING.factor(m)  # literal / alternating
     pattern_oracles: dict[tuple[int, ...], MPoly] = {}
+    zero_poly = MPoly._trusted(n, 1, {})
     total = zero = match_literal = match_alternating = 0
     literal_everywhere = alternating_everywhere = True  # over the nonzero tuples
     mismatches = []
@@ -321,8 +325,11 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
         pattern_oracle = pattern_oracles.get(order.rho)
         if pattern_oracle is None:
             pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
-        oracle_raw = specialise(pattern_oracle, order.values, n, False)
-        oracle_shifted = specialise(pattern_oracle, order.values, n, True)
+        if pattern_oracle:
+            oracle_raw = specialise(pattern_oracle, order.values, n, False)
+            oracle_shifted = specialise(pattern_oracle, order.values, n, True)
+        else:  # every ring map sends zero to zero
+            oracle_raw = oracle_shifted = zero_poly
         fast_raw = elementary_eigenvalue(t, shifted=False, sign=SignConvention.ALTERNATING, order=order)
         fast_shifted = elementary_eigenvalue(t, shifted=True, sign=SignConvention.ALTERNATING, order=order)
         literal = _equals_signed(fast_raw, oracle_raw, flip) and _equals_signed(fast_shifted, oracle_shifted, flip)

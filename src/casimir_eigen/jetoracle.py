@@ -87,14 +87,18 @@ class Jet:
     jets come from mask shifts of the factor list and ``_add_product`` only
     forms unions of disjoint masks.  The class has only what the oracle
     runs; the reference algebra, with its checks and every ring operation,
-    is in the tests.
+    is in the tests.  The powers of nu = self - 1, which both ``inv`` and
+    ``power`` sum, are formed on the first call of either and kept: the
+    oracle inverts a pivot in the Gram phase and raises the same pivot in
+    the power stage.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "coeffs", "_powers")
 
     def __init__(self, m: int, coeffs: dict[int, int]):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", {mask: c for mask, c in coeffs.items() if c})
+        object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -102,20 +106,22 @@ class Jet:
     def __mul__(self, other: Jet) -> Jet:
         return Jet(self.m, _add_product({}, self.coeffs, other.coeffs))
 
-    def _nu(self) -> dict[int, int]:
-        """nu = self - 1 as a coefficient dict; the constant term must be 1, as every pivot's is."""
-        if self.coeffs.get(0) != 1:
-            raise RuntimeError("inv() and power() need constant term 1")
-        return {mask: c for mask, c in self.coeffs.items() if mask}
+    def _powers_of_nu(self) -> list[dict[int, int]]:
+        """nu, nu^2, ... for nu = self - 1, formed once per jet; the constant term must be 1, as every pivot's is."""
+        if self._powers is None:
+            if self.coeffs.get(0) != 1:
+                raise RuntimeError("inv() and power() need constant term 1")
+            object.__setattr__(self, "_powers", _nu_powers({mask: c for mask, c in self.coeffs.items() if mask}))
+        return self._powers
 
     def inv(self) -> Jet:
         """1 / (1 + nu) as the terminating geometric series 1 - nu + nu^2 - ...
 
-        The powers of nu are formed once, at most m of them, summed with
-        alternating signs and wrapped once; the result stays integral.
+        The powers of nu, at most m of them, are summed with alternating
+        signs and wrapped once; the result stays integral.
         """
         out = {0: 1}
-        for k, power in enumerate(_nu_powers(self._nu()), start=1):
+        for k, power in enumerate(self._powers_of_nu(), start=1):
             for mask, c in power.items():
                 if k % 2:
                     c = -c
@@ -134,7 +140,7 @@ class Jet:
         """
         den, binomials = _binomials(beta, self.m)
         out = {0: {(0,) * beta.nvars: den}}
-        for power, binomial in zip(_nu_powers(self._nu()), binomials):
+        for power, binomial in zip(self._powers_of_nu(), binomials):
             for mask, c in power.items():
                 acc = out.setdefault(mask, {})
                 for e, b in binomial.items():

@@ -306,6 +306,20 @@ class TestVerify:
         # one tuple, zero, matching under both conventions
         assert report == (2, 2, "one tuple", 1, 1, 1, 1, "both", ())
 
+    def test_zero_patterns_take_no_ring_map(self, monkeypatch):
+        # the oracle's side specialises each nonzero tuple once per mode, and no zero one
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return specialise(*args)
+
+        counting.cache_clear = specialise.cache_clear
+        monkeypatch.setattr(casimir, "specialise", counting)
+        report = verify_tuples(3, 3, Exhaustive())
+        assert (report.total, report.zero, report.mismatches) == (27, 13, ())
+        assert len(calls) == 2 * (27 - 13)
+
     def test_exhaustive_consistency_small(self):
         # a single consistent convention across every nonzero tuple,
         # for every (m, n) with m <= 3, n <= 4

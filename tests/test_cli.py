@@ -1,5 +1,6 @@
 """CLI behavior: output formats, determinism, round trips, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import casimir_eigen
-from casimir_eigen import casimir
+from casimir_eigen import casimir, cli
 from casimir_eigen.cli import emit_polynomial_json, main
 from casimir_eigen.ratpoly import ClosedForm, MPoly, alpha
 from polyjson import mpoly_from_obj, parse_polynomial_json
@@ -405,3 +406,48 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
         os.close(write)
     assert proc.returncode == 141, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_run_freezes_the_import_time_heap_before_main(monkeypatch, unfreeze):
+    freeze_counts = []
+    monkeypatch.setattr(cli, "main", lambda: freeze_counts.append(gc.get_freeze_count()) or 0)
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == 0
+    assert len(freeze_counts) == 1 and freeze_counts[0] > 0
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "closed-form", "--m", "2")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+PROCESS_ENTRY_ARGVS = [
+    ["elementary", "--tuple", "1,3,2,1", "--json"],
+    ["casimir", "--m", "3", "--n", "4", "--basis", "power-sum"],
+    ["closed-form", "--m", "3"],
+    ["verify", "--m", "3", "--n", "3", "--exhaustive"],
+    ["tables", "--m", "2", "--format", "json"],
+    ["casimir", "--m", "0", "--n", "2"],  # invalid input: exit 2
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_ENTRY_ARGVS, ids=" ".join)
+def test_process_entry_matches_main(capsys, argv):
+    """A fresh ``python -m casimir_eigen.cli``, which freezes the heap, prints what main() prints in process."""
+    code = main(argv)
+    expected = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "casimir_eigen.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    assert (code, expected.err) == (0, "") or (code == 2 and expected.err.startswith("error: "))

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from casimir_eigen import jetoracle
 from casimir_eigen.jetoracle import (
     _factor_in_n,
     _gram_matrix,
@@ -271,3 +272,20 @@ def test_eigenvalue_is_the_top_of_the_full_product_on_every_pattern():
         order = relative_order(t)
         for shifted in (False, True):
             assert eigenvalue_from_norms(norms, order, t, shifted) == full_product_top(norms, order, t, shifted), rho
+
+
+def test_each_nonunit_pivot_forms_its_nu_powers_once(monkeypatch):
+    # Jet.inv in the Gram phase and Jet.power in the power stage share the powers of nu = pivot - 1
+    calls = []
+    form = jetoracle._nu_powers
+    monkeypatch.setattr(jetoracle, "_nu_powers", lambda nu: calls.append(nu) or form(nu))
+    inverted_and_raised = 0
+    for rho in SMALL:
+        t = pattern_tuple(rho)
+        nonunit = [norm.coeffs != {0: 1} for norm in gram_schmidt_norms(build_inverse_matrix(t))]
+        calls.clear()
+        oracle_eigenvalue(t)
+        expected = sum(nonunit) if rho[0] == 1 else 0
+        assert len(calls) == expected, rho
+        inverted_and_raised += sum(nonunit[:-1]) if rho[0] == 1 else 0
+    assert inverted_and_raised > 0
