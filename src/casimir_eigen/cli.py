@@ -98,7 +98,7 @@ def emit_polynomial_json(value: MPoly | ClosedForm) -> str:
 
 
 def format_mpoly_latex(p: MPoly) -> str:
-    return format_mpoly(p, names=[f"\\alpha_{{{i + 1}}}" for i in range(p.nvars)])
+    return format_mpoly(p, lambda i: f"\\alpha_{{{i + 1}}}")
 
 
 def _format_value(p: MPoly, latex: bool) -> str:

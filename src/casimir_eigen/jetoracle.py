@@ -12,21 +12,14 @@ becomes exact polynomial arithmetic.  The truncation is sound because
 each t_j occurs in exactly one matrix factor and only the full monomial
 is extracted at the end: every discarded term carries some t_j^2.
 
-No zero pattern reaches the Gram matrix, at any order.  By the Iwasawa
-decomposition g = kan, a(gn) = a(g) for every unipotent upper-triangular
-n.  Write M = M1 F_k M2, with F_k = I - t_k E_{a,b} a factor with a != b
-and M2 the factors after it.  Then F_k M2 = M2 (I - t_k u w^T), with
-u = M2^-1 e_a and w^T = e_b^T M2.  When every rank in the support of u is
-below every rank in the support of w, that last factor is in N, so M and
-M1 M2 have the same leading principal minors of their Gram matrices: t_k,
-which occurs in no other factor, reaches no Gram norm, and the eigenvalue
-is zero.  Such a factor exists whenever the first rank r = rho_1 is above
-1: take k the last position with rho_k < r.  Then rho_{k+1} >= r > rho_k
-(with rho_{m+1} = rho_1), and every later factor has both ranks >= r, so
-u stays {rho_k} while w holds only ranks >= r.  These are exactly the
-zero patterns of the fast path, an entry below i1, so the oracle proves
-that rule independently, read off the factor list alone
-(``_factor_in_n``), and every pattern that reaches the Gram matrix
+No zero pattern reaches the Gram matrix, at any order.  Whenever the
+first rank rho_1 is above 1, one factor can be moved past the later ones
+into the unipotent N of the Iwasawa decomposition g = kan, where
+a(gn) = a(g), so its t_k reaches no Gram norm and the eigenvalue is zero;
+``_factor_in_n`` names that factor, and its docstring holds the lemma and
+the proof.  These are exactly the zero patterns of the fast path, an
+entry below i1, so the oracle proves that rule independently, read off
+the factor list alone, and every pattern that reaches the Gram matrix
 starts at rank 1.
 
 Orthogonalizing the columns is never spelled out: the Gram norms are the
@@ -236,12 +229,16 @@ def build_inverse_matrix(t: IndexTuple, order: RelOrder | None = None) -> JetMat
 def _factor_in_n(matrix: JetMatrix) -> int | None:
     """The index of a factor that moves into N, which makes the eigenvalue 0; None if rho_1 = 1.
 
-    Moving F_k = I - t_k E_{a,b} past the factors after it, M2, leaves
-    I - t_k u w^T with u = M2^-1 e_a and w^T = e_b^T M2.  Walking the later
-    factors (a_i, b_i) from {a} and {b}, u gains a_i when it holds b_i, and
-    w gains b_i when it holds a_i.  When every rank of u is below every
-    rank of w, u w^T is strictly upper triangular, the moved factor is in
-    N and, since a(gn) = a(g), t_k reaches no Gram norm.
+    Write M = M1 F_k M2, with F_k = I - t_k E_{a,b} a factor with a != b
+    and M2 the factors after it.  Then F_k M2 = M2 (I - t_k u w^T) with
+    u = M2^-1 e_a and w^T = e_b^T M2.  Walking the later factors (a_i, b_i)
+    from {a} and {b}, u gains a_i when it holds b_i, and w gains b_i when
+    it holds a_i.  When every rank of u is below every rank of w, u w^T is
+    strictly upper triangular and the moved factor is in N.  By the
+    Iwasawa decomposition g = kan, a(gn) = a(g) for every unipotent
+    upper-triangular n, so the Gram matrices of M and M1 M2 have the same
+    leading principal minors: t_k, which occurs in no other factor,
+    reaches no Gram norm, and the eigenvalue is zero.
 
     Lemma: if r = rho_1 > 1 and k is the last position with rho_k < r,
     factor k moves into N.  Factor k is (rho_k, rho_{k+1}), with
@@ -346,7 +343,7 @@ def _minus_products(g: dict[int, object], pairs: Iterable[tuple[dict, dict]]) ->
 def eigenvalue_from_norms(
     norms: Sequence[Jet], order: RelOrder, t: IndexTuple, shifted: bool = False
 ) -> MPoly:
-    """Extract the top coefficient of prod_v norm_v^(-x_{i_sigma(v)} / 2).
+    """Extract the top coefficient of prod_v norm_v^(-x_v / 2), x_v the parameter of rank v's value.
 
     Zero patterns never get here from ``oracle_eigenvalue``; on one, the
     t_k of the factor ``_factor_in_n`` names divides no pivot's monomial,

@@ -23,7 +23,8 @@ reductions everything else is expressed in:
     coefficients at the monomials a^lam with lam a partition: one linear
     equation per partition instead of one per monomial.  The power-sum
     products are eliminated like the target, once per degree and rank
-    min(degree, N), and cached as partition coefficients,
+    min(degree, N), and cached as the system the solver takes: the
+    partitions and, per partition, the products' coefficients there,
   * ``interpolate_in_n``: an exact fit of per-partition coefficients as
     univariate polynomials in the rank symbol n, through every sample.
 
@@ -38,8 +39,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -213,8 +213,6 @@ class MPoly:
 
     def __mul__(self, other) -> MPoly:
         if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
             num = other.numerator
             return MPoly._trusted(self.nvars, self.den * other.denominator, {e: c * num for e, c in self.nums.items()})
         if not isinstance(other, MPoly):
@@ -326,14 +324,8 @@ def format_rat(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _format_monomial(exps: Exponent, names: Sequence[str]) -> str:
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+def _format_monomial(exps: Exponent, name: Callable[[int], str]) -> str:
+    return "*".join(name(i) if e == 1 else f"{name(i)}^{e}" for i, e in enumerate(exps) if e)
 
 
 def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
@@ -355,11 +347,15 @@ def _signed_term(coeff: Fraction, mono: str) -> tuple[bool, str]:
     return coeff > 0, mono if abs(coeff) == 1 else f"{mag}*{mono}"
 
 
-def format_mpoly(p: MPoly, names: Sequence[str] | None = None) -> str:
-    """Canonical human-readable form, e.g. ``a1*a5 - a2*a5 - a1 + a2``."""
-    if names is None:
-        names = [f"a{i + 1}" for i in range(p.nvars)]
-    return _join_signed(_signed_term(c, _format_monomial(e, names)) for e, c in p.sorted_terms())
+def format_mpoly(p: MPoly, name: Callable[[int], str] = lambda i: f"a{i + 1}") -> str:
+    """Canonical human-readable form, e.g. ``a1*a5 - a2*a5 - a1 + a2``.
+
+    ``name`` maps a 0-based variable index to its printed name, ``a{i+1}``
+    by default.  It is asked only for the variables a printed monomial
+    uses, so a polynomial with few terms in many variables makes no name
+    for the rest.
+    """
+    return _join_signed(_signed_term(c, _format_monomial(e, name)) for e, c in p.sorted_terms())
 
 
 def eliminate_last_var(p: MPoly) -> MPoly:
@@ -490,33 +486,37 @@ def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) 
 
 
 @functools.lru_cache(maxsize=None)
-def _power_sum_columns(degree: int, rank: int) -> Mapping[Partition, Mapping[Partition, int]]:
-    """Coefficients of eliminate_last_var(p_mu) at a^lam, keyed by mu and then by lam.
+def _power_sum_columns(
+    degree: int, rank: int
+) -> tuple[tuple[Partition, ...], tuple[Partition, ...], tuple[tuple[int, ...], ...]]:
+    """The system to_power_sum solves at (degree, rank), as (mus, lams, rows).
 
-    mu runs over the partitions of weight <= degree with parts in
-    2..rank + 1, and lam over those with at most rank parts; p_mu is built
-    in rank + 1 variables.  At rank min(degree, n - 1) the mu are those
-    with parts in 2..n, and on the hyperplane sum(a_i) = 0 in n variables
-    p_2..p_n are free generators of the symmetric functions, so the
-    system to_power_sum reads off the columns has one solution.  The
-    image has the same coefficient at a^lam in any N > len(lam)
-    variables: setting a_j = 0 for a j < N commutes with the elimination
-    and leaves each p_k in one variable fewer.  So the columns for rank
-    min(degree, n - 1) serve rank n; they are built on the first call for
-    that pair and shared read-only, and a small rank keeps a high degree
-    cheap.
+    rows[i][j] is the coefficient of eliminate_last_var(p_mu) at a^lam,
+    for lam = lams[i] and mu = mus[j].  The mus are the partitions of
+    weight <= degree with parts in 2..rank + 1, and the lams those with at
+    most rank parts, both in _term_order_key order; p_mu is built in
+    rank + 1 variables.  At rank min(degree, n - 1) the mus are those with
+    parts in 2..n, and on the hyperplane sum(a_i) = 0 in n variables
+    p_2..p_n are free generators of the symmetric functions, so the system
+    has one solution.  The image has the same coefficient at a^lam in any
+    N > len(lam) variables: setting a_j = 0 for a j < N commutes with the
+    elimination and leaves each p_k in one variable fewer.  So the system
+    for rank min(degree, n - 1) serves rank n, and its lams are the
+    partitions to_power_sum reads the target at.  It is built on the first
+    call for that pair and shared as tuples, and a small rank keeps a high
+    degree cheap.
     """
     nvars = rank + 1
     power_sum = {
         k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (rank - i): 1 for i in range(nvars)}) for k in range(2, degree + 1)
     }
-    partitions = _partitions(degree, max_len=rank)
-    columns = {}
-    for mu in [mu for mu in _partitions(degree, min_part=2) if all(k <= nvars for k in mu)]:
+    lams = tuple(_partitions(degree, max_len=rank))
+    mus = tuple(mu for mu in _partitions(degree, min_part=2) if all(k <= nvars for k in mu))
+    columns = []
+    for mu in mus:
         product = functools.reduce(operator.mul, [power_sum[k] for k in mu], MPoly.one(nvars))
-        coeffs = _partition_coeffs(eliminate_last_var(product), partitions)
-        columns[mu] = MappingProxyType(dict(zip(partitions, coeffs)))
-    return MappingProxyType(columns)
+        columns.append(_partition_coeffs(eliminate_last_var(product), lams))
+    return mus, lams, tuple(zip(*columns))
 
 
 def _partition_coeffs(p: MPoly, partitions: Iterable[Partition]) -> list[int]:
@@ -598,27 +598,25 @@ def to_power_sum(p: MPoly) -> PowerSumPoly:
     is, a combination equals it exactly when the two agree at every
     monomial a^lam with lam a partition.  So the system has one row per
     partition of weight <= deg with at most N parts, not one per monomial,
-    and column mu reads the image of p_mu (``_power_sum_columns``) there
-    as the right-hand side reads the target.
+    and column mu reads the image of p_mu there as the right-hand side
+    reads the target.  ``_power_sum_columns`` caches that system per degree
+    and rank min(degree, N); a partition of weight <= deg has at most deg
+    parts, so its rows are these.  The zero polynomial needs no special
+    case: its degree-0 system has the one row () and the solution 0.
 
     Raises:
         NotSymmetricError: no representation exists.
     """
-    if not p:
-        return PowerSumPoly.zero()
     target = eliminate_last_var(p)
     if not _is_symmetric(target):
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
     degree = p.total_degree()
-    rows_at = _partitions(degree, max_len=target.nvars)
-    columns = _power_sum_columns(degree, min(degree, target.nvars))
-    rows = [[column[lam] for column in columns.values()] for lam in rows_at]
+    mus, lams, rows = _power_sum_columns(degree, min(degree, target.nvars))
     # solved on the numerators: dividing the right-hand side by den divides the solution by it
-    rhs = _partition_coeffs(target, rows_at)
-    solution = _solve_linear(rows, rhs)
+    solution = _solve_linear(rows, _partition_coeffs(target, lams))
     if solution is None:
         raise NotSymmetricError("polynomial is not symmetric modulo p1 = 0")
-    return PowerSumPoly({mu: c / target.den for mu, c in zip(columns, solution) if c})
+    return PowerSumPoly({mu: c / target.den for mu, c in zip(mus, solution) if c})
 
 
 # -- closed forms in the rank n ---------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ratpoly import MPoly, format_mpoly
-from .tuplegraph import IndexTuple, SignConvention, proper_cycle_factors, relative_order
+from .tuplegraph import IndexTuple, SignConvention, proper_cycle_factors
 
 
 def _symbol_names(m: int) -> list[str]:
@@ -42,7 +42,7 @@ def _coefficient_vector(form: MPoly) -> tuple[Fraction, ...]:
 
 
 def _render_factor(form: MPoly) -> str:
-    return format_mpoly(form, names=_symbol_names(form.nvars // 2))
+    return format_mpoly(form, _symbol_names(form.nvars // 2).__getitem__)
 
 
 class FactoredValue(NamedTuple):
@@ -86,15 +86,14 @@ def symbolic_shifted_eigenvalue(representative: tuple[int, ...]) -> FactoredValu
     """Factored shifted eigenvalue of a relative-order case, from its minimal tuple.
 
     The representative must use values 1..ell (ranks); each proper cycle
-    of its closed tuple contributes one factor, with cycle values mapped
-    back to position symbols through the first position of each rank.
+    of its closed tuple contributes one factor, with each cycle value v
+    mapped back to the symbol of the first position carrying it.
     """
     m = len(representative)
     t = IndexTuple(representative, max(representative))
-    order = relative_order(t)
-    if order.values != tuple(range(1, order.ell + 1)):
+    if set(representative) != set(range(1, t.n + 1)):
         raise ValueError("representative must use the values 1..ell")
-    factors = proper_cycle_factors(t, lambda v: shifted_symbol(m, order.sigma[v - 1]))
+    factors = proper_cycle_factors(t, lambda v: shifted_symbol(m, representative.index(v) + 1))
     return FactoredValue.from_factors(factors, sign=SignConvention.ALTERNATING.factor(m))
 
 

@@ -95,26 +95,19 @@ class IndexTuple(_IndexTupleFields):
 class RelOrder(NamedTuple):
     """Relative ordering of the tuple's entries.
 
-    rho[j-1] is the rank of entry j among the distinct values (1-based),
-    sigma[v-1] the least position carrying rank v, and values[v-1] the
-    actual value of rank v.
+    rho[j-1] is the rank of entry j among the ell distinct values
+    (1-based), and values[v-1] the actual value of rank v.
     """
 
     ell: int
     rho: tuple[int, ...]
-    sigma: tuple[int, ...]
     values: tuple[int, ...]
 
 
 def relative_order(t: IndexTuple) -> RelOrder:
     distinct = sorted(set(t.entries))
     rank = {v: r for r, v in enumerate(distinct, start=1)}
-    rho = tuple(rank[i] for i in t.entries)
-    sigma = [0] * len(distinct)
-    for pos, r in enumerate(rho, start=1):
-        if sigma[r - 1] == 0:
-            sigma[r - 1] = pos
-    return RelOrder(ell=len(distinct), rho=rho, sigma=tuple(sigma), values=tuple(distinct))
+    return RelOrder(ell=len(distinct), rho=tuple(rank[i] for i in t.entries), values=tuple(distinct))
 
 
 def min_pair(values: Sequence[int]) -> tuple[int, int | None]:

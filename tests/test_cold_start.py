@@ -6,7 +6,8 @@ loaded are compared with those of a bare ``python -c pass``.  Only
 no subcommand may load ``dataclasses`` (its import pulls in ``inspect``,
 ``ast`` and ``dis``).  Every module of the package imports only the
 standard library and its own modules.  An exhaustive ``verify`` keeps
-its peak memory flat as the grid grows.
+its peak memory flat as the grid grows, and printing a zero eigenvalue
+builds nothing per variable, whatever the rank.
 """
 
 import ast
@@ -92,6 +93,10 @@ MEMORY_PROBE = (
 )
 
 
+def _peak_kib(proc: subprocess.CompletedProcess) -> int:
+    return next(int(line.split()[1]) for line in proc.stderr.splitlines() if line.startswith("VmHWM:"))
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_exhaustive_verify_memory_stays_flat():
@@ -100,8 +105,32 @@ def test_exhaustive_verify_memory_stays_flat():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert (report["total"], report["zero"], report["mismatch"]) == (160000, 115900, [])
-    peak_kib = next(int(line.split()[1]) for line in proc.stderr.splitlines() if line.startswith("VmHWM:"))
-    assert peak_kib < 48 * 1024
+    assert _peak_kib(proc) < 48 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("style", [[], ["--latex"]], ids=["text", "latex"])
+def test_printing_a_zero_eigenvalue_at_a_large_rank_stays_small(style):
+    # one name per variable, three million of them, would take about 223 MB just to print "0"
+    proc = _run_fresh(MEMORY_PROBE, "elementary", "--tuple", "2,1", "--n", "3000000", *style)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "eigenvalue: 0"
+    assert _peak_kib(proc) < 48 * 1024
+
+
+CLI = "import sys\nfrom casimir_eigen.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("style", [[], ["--latex"], ["--json"]], ids=["text", "latex", "json"])
+def test_an_entry_beyond_any_machine_int_prints_a_zero_eigenvalue(style):
+    # the rank defaults to the largest entry, 10^23 - 1: no list of that many names may be built
+    big = "99999999999999999999999"
+    proc = _run_fresh(CLI, "elementary", "--tuple", f"{big},1", *style, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if style == ["--json"]:
+        assert json.loads(proc.stdout)["eigenvalue"] == {"nvars": int(big), "terms": []}
+    else:
+        assert proc.stdout.splitlines()[0] == "eigenvalue: 0"
 
 
 def _absolute_imports(path: Path) -> list[str]:

@@ -295,12 +295,14 @@ class TestPartitionRows:
                         image = image * power_sum(k, nvars + 1)
                     images[nvars, mu] = eliminate_last_var(image)
             for rank in range(degree + 1):
-                columns = _power_sum_columns(degree, rank)
+                mus, lams, rows = _power_sum_columns(degree, rank)
                 # the basis: the partitions with parts in 2..rank + 1
                 basis = [mu for mu in _partitions(degree, min_part=2) if all(k <= rank + 1 for k in mu)]
-                assert list(columns) == basis
-                for mu, column in columns.items():
-                    assert sorted(column) == sorted(_partitions(degree, max_len=rank))
+                assert list(mus) == basis
+                assert list(lams) == _partitions(degree, max_len=rank)
+                assert [len(row) for row in rows] == [len(mus)] * len(lams)
+                for j, mu in enumerate(mus):
+                    column = dict(zip(lams, (row[j] for row in rows)))
                     for nvars in range(1, degree + 2):
                         for lam in _partitions(degree, max_len=min(nvars, rank)):
                             padded = lam + (0,) * (nvars - len(lam))
@@ -323,6 +325,10 @@ class TestPartitionRows:
             _power_sum_columns.cache_clear()
         # the target, then p2^0 .. p2^5
         assert len(seen) == 1 + 6 and set(seen) == {2}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_polynomial_solves_its_degree_zero_system(self, n):
+        assert to_power_sum(MPoly(n)) == PowerSumPoly.zero()
 
     def test_partition_generator(self):
         assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]
@@ -456,7 +462,7 @@ class TestFormatting:
 
     def test_custom_names(self):
         p = alpha(1, 2) * alpha(2, 2) * 3
-        assert format_mpoly(p, names=["x", "y"]) == "3*x*y"
+        assert format_mpoly(p, ["x", "y"].__getitem__) == "3*x*y"
 
     def test_coeff_in_n(self):
         assert format_coeff_in_n([F(0), F(1, 2)]) == "n/2"

@@ -147,6 +147,16 @@ class TestDiscrepantRow:
 
 
 class TestSymbolicGeneration:
+    @pytest.mark.parametrize("pattern", [(1, 3, 2), (1, 2, 1, 3), (1, 1, 3, 2), (1, 3, 1, 2)])
+    def test_first_positions_other_than_ranks_match_oracle(self, pattern):
+        # a rank's symbols are those of its first position, which here is not the rank itself
+        from casimir_eigen.jetoracle import oracle_eigenvalue
+
+        value = symbolic_shifted_eigenvalue(pattern)
+        for values, n in [((1, 2, 3), 3), ((2, 4, 5), 6), ((1, 3, 6), 7)]:
+            entries = tuple(values[r - 1] for r in pattern)
+            assert evaluate_factored(value, entries, n) == oracle_eigenvalue(IndexTuple(entries, n), shifted=True)
+
     def test_rejects_non_minimal_representative(self):
         with pytest.raises(ValueError):
             symbolic_shifted_eigenvalue((2, 3))

@@ -73,11 +73,11 @@ class TestRelativeOrder:
 
     def test_all_equal(self):
         ro = relative_order(IndexTuple((3, 3, 3), 3))
-        assert (ro.ell, ro.rho, ro.sigma) == (1, (1, 1, 1), (1,))
+        assert ro == (1, (1, 1, 1), (3,))
 
     def test_two_distinct(self):
         ro = relative_order(IndexTuple((7, 2), 7))
-        assert (ro.rho, ro.sigma) == ((2, 1), (2, 1))
+        assert (ro.rho, ro.values) == ((2, 1), (2, 7))
 
     def test_invariants(self):
         rng = random.Random(5)
@@ -85,10 +85,10 @@ class TestRelativeOrder:
             m = rng.randint(1, 8)
             entries = tuple(rng.randint(1, 6) for _ in range(m))
             ro = relative_order(IndexTuple(entries, 6))
+            assert ro.values == tuple(sorted(set(entries))) and len(ro.values) == ro.ell
+            assert set(ro.rho) == set(range(1, ro.ell + 1))
             for pos in range(1, m + 1):
-                assert ro.sigma[ro.rho[pos - 1] - 1] <= pos
-            for rank in range(1, ro.ell + 1):
-                assert ro.rho[ro.sigma[rank - 1] - 1] == rank
+                assert ro.values[ro.rho[pos - 1] - 1] == entries[pos - 1]
 
 
 class TestMinPair:
