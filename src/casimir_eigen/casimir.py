@@ -276,12 +276,12 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
     Each tuple is checked in both the plain and the rho-shifted mode, so
     a convention only counts as matching when it reproduces the oracle in
     both.  The oracle reads a tuple only through its relative order, so it
-    runs once per distinct pattern rho in this call, on the pattern tuple
-    itself: that gives the eigenvalue as a polynomial in the ell rank
-    variables.  Each tuple's two oracle values are this polynomial with
-    rank k replaced by the plain or the rho-shifted parameter of its k-th
-    smallest value (tuplegraph.specialise), which is exact because the
-    oracle's power stage uses ring operations only.  A zero pattern
+    runs once per distinct pattern rho in this call, on rho itself: that
+    gives the eigenvalue as a polynomial in the ell rank variables.  Each
+    tuple's two oracle values are this polynomial with rank k replaced by
+    the plain or the rho-shifted parameter of its k-th smallest value
+    (tuplegraph.specialise), which is exact because the oracle's power
+    stage uses ring operations only.  A zero pattern
     polynomial is not specialised: both values are the zero in the n
     parameters, since every ring map sends zero to zero.  The fast path is
     called on every tuple in both modes and specialises its own signed
@@ -324,7 +324,7 @@ def verify_tuples(m: int, n: int, selection: Selection) -> VerifyReport:
         order = relative_order(t)
         pattern_oracle = pattern_oracles.get(order.rho)
         if pattern_oracle is None:
-            pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
+            pattern_oracle = pattern_oracles[order.rho] = oracle_eigenvalue(order.rho)
         if pattern_oracle:
             oracle_raw = specialise(pattern_oracle, order.values, n, False)
             oracle_shifted = specialise(pattern_oracle, order.values, n, True)

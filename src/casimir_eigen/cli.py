@@ -110,6 +110,7 @@ def _format_value(p: MPoly, latex: bool) -> str:
 
 def _cmd_elementary(args) -> int:
     t = IndexTuple.parse(args.tuple, n=args.n)
+    args.n = t.n  # the rank, which defaults to the largest entry, for main's error line
     shifted = not args.raw
     value = elementary_eigenvalue(t, shifted=shifted, sign=SignConvention(args.sign))
     cycles = enumerate_cycles(t)
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true", help="plain parameters instead of the rho-shift")
     p.add_argument("--sign", choices=["literal", "alternating"], default="alternating")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--latex", action="store_true", help="render variables as \\alpha_i")
+    p.add_argument("--latex", action="store_true", help="render variables as \\alpha_i, in monomial text output only")
     p.set_defaults(handler=_cmd_elementary)
 
     p = sub.add_parser("casimir", help="eigenvalue of the order-m Casimir operator")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.add_argument("--sign", choices=["literal", "alternating"], default="alternating")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--latex", action="store_true")
+    p.add_argument("--latex", action="store_true", help="render variables as \\alpha_i, in monomial text output only")
     p.set_defaults(handler=_cmd_casimir)
 
     p = sub.add_parser("closed-form", help="rank-symbolic Casimir eigenvalue")
@@ -305,8 +306,17 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that went away shows here, not in the interpreter's last flush
         return code
-    except (ValueError, OverflowError) as exc:  # OverflowError: an index or a rank beyond a machine-size int
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError):
+        # Python refuses an index beyond a machine-size int, or an n-long list too large for memory, at once
+        if "n" not in args:  # closed-form and tables take no rank
+            raise
+        reason = "too large for memory"
+        if args.n > sys.maxsize:
+            reason = f"above the machine-size bound 2^{sys.maxsize.bit_length()} - 1"
+        print(f"error: rank n = {args.n} is {reason}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Nothing more can reach the reader; point stdout at devnull so the final flush cannot raise again.

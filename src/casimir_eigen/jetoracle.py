@@ -34,19 +34,23 @@ other pivots, which the LDL^T has formed already.
 Jet coefficients are ints.  The Gram phase never leaves the integers:
 the matrix entries are +-1 path counts, and every pivot has constant
 term 1, so inverting it is an integer geometric series.  Polynomials in
-the Langlands parameters only enter through the exponents -x/2 of the
-final power stage.  ``Jet.power`` writes each coefficient of norm^beta as
+the rank variables only enter through the exponents -x/2 of the final
+power stage.  ``Jet.power`` writes each coefficient of norm^beta as
 an integer combination of the binomials C(beta, k), whose numerators
 share one denominator, and returns those integer numerators with it,
 with no MPoly per mask.  The product of the powers runs on the
 numerators, its last factor only forms the top coefficient, and the
 product of the denominators becomes the result's own, so the power stage
 builds one MPoly and no Fraction.
-Every step is a ring operation, so the oracle depends on a tuple only
-through its relative order rho: the eigenvalue of the pattern tuple rho,
-taken in its rank variables, becomes the eigenvalue of every tuple with
-that pattern under the substitution rank k -> parameter of the k-th
-smallest value (see verify_tuples).
+
+The oracle takes a rank pattern rho, whose entries are exactly 1..ell,
+and returns its eigenvalue as a polynomial in the ell rank variables x_v,
+pivot v raised to -x_v/2.  Every step is a ring operation, so this is
+the eigenvalue of every tuple with the pattern under the ring map from
+rank k to the plain or rho-shifted parameter of its k-th smallest value.
+verify_tuples applies it with tuplegraph.specialise, whose _rank_map is
+the package's one rho-shift at a concrete rank; the oracle itself shares
+only ``ratpoly`` with the fast path.
 
 ``Jet`` keeps the three operations the oracle runs: the product, the
 inverse and the power of a pivot.  Jet multiplication goes through one
@@ -66,8 +70,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .ratpoly import Exponent, MPoly, _mul_terms
-from .tuplegraph import IndexTuple, RelOrder, parameter, relative_order
+from .ratpoly import Exponent, MPoly, _mul_terms, alpha
 
 
 class Jet:
@@ -211,19 +214,17 @@ class JetMatrix(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
 
-def build_inverse_matrix(t: IndexTuple, order: RelOrder | None = None) -> JetMatrix:
-    """Product of the inverse factors over the compressed index ranks.
+def build_inverse_matrix(rho: tuple[int, ...]) -> JetMatrix:
+    """Product of the inverse factors of the rank pattern rho, whose entries are exactly 1..ell.
 
     The factor for j = 1..m is I - t_j * E_{rho(j), rho(j+1)}, with
     rho(m+1) = rho(1); the result keeps these rank pairs and never
     multiplies them out.  A loop edge's exact factor has t_j/(1+t_j) in
     place of t_j, but those agree once t_j^2 = 0, so a single factor shape
-    covers both.  ``order`` is the tuple's
-    relative order, when the caller has it already.
+    covers both.
     """
-    ro = relative_order(t) if order is None else order
-    ranks = [r - 1 for r in ro.rho]
-    return JetMatrix(size=ro.ell, m=t.m, factors=tuple(zip(ranks, ranks[1:] + ranks[:1])))
+    ranks = [r - 1 for r in rho]
+    return JetMatrix(size=max(rho), m=len(rho), factors=tuple(zip(ranks, ranks[1:] + ranks[:1])))
 
 
 def _factor_in_n(matrix: JetMatrix) -> int | None:
@@ -340,10 +341,8 @@ def _minus_products(g: dict[int, object], pairs: Iterable[tuple[dict, dict]]) ->
     return g if out is None else {mask: c for mask, c in out.items() if c}
 
 
-def eigenvalue_from_norms(
-    norms: Sequence[Jet], order: RelOrder, t: IndexTuple, shifted: bool = False
-) -> MPoly:
-    """Extract the top coefficient of prod_v norm_v^(-x_v / 2), x_v the parameter of rank v's value.
+def eigenvalue_from_norms(norms: Sequence[Jet]) -> MPoly:
+    """Extract the top coefficient of prod_v norm_v^(-x_v / 2), in the ell = len(norms) rank variables x_v.
 
     Zero patterns never get here from ``oracle_eigenvalue``; on one, the
     t_k of the factor ``_factor_in_n`` names divides no pivot's monomial,
@@ -356,14 +355,14 @@ def eigenvalue_from_norms(
     the top coefficient sum_S P[S] * F[full - S], so no other mask of the
     full product is formed.
     """
-    n = t.n
-    full = (1 << t.m) - 1
+    ell = len(norms)
+    full = (1 << norms[0].m) - 1
     factors = [(rank, norm) for rank, norm in enumerate(norms, start=1) if norm.coeffs != _UNIT]
     den = 1
-    product: dict[int, dict[Exponent, int]] = {0: {(0,) * n: 1}}
+    product: dict[int, dict[Exponent, int]] = {0: {(0,) * ell: 1}}
     top: dict[Exponent, int] = {}
     for rank, norm in factors:
-        beta = parameter(order.values[rank - 1], n, shifted) * Fraction(-1, 2)
+        beta = alpha(rank, ell) * Fraction(-1, 2)
         factor_den, factor = norm.power(beta)
         den *= factor_den
         if rank == factors[-1][0]:
@@ -378,11 +377,11 @@ def eigenvalue_from_norms(
                 if not s1 & s2:
                     _mul_terms(p, f, grown.setdefault(s1 | s2, {}))
         product = grown
-    return MPoly._trusted(n, den, top)
+    return MPoly._trusted(ell, den, top)
 
 
-def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
-    """Independent eigenvalue of the elementary operator for the tuple.
+def oracle_eigenvalue(rho: tuple[int, ...]) -> MPoly:
+    """Independent eigenvalue of the rank pattern rho, a polynomial in its ell rank variables.
 
     This never looks at proper cycles: it follows the Iwasawa route
     (inverse factor matrix, Gram norms as LDL^T pivots, -x/2 powers,
@@ -391,8 +390,7 @@ def oracle_eigenvalue(t: IndexTuple, shifted: bool = False) -> MPoly:
     LDL^T work (``_factor_in_n``), at every order: these are the patterns
     the fast path's rule, an entry below i1, calls zero.
     """
-    order = relative_order(t)
-    matrix = build_inverse_matrix(t, order)
+    matrix = build_inverse_matrix(rho)
     if _factor_in_n(matrix) is not None:
-        return MPoly._trusted(t.n, 1, {})
-    return eigenvalue_from_norms(gram_schmidt_norms(matrix), order, t, shifted)
+        return MPoly._trusted(matrix.size, 1, {})
+    return eigenvalue_from_norms(gram_schmidt_norms(matrix))

@@ -315,8 +315,9 @@ class MPoly:
         return f"MPoly({self.nvars}, {self!s})"
 
 
+@functools.lru_cache(maxsize=None)
 def alpha(index: int, nvars: int) -> MPoly:
-    """The Langlands-parameter variable a_index, 1-based."""
+    """The Langlands-parameter variable a_index, 1-based; cached, as MPoly is immutable."""
     return MPoly.variable(nvars, index - 1)
 
 

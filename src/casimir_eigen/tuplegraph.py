@@ -9,19 +9,19 @@ cycle of I (a contiguous sub-list with equal endpoints strictly smaller
 than all interior entries).  The cycles, and so the product, depend on
 the tuple only through its relative order rho: pattern_product forms it
 once per pattern in the ell rank variables, and every tuple of that
-pattern is one MPoly.translate away.  Its rank map sends rank k to the
-parameter a_v of the k-th smallest value v, or to its rho-shift
-a_v + (n+1)/2 - v (specialise, which the oracle's pattern polynomials go
-through too).  Its sign convention is deliberately configurable: the
-product as usually printed disagrees with direct computation by
-(-1)^m, and the jet oracle arbitrates (see jetoracle).
+pattern is one MPoly.translate away.  Its rank map, _rank_map, sends
+rank k to the parameter a_v of the k-th smallest value v, or to its
+rho-shift a_v + (n+1)/2 - v, the package's one rho-shift at a concrete
+rank (specialise, which the oracle's pattern polynomials go through
+too).  Its sign convention is deliberately configurable: the product as
+usually printed disagrees with direct computation by (-1)^m, and the
+jet oracle arbitrates (see jetoracle).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .ratpoly import MPoly, alpha
@@ -172,16 +172,6 @@ def enumerate_proper_cycles(t: IndexTuple) -> list[CycleRecord]:
     return [r for r in enumerate_cycles(t) if r.proper]
 
 
-@functools.lru_cache(maxsize=None)
-def parameter(value: int, n: int, shifted: bool) -> MPoly:
-    """The Langlands parameter a_value, or its rho-shift a_value + (n+1)/2 - value.
-
-    Cached: MPoly is immutable, so every caller can share one value.
-    """
-    x = alpha(value, n)
-    return x + Fraction(n + 1, 2) - value if shifted else x
-
-
 def proper_cycle_factors(t: IndexTuple, x: Callable[[int], MPoly]) -> list[MPoly]:
     """One linear factor per proper cycle of I, in order of start position.
 
@@ -211,7 +201,7 @@ def pattern_product(rho: tuple[int, ...]) -> MPoly:
     are integers.
     """
     ell = max(rho)
-    factors = proper_cycle_factors(IndexTuple(rho, ell), lambda k: parameter(k, ell, False))
+    factors = proper_cycle_factors(IndexTuple(rho, ell), lambda k: alpha(k, ell))
     product = factors[0] if factors else MPoly.one(ell)
     for factor in factors[1:]:
         product = product * factor
@@ -230,10 +220,10 @@ def _memo_pattern_product(rho: tuple[int, ...], sign: int) -> MPoly:
 
 
 def _rank_map(values: tuple[int, ...], n: int, shifted: bool) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The MPoly.translate triple (targets, shifts, q) of rank k -> parameter(values[k-1], n, shifted).
+    """The MPoly.translate triple (targets, shifts, q) of rank k -> a_v or its rho-shift, v = values[k-1].
 
-    Rank k goes to a_v, v = values[k-1], which is variable v - 1, shifted
-    by (n+1)/2 - v in the shifted mode: over q = 2 when n is even, over
+    Rank k goes to the parameter a_v, which is variable v - 1, shifted by
+    (n+1)/2 - v in the shifted mode: over q = 2 when n is even, over
     q = 1 when n is odd, and by 0 in the plain mode.
     """
     targets = tuple(v - 1 for v in values)
@@ -245,7 +235,7 @@ def _rank_map(values: tuple[int, ...], n: int, shifted: bool) -> tuple[tuple[int
 
 @functools.lru_cache(maxsize=4096)
 def specialise(poly: MPoly, values: tuple[int, ...], n: int, shifted: bool) -> MPoly:
-    """The pattern polynomial ``poly`` with rank k sent to parameter(values[k-1], n, shifted).
+    """The pattern polynomial ``poly`` with rank k sent to a_v or its rho-shift, v = values[k-1].
 
     ``poly`` lives in the ell = len(values) rank variables of a relative
     order and ``values`` are the tuple's distinct values, ascending; the

@@ -63,9 +63,9 @@ def path_coefficient_check(t: IndexTuple) -> PathCheckReport:
     is compared against the independent path enumeration on the tuple's
     multigraph; violations are reported, not raised.
     """
-    matrix = build_inverse_matrix(t)
-    entries = matrix_entries(matrix)
     ro = relative_order(t)
+    matrix = build_inverse_matrix(ro.rho)
+    entries = matrix_entries(matrix)
     m = t.m
     checked = 0
     violations = []

@@ -2,7 +2,9 @@
 
 No subcommand runs these, so they live here rather than in the package:
 the naive Casimir sum over every tuple, exact evaluation at a point, the
-general ring map (substitute), explicit power sums and their products,
+general ring map (substitute), the rho-shift of a parameter and the
+oracle's value at a tuple through them, the oracle's top coefficient
+evaluated directly at a tuple, explicit power sums and their products,
 the per-case tables looked up and instantiated at concrete indices, the
 support walk that moves a jet-oracle factor into N, and the truncated
 (jet) algebra with every ring operation, against which the oracle's
@@ -17,10 +19,10 @@ from typing import Sequence
 
 from casimir_eigen import tables
 from casimir_eigen.casimir import CasimirRequest
-from casimir_eigen.jetoracle import JetMatrix
+from casimir_eigen.jetoracle import JetMatrix, oracle_eigenvalue
 from casimir_eigen.ratpoly import MPoly, PowerSumPoly, alpha
 from casimir_eigen.tables import FactoredValue, TableRow
-from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, relative_order
+from casimir_eigen.tuplegraph import IndexTuple, RelOrder, elementary_eigenvalue, relative_order
 
 
 def casimir_eigenvalue(req: CasimirRequest) -> MPoly:
@@ -78,6 +80,22 @@ def substitute(p: MPoly, images: Sequence[MPoly]) -> MPoly:
         for key, c in term.items():
             out[key] = out.get(key, 0) + c
     return MPoly(nvars, out)
+
+
+def parameter(value: int, n: int, shifted: bool) -> MPoly:
+    """The Langlands parameter a_value, or its rho-shift a_value + (n+1)/2 - value."""
+    x = alpha(value, n)
+    return x + Fraction(n + 1, 2) - value if shifted else x
+
+
+def oracle_at(t: IndexTuple, shifted: bool = False) -> MPoly:
+    """The oracle's eigenvalue of a tuple, plain or rho-shifted.
+
+    The oracle's polynomial of the tuple's rank pattern, with rank k sent
+    to the parameter of the k-th smallest value by substitute.
+    """
+    order = relative_order(t)
+    return substitute(oracle_eigenvalue(order.rho), [parameter(v, t.n, shifted) for v in order.values])
 
 
 def power_sum(k: int, nvars: int) -> MPoly:
@@ -369,3 +387,18 @@ def matrix_entries(matrix: JetMatrix) -> tuple[tuple[Jet, ...], ...]:
             for row in product
         ]
     return tuple(tuple(row) for row in product)
+
+
+def full_product_top(norms: Sequence, order: RelOrder, t: IndexTuple, shifted: bool) -> MPoly:
+    """The full-mask coefficient of the whole product of norm_v^(-x/2), at the tuple's own parameters.
+
+    x is the plain or rho-shifted parameter of rank v's value, so this
+    evaluates at the tuple directly, with no pattern polynomial and no
+    ring map; the pivots ``norms`` are read through their ``.coeffs``.
+    """
+    product = Jet.one(t.m)
+    for rank, norm in enumerate(norms, start=1):
+        beta = parameter(order.values[rank - 1], t.n, shifted) * Fraction(-1, 2)
+        product = product * Jet(t.m, norm.coeffs).power(beta)
+    top = product.full_coefficient()
+    return top if isinstance(top, MPoly) else MPoly.const(t.n, top)

@@ -23,10 +23,9 @@ from casimir_eigen.casimir import (
     closed_form,
     verify_tuples,
 )
-from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, relative_order, specialise
-from references import casimir_eigenvalue, eval_at, expand
+from references import casimir_eigenvalue, eval_at, expand, oracle_at
 
 # The expected closed forms, frozen as exact coefficient data:
 #   m=1: 0
@@ -252,7 +251,7 @@ def oracle_nonzero(m, n):
     return tuple(
         entries
         for entries in itertools.product(range(1, n + 1), repeat=m)
-        if any(oracle_eigenvalue(IndexTuple(entries, n), shifted) for shifted in (False, True))
+        if any(oracle_at(IndexTuple(entries, n), shifted) for shifted in (False, True))
     )
 
 
@@ -265,7 +264,7 @@ def reference_report(m, n):
     grid = list(itertools.product(range(1, n + 1), repeat=m))
     for entries in grid:
         t = IndexTuple(entries, n)
-        oracle = [oracle_eigenvalue(t, shifted) for shifted in modes]
+        oracle = [oracle_at(t, shifted) for shifted in modes]
         lit = [elementary_eigenvalue(t, shifted, SignConvention.LITERAL) for shifted in modes] == oracle
         alt = [elementary_eigenvalue(t, shifted, SignConvention.ALTERNATING) for shifted in modes] == oracle
         literal += lit
@@ -288,17 +287,15 @@ class TestVerify:
     def test_loop_after_edge_tuple(self, monkeypatch):
         t = IndexTuple((1, 2, 2), 2)
         expected = (alpha(1, 2) - alpha(2, 2)) * (1 - alpha(2, 2))
-        assert oracle_eigenvalue(t) == elementary_eigenvalue(t) == expected
+        assert oracle_at(t) == elementary_eigenvalue(t) == expected
         report = verify_one(monkeypatch, t.entries, t.n)
         # one tuple, nonzero, matching under the alternating convention only
         assert report == (3, 2, "one tuple", 1, 0, 0, 1, "alternating", ())
 
     def test_worked_tuple_even_order(self):
         t = IndexTuple.parse("1,9,2,5,5,9,6,8,4,5", n=10)
-        from casimir_eigen.jetoracle import oracle_eigenvalue
-
         fast = elementary_eigenvalue(t)
-        assert fast == oracle_eigenvalue(t)
+        assert fast == oracle_at(t)
         assert elementary_eigenvalue(t, sign=SignConvention.LITERAL) == fast  # even m
 
     def test_descending_pair_trivially_matches(self, monkeypatch):
@@ -353,7 +350,7 @@ class TestVerify:
         # with the oracle itself, run on each tuple, as the fast path, every tuple matches
         # exactly when the relabelled pattern oracle is the tuple's oracle in both modes
         def oracle_as_fast_path(t, shifted, sign, order=None):
-            return oracle_eigenvalue(t, shifted)
+            return oracle_at(t, shifted)
 
         monkeypatch.setattr(casimir, "elementary_eigenvalue", oracle_as_fast_path)
         report = verify_tuples(m, n, selection)
@@ -363,9 +360,9 @@ class TestVerify:
         calls, norm_calls = [], []
         oracle, gram_schmidt_norms = jetoracle.oracle_eigenvalue, jetoracle.gram_schmidt_norms
 
-        def counting(t, shifted=False):
-            calls.append(t.entries)
-            return oracle(t, shifted)
+        def counting(rho):
+            calls.append(rho)
+            return oracle(rho)
 
         def counting_norms(matrix):
             norm_calls.append(matrix.size)

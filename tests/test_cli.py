@@ -288,14 +288,23 @@ class TestUsageErrors:
             ["elementary", "--tuple", "99999999999999999999999"],
             ["casimir", "--m", "2", "--n", "99999999999999999999999"],
             ["verify", "--m", "2", "--n", "99999999999999999999999", "--random", "2", "--seed", "1"],
+            ["elementary", "--tuple", "1,99999999999999999999999"],
+            ["elementary", "--tuple", "1,2", "--n", "2000000000000000000"],
+            ["casimir", "--m", "2", "--n", "2000000000000000000"],
+            ["verify", "--m", "2", "--n", "2000000000000000000", "--random", "3", "--seed", "1"],
         ],
     )
     def test_index_too_large_exits_2(self, capsys, argv):
-        # too large for a machine-size index; exit 1 is kept for a verification mismatch
+        # too large for a machine-size index, or an n-long list too large for memory, which Python
+        # refuses before it allocates anything; exit 1 is kept for a verification mismatch
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        rank = int(argv[argv.index("--n") + 1]) if "--n" in argv else max(map(int, argv[2].split(",")))
+        if rank > sys.maxsize:
+            assert captured.err == f"error: rank n = {rank} is above the machine-size bound 2^63 - 1\n"
+        else:
+            assert captured.err == f"error: rank n = {rank} is too large for memory\n"
 
 
 # Full stdout of `tables`, pinned byte for byte.

@@ -4,7 +4,8 @@ Each subcommand runs in its own interpreter, and the modules it leaves
 loaded are compared with those of a bare ``python -c pass``.  Only
 ``verify`` may load the jet oracle, only ``tables`` the tables module, and
 no subcommand may load ``dataclasses`` (its import pulls in ``inspect``,
-``ast`` and ``dis``).  Every module of the package imports only the
+``ast`` and ``dis``).  The jet oracle loads without the fast path's
+``tuplegraph``.  Every module of the package imports only the
 standard library and its own modules.  An exhaustive ``verify`` keeps
 its peak memory flat as the grid grows, and printing a zero eigenvalue
 builds nothing per variable, whatever the rank.
@@ -73,6 +74,15 @@ def test_no_subcommand_loads_dataclasses(loaded_by_subcommand):
 def test_only_verify_loads_the_jet_oracle(loaded_by_subcommand):
     loaders = {name for name, modules in loaded_by_subcommand.items() if "casimir_eigen.jetoracle" in modules}
     assert loaders == {"verify"}
+
+
+def test_the_oracle_loads_without_the_fast_path():
+    # the oracle takes rank patterns and shares only ratpoly with the proper-cycle route
+    modules = _loaded_modules(
+        "import sys\nimport casimir_eigen.jetoracle\nprint('MODULES', *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    assert "casimir_eigen.jetoracle" in modules
+    assert "casimir_eigen.tuplegraph" not in modules
 
 
 def test_only_tables_loads_the_tables(loaded_by_subcommand):

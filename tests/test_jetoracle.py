@@ -31,7 +31,7 @@ from casimir_eigen.jetoracle import (
 from casimir_eigen.ratpoly import MPoly, alpha
 from casimir_eigen.tuplegraph import IndexTuple, relative_order
 from pathcheck import path_coefficient_check
-from references import Jet, from_numerators, matrix_entries
+from references import Jet, from_numerators, full_product_top, matrix_entries, oracle_at
 
 
 def random_jet(rng, m, unit=False, max_terms=4):
@@ -362,7 +362,7 @@ class TestKernelsAgainstReference:
 
 class TestInverseMatrix:
     def test_two_cycle(self):
-        entries = matrix_entries(build_inverse_matrix(IndexTuple((1, 2), 2)))
+        entries = matrix_entries(build_inverse_matrix((1, 2)))
         t1, t2 = Jet.t(2, 1), Jet.t(2, 2)
         assert entries[0][0] == 1 + t1 * t2
         assert entries[0][1] == -t1
@@ -370,12 +370,12 @@ class TestInverseMatrix:
         assert entries[1][1] == Jet.one(2)
 
     def test_single_loop(self):
-        matrix = build_inverse_matrix(IndexTuple((1,), 1))
+        matrix = build_inverse_matrix((1,))
         assert matrix.size == 1
         assert matrix_entries(matrix)[0][0] == 1 - Jet.t(1, 1)
 
     def test_off_diagonal_sign(self):
-        matrix = build_inverse_matrix(IndexTuple((1, 2), 2))
+        matrix = build_inverse_matrix((1, 2))
         assert matrix_entries(matrix)[0][1].coefficient((1,)) == -1
 
     def test_constant_part_is_identity(self):
@@ -383,7 +383,7 @@ class TestInverseMatrix:
         for _ in range(30):
             m = rng.randint(1, 5)
             entries = tuple(rng.randint(1, 4) for _ in range(m))
-            matrix = build_inverse_matrix(IndexTuple(entries, 4))
+            matrix = build_inverse_matrix(relative_order(IndexTuple(entries, 4)).rho)
             rows = matrix_entries(matrix)
             for r in range(matrix.size):
                 for c in range(matrix.size):
@@ -399,16 +399,16 @@ class TestGramSchmidt:
         assert [norm.coeffs for norm in gram_schmidt_norms(eye)] == [Jet.one(2).coeffs] * 3
 
     def test_two_cycle_norms(self):
-        norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1, 2), 2)))
+        norms = gram_schmidt_norms(build_inverse_matrix((1, 2)))
         t1t2 = Jet.t(2, 1) * Jet.t(2, 2)
         assert [norm.coeffs for norm in norms] == [(1 + 2 * t1t2).coeffs, (1 - 2 * t1t2).coeffs]
 
     def test_single_loop_norm(self):
-        norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1,), 1)))
+        norms = gram_schmidt_norms(build_inverse_matrix((1,)))
         assert [norm.coeffs for norm in norms] == [(1 - 2 * Jet.t(1, 1)).coeffs]
 
     def test_norms_stay_integral(self):
-        norms = gram_schmidt_norms(build_inverse_matrix(IndexTuple((1, 3, 2, 3, 1, 2), 3)))
+        norms = gram_schmidt_norms(build_inverse_matrix((1, 3, 2, 3, 1, 2)))
         assert len(norms) == 3
         assert all(type(c) is int for norm in norms for c in norm.coeffs.values())
         assert any(len(norm.coeffs) > 1 for norm in norms[1:])
@@ -420,8 +420,7 @@ class TestGramSchmidt:
         for _ in range(20):
             m = rng.randint(1, 4)
             entries = tuple(rng.randint(1, 3) for _ in range(m))
-            t = IndexTuple(entries, 3)
-            matrix = build_inverse_matrix(t)
+            matrix = build_inverse_matrix(relative_order(IndexTuple(entries, 3)).rho)
             norms = gram_schmidt_norms(matrix)
             # recompute basis directly and check pairwise inner products vanish
             entries = matrix_entries(matrix)
@@ -447,42 +446,47 @@ def _inner(x, y):
 
 class TestOracleEigenvalue:
     def test_single_loop(self):
-        assert oracle_eigenvalue(IndexTuple((1,), 1)) == alpha(1, 1)
+        assert oracle_eigenvalue((1,)) == alpha(1, 1)
 
     def test_two_cycle(self):
-        assert oracle_eigenvalue(IndexTuple((1, 2), 2)) == -alpha(1, 2) + alpha(2, 2)
+        assert oracle_eigenvalue((1, 2)) == -alpha(1, 2) + alpha(2, 2)
 
     def test_descending_pair_vanishes(self):
-        assert oracle_eigenvalue(IndexTuple((2, 1), 2)) == MPoly.zero(2)
+        assert oracle_eigenvalue((2, 1)) == MPoly.zero(2)
 
     def test_loop_after_edge(self):
         expected = (alpha(1, 2) - alpha(2, 2)) * (1 - alpha(2, 2))
-        assert oracle_eigenvalue(IndexTuple((1, 2, 2), 2)) == expected
+        assert oracle_eigenvalue((1, 2, 2)) == expected
 
     def test_rank_padding_is_irrelevant(self):
-        # unshifted values ignore the ambient rank beyond the entries used
+        # unshifted values ignore the ambient rank beyond the entries used, evaluated at the tuple
+        # directly and through the pattern polynomial
         rng = random.Random(59)
         for _ in range(15):
             m = rng.randint(1, 4)
             entries = tuple(rng.randint(1, 3) for _ in range(m))
-            small = oracle_eigenvalue(IndexTuple(entries, 3))
-            padded = oracle_eigenvalue(IndexTuple(entries, 6))
-            embedded = MPoly(6, {e + (0, 0, 0): c for e, c in small.terms.items()})
-            assert embedded == padded
+            small, padded = IndexTuple(entries, 3), IndexTuple(entries, 6)
+            order = relative_order(small)
+            norms = gram_schmidt_norms(build_inverse_matrix(order.rho))
+            direct = [full_product_top(norms, order, t, False) for t in (small, padded)]
+            embedded = MPoly(6, {e + (0, 0, 0): c for e, c in direct[0].terms.items()})
+            assert embedded == direct[1] == oracle_at(padded)
+            assert direct[0] == oracle_at(small)
 
     def test_norm_reuse_matches_direct(self):
         t = IndexTuple((1, 2, 2), 3)
-        norms = gram_schmidt_norms(build_inverse_matrix(t))
         order = relative_order(t)
-        assert eigenvalue_from_norms(norms, order, t, False) == oracle_eigenvalue(t)
-        assert eigenvalue_from_norms(norms, order, t, True) == oracle_eigenvalue(t, shifted=True)
+        norms = gram_schmidt_norms(build_inverse_matrix(order.rho))
+        assert eigenvalue_from_norms(norms) == oracle_eigenvalue(order.rho)
+        assert full_product_top(norms, order, t, False) == oracle_at(t)
+        assert full_product_top(norms, order, t, True) == oracle_at(t, shifted=True)
 
 
 class TestPathCoefficients:
     def test_two_cycle_entries(self):
         report = path_coefficient_check(IndexTuple((1, 2), 2))
         assert report.ok
-        entries = matrix_entries(build_inverse_matrix(IndexTuple((1, 2), 2)))
+        entries = matrix_entries(build_inverse_matrix((1, 2)))
         assert entries[0][0].coefficient((1, 2)) == 1  # (-1)^2 on the 2-cycle
         assert entries[0][1].coefficient((2,)) == 0  # edge 2 starts at vertex 2
         assert entries[0][0].coefficient(()) == 1  # empty path convention
@@ -515,4 +519,4 @@ ORACLE_GOLDEN = [
     ids=["".join(map(str, e)) + ("-shifted" if s else "") for e, _, s, _ in ORACLE_GOLDEN],
 )
 def test_oracle_golden_orders_seven_and_eight(entries, n, shifted, expected):
-    assert str(oracle_eigenvalue(IndexTuple(entries, n), shifted=shifted)) == expected
+    assert str(oracle_at(IndexTuple(entries, n), shifted=shifted)) == expected

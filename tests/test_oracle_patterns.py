@@ -2,16 +2,19 @@
 
 Both routes read a tuple only through its relative order, so a check over
 all patterns of order m covers every tuple of that order.  The reference
-implementations below are the plain textbook forms of three oracle stages:
-the Gram matrix as inner products of the matrix columns, classical
-Gram-Schmidt on jets, and the full product of the norm powers.  They run
-on the reference jet algebra in ``references``, which also holds the
-matrix multiplied out from its factors and the support walk that moves a
-factor into N, against which ``_factor_in_n``'s lemma is checked.  The
-oracle's pivots are compared through their ``.coeffs``.
+implementations below are the plain textbook forms of two oracle stages:
+the Gram matrix as inner products of the matrix columns and classical
+Gram-Schmidt on jets.  They run on the reference jet algebra in
+``references``, which also holds the full product of the norm powers at
+a tuple's own parameters, the matrix multiplied out from its factors and
+the support walk that moves a factor into N, against which
+``_factor_in_n``'s lemma is checked.  The oracle returns a polynomial in
+the rank variables; a tuple's value is that polynomial under the
+reference ring map ``substitute``.  The oracle's pivots are compared
+through their ``.coeffs``.
 """
 
-from fractions import Fraction as F
+import functools
 
 import pytest
 
@@ -24,9 +27,16 @@ from casimir_eigen.jetoracle import (
     gram_schmidt_norms,
     oracle_eigenvalue,
 )
-from casimir_eigen.ratpoly import MPoly
-from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, parameter, relative_order
-from references import Jet, factor_in_n, matrix_entries, moves_into_n
+from casimir_eigen.tuplegraph import IndexTuple, elementary_eigenvalue, relative_order
+from references import (
+    Jet,
+    factor_in_n,
+    full_product_top,
+    matrix_entries,
+    moves_into_n,
+    parameter,
+    substitute,
+)
 
 
 def patterns(m):
@@ -79,16 +89,6 @@ def classical_gram_schmidt_norms(matrix):
     return norms
 
 
-def full_product_top(norms, order, t, shifted):
-    """The full-mask coefficient of the whole product of norm_v^(-x/2), in the reference algebra."""
-    product = Jet.one(t.m)
-    for rank, norm in enumerate(norms, start=1):
-        beta = parameter(order.values[rank - 1], t.n, shifted) * F(-1, 2)
-        product = product * Jet(t.m, norm.coeffs).power(beta)
-    top = product.full_coefficient()
-    return top if isinstance(top, MPoly) else MPoly.const(t.n, top)
-
-
 def pivot_support(norms):
     """The union of the pivots' masks: the t_j that reach some Gram norm."""
     support = 0
@@ -102,11 +102,24 @@ def test_small_orders_have_633_patterns():
     assert len(SMALL) == len(set(SMALL)) == 1 + 3 + 13 + 75 + 541
 
 
+@functools.lru_cache(maxsize=None)
+def at_pattern_tuple(poly, shifted):
+    """A pattern polynomial at the plain or rho-shifted parameters of its pattern tuple, whose values are 1..ell.
+
+    Many patterns share one oracle polynomial (390 distinct ones among
+    the 9,366 nonzero patterns of order 7), so the images are memoised on
+    the polynomial's value.
+    """
+    ell = poly.nvars
+    return substitute(poly, [parameter(v, ell, shifted) for v in range(1, ell + 1)])
+
+
 def assert_oracle_is_the_fast_path(rhos):
     for rho in rhos:
         t = pattern_tuple(rho)
+        oracle = oracle_eigenvalue(rho)
         for shifted in (False, True):
-            assert oracle_eigenvalue(t, shifted) == elementary_eigenvalue(t, shifted), (rho, shifted)
+            assert at_pattern_tuple(oracle, shifted) == elementary_eigenvalue(t, shifted), (rho, shifted)
 
 
 def test_oracle_equals_fast_path_on_every_pattern_up_to_order_five():
@@ -123,7 +136,7 @@ def test_oracle_equals_fast_path_on_every_pattern_of_order(m, count):
 
 def test_rank_two_updates_give_the_gram_matrix_of_the_entries():
     for rho in SMALL:
-        matrix = build_inverse_matrix(pattern_tuple(rho))
+        matrix = build_inverse_matrix(rho)
         entries = matrix_entries(matrix)
         columns = [[row[c] for row in entries] for c in range(matrix.size)]
         gram = _gram_matrix(matrix)
@@ -137,7 +150,7 @@ def test_every_zero_pattern_leaves_a_variable_out_of_every_pivot():
     zero_patterns = dict.fromkeys(range(1, 6), 0)
     for rho in SMALL:
         t = pattern_tuple(rho)
-        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        norms = gram_schmidt_norms(build_inverse_matrix(rho))
         if full_product_top(norms, relative_order(t), t, False):
             continue
         zero_patterns[t.m] += 1
@@ -154,12 +167,11 @@ def test_support_proof_settles_every_zero_pattern_of_order(m, zero):
     full = (1 << m) - 1
     missed = 0
     for rho in patterns(m):
-        t = pattern_tuple(rho)
-        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        norms = gram_schmidt_norms(build_inverse_matrix(rho))
         if pivot_support(norms) != full:
             missed += 1
         else:
-            assert eigenvalue_from_norms(norms, relative_order(t), t, False), rho
+            assert eigenvalue_from_norms(norms), rho
     assert missed == zero == sum(rho[0] != 1 for rho in patterns(m))
 
 
@@ -176,7 +188,7 @@ def test_factor_in_n_is_sound_up_to_order_five():
     proved = dict.fromkeys(range(1, 6), 0)
     for rho in SMALL:
         t = pattern_tuple(rho)
-        matrix = build_inverse_matrix(t)
+        matrix = build_inverse_matrix(rho)
         j = _factor_in_n(matrix)
         if j is None:
             continue
@@ -208,7 +220,7 @@ def test_factor_in_n_fires_exactly_on_the_zero_patterns_of_order(m, count, zero)
     # the last one the support walk moves; when rho_1 = 1 no factor moves, and the fast path is nonzero
     seen = fired = 0
     for rho in patterns(m):
-        matrix = build_inverse_matrix(pattern_tuple(rho))
+        matrix = build_inverse_matrix(rho)
         k = _factor_in_n(matrix)
         if rho[0] == 1:
             assert k is None, rho
@@ -228,7 +240,7 @@ def coeffs(norms):
 
 def assert_norms_are_classical_gram_schmidt(rhos):
     for rho in rhos:
-        matrix = build_inverse_matrix(pattern_tuple(rho))
+        matrix = build_inverse_matrix(rho)
         assert coeffs(gram_schmidt_norms(matrix)) == coeffs(classical_gram_schmidt_norms(matrix)), rho
 
 
@@ -246,7 +258,7 @@ def test_norms_equal_classical_gram_schmidt_on_every_pattern_of_order_six():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_one_rank_pivot_is_the_determinant(m):
     # ell = 1: every factor is a loop, M = prod (1 - t_j) and d_0 = det G = prod (1 - 2 t_j)
-    matrix = build_inverse_matrix(IndexTuple((1,) * m, 1))
+    matrix = build_inverse_matrix((1,) * m)
     assert all(a == b == 0 for a, b in matrix.factors)
     expected = Jet(m, {mask: (-2) ** bin(mask).count("1") for mask in range(1 << m)})
     assert coeffs(gram_schmidt_norms(matrix)) == coeffs(classical_gram_schmidt_norms(matrix)) == [expected.coeffs]
@@ -255,7 +267,7 @@ def test_one_rank_pivot_is_the_determinant(m):
 @pytest.mark.parametrize("rho", [(1, 3, 2, 4, 2, 3), (3, 1, 4, 2, 5, 1, 2)])
 def test_pivots_of_a_pattern_without_loops_have_product_one(rho):
     # no loop factor: det M = 1, so the product of the pivots is det G = 1
-    matrix = build_inverse_matrix(pattern_tuple(rho))
+    matrix = build_inverse_matrix(rho)
     assert all(a != b for a, b in matrix.factors)
     norms = gram_schmidt_norms(matrix)
     assert coeffs(norms) == coeffs(classical_gram_schmidt_norms(matrix))
@@ -268,10 +280,12 @@ def test_pivots_of_a_pattern_without_loops_have_product_one(rho):
 def test_eigenvalue_is_the_top_of_the_full_product_on_every_pattern():
     for rho in SMALL:
         t = pattern_tuple(rho)
-        norms = gram_schmidt_norms(build_inverse_matrix(t))
+        norms = gram_schmidt_norms(build_inverse_matrix(rho))
         order = relative_order(t)
+        value = eigenvalue_from_norms(norms)
         for shifted in (False, True):
-            assert eigenvalue_from_norms(norms, order, t, shifted) == full_product_top(norms, order, t, shifted), rho
+            images = [parameter(v, t.n, shifted) for v in order.values]
+            assert substitute(value, images) == full_product_top(norms, order, t, shifted), rho
 
 
 def test_each_nonunit_pivot_forms_its_nu_powers_once(monkeypatch):
@@ -281,11 +295,22 @@ def test_each_nonunit_pivot_forms_its_nu_powers_once(monkeypatch):
     monkeypatch.setattr(jetoracle, "_nu_powers", lambda nu: calls.append(nu) or form(nu))
     inverted_and_raised = 0
     for rho in SMALL:
-        t = pattern_tuple(rho)
-        nonunit = [norm.coeffs != {0: 1} for norm in gram_schmidt_norms(build_inverse_matrix(t))]
+        nonunit = [norm.coeffs != {0: 1} for norm in gram_schmidt_norms(build_inverse_matrix(rho))]
         calls.clear()
-        oracle_eigenvalue(t)
+        oracle_eigenvalue(rho)
         expected = sum(nonunit) if rho[0] == 1 else 0
         assert len(calls) == expected, rho
         inverted_and_raised += sum(nonunit[:-1]) if rho[0] == 1 else 0
     assert inverted_and_raised > 0
+
+
+@pytest.mark.parametrize("entries", [(1, 4, 2, 5, 3, 6, 2, 7), (1, 3, 2, 4, 1, 2, 5, 3), (1, 1, 2, 1, 3, 2, 1, 4)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_oracle_reads_a_tuple_only_through_its_pattern(entries, shifted):
+    # the direct evaluation at a tuple of rank 16 with the values 2v + 1, beyond its ell ranks,
+    # is the pattern polynomial under the reference ring map to those values' parameters
+    t = IndexTuple(tuple(2 * v + 1 for v in entries), 16)
+    order = relative_order(t)
+    norms = gram_schmidt_norms(build_inverse_matrix(order.rho))
+    images = [parameter(v, t.n, shifted) for v in order.values]
+    assert full_product_top(norms, order, t, shifted) == substitute(oracle_eigenvalue(order.rho), images)

@@ -23,8 +23,8 @@ except ImportError:  # the property tests below are then not collected
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import MPoly, eliminate_last_var
-from casimir_eigen.tuplegraph import IndexTuple, parameter, relative_order, specialise
-from references import eval_at, substitute
+from casimir_eigen.tuplegraph import IndexTuple, relative_order, specialise
+from references import eval_at, parameter, substitute
 
 
 def test_zero_maps_to_the_zero_of_the_images_ring():
@@ -104,7 +104,7 @@ def test_elimination_of_a_shifted_casimir_sum():
 @pytest.mark.parametrize("shifted", [False, True])
 def test_pattern_oracle_at_parameters(entries, shifted):
     order = relative_order(IndexTuple(entries, 9))
-    oracle = oracle_eigenvalue(IndexTuple(order.rho, order.ell))
+    oracle = oracle_eigenvalue(order.rho)
     values = tuple(2 * v + 1 for v in order.values)
     images = [parameter(v, 16, shifted) for v in values]
     assert specialise(oracle, values, 16, shifted) == substitute(oracle, images)
