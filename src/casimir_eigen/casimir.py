@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from typing import Iterable, NamedTuple
 
 from .ratpoly import ClosedForm, MPoly, interpolate_in_n, to_power_sum
@@ -54,10 +55,15 @@ from .tuplegraph import (
 # Terms of an integer polynomial: (exponent tuple, nonzero int coefficient) pairs.
 IntTerms = tuple[tuple[tuple[int, ...], int], ...]
 
+# The error lines' reason for a length no tuple or list can have.
+ABOVE_MACHINE_SIZE = f"above the machine-size bound 2^{sys.maxsize.bit_length()} - 1"
+
 
 def _check_order(m: int) -> None:
     if m < 1:
         raise ValueError("order m must be >= 1")
+    if m > sys.maxsize:
+        raise ValueError(f"order m = {m} is {ABOVE_MACHINE_SIZE}")
 
 
 class _CasimirRequestFields(NamedTuple):

@@ -15,7 +15,7 @@ stdout.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 
 A process loads only what its subcommand runs: the jet oracle is imported
 by verify_tuples and the tables module by the tables handler.  JSON is
-only written here (emit_polynomial_json and the *_to_obj helpers).
+only written here (the *_to_obj helpers; closed-form's emit_polynomial_json).
 
 run() is the process entry of the console script and of ``python -m
 casimir_eigen.cli``.  It freezes the import-time heap (gc.freeze) before
@@ -35,6 +35,7 @@ import sys
 from fractions import Fraction
 
 from .casimir import (
+    ABOVE_MACHINE_SIZE,
     CasimirRequest,
     Exhaustive,
     RandomSample,
@@ -89,9 +90,9 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def emit_polynomial_json(value: MPoly | ClosedForm) -> str:
-    """Canonical byte-reproducible JSON for a polynomial or closed form."""
-    return _dump(mpoly_to_obj(value) if isinstance(value, MPoly) else closed_form_to_obj(value))
+def emit_polynomial_json(form: ClosedForm) -> str:
+    """Canonical byte-reproducible JSON for a closed form."""
+    return _dump(closed_form_to_obj(form))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -315,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             raise
         reason = "too large for memory"
         if args.n > sys.maxsize:
-            reason = f"above the machine-size bound 2^{sys.maxsize.bit_length()} - 1"
+            reason = ABOVE_MACHINE_SIZE
         print(f"error: rank n = {args.n} is {reason}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -154,10 +154,6 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> MPoly:
-        return cls(nvars, {})
-
-    @classmethod
     def const(cls, nvars: int, value: Fraction | int) -> MPoly:
         return cls(nvars, {(0,) * nvars: value})
 
@@ -221,18 +217,6 @@ class MPoly:
         return MPoly._trusted(self.nvars, self.den * other.den, _mul_terms(self.nums, other.nums))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> MPoly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         """Equality of values; polynomials in different rings are never equal."""
@@ -445,7 +429,7 @@ class PowerSumPoly(_PartitionCombination):
     """Rational combination of power-sum products p_k with all parts k >= 2.
 
     This is the output basis for symmetric eigenvalues once p1 = 0 has
-    been imposed.
+    been imposed: to_power_sum returns it.  The zero value is PowerSumPoly().
     """
 
     __slots__ = ()
@@ -453,10 +437,6 @@ class PowerSumPoly(_PartitionCombination):
     @staticmethod
     def _sum(values: list[Fraction | int]) -> Fraction:
         return sum(map(Fraction, values), Fraction(0))
-
-    @classmethod
-    def zero(cls) -> PowerSumPoly:
-        return cls({})
 
     def __str__(self) -> str:
         return _join_signed(_signed_term(c, format_partition(lam)) for lam, c in self.sorted_items())
@@ -630,13 +610,6 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _poly_in_n_eval(coeffs: Sequence[Fraction], n: int) -> Fraction:
-    total = Fraction(0)
-    for k, c in enumerate(coeffs):
-        total += c * n**k
-    return total
-
-
 def format_coeff_in_n(coeffs: Sequence[Fraction]) -> str:
     """Pretty form of a univariate polynomial in n, e.g. ``(n^3 - n)/12``."""
     trimmed = _trim(coeffs)
@@ -660,7 +633,7 @@ class ClosedForm(_PartitionCombination):
     """Power-sum combination whose coefficients are polynomials in the rank n.
 
     Coefficient polynomials are stored as tuples of Fractions in ascending
-    powers of n with trailing zeros trimmed.
+    powers of n with trailing zeros trimmed; only the tests evaluate it at a rank.
     """
 
     __slots__ = ()
@@ -669,10 +642,6 @@ class ClosedForm(_PartitionCombination):
     def _sum(values: list[Sequence[Fraction]]) -> tuple[Fraction, ...]:
         by_power = itertools.zip_longest(*values, fillvalue=0)  # the coefficients of n^0, n^1, ...
         return _trim([sum(map(Fraction, cs), Fraction(0)) for cs in by_power])
-
-    def at(self, n: int) -> PowerSumPoly:
-        """Evaluate every coefficient at a concrete rank n."""
-        return PowerSumPoly({lam: _poly_in_n_eval(cs, n) for lam, cs in self.coeffs.items()})
 
     def __str__(self) -> str:
         return _join_signed(self._signed_item(lam, cs) for lam, cs in self.sorted_items())

@@ -7,7 +7,7 @@ shifted eigenvalue, a short product of linear factors.  Each factor is a
 degree-1 MPoly over the 2m+1 symbols a_i1..a_im, (n+1)/2, i1..im, built by
 the fast path's proper-cycle rule.  Rows render with format_mpoly
 (tests/references.py looks rows up and instantiates them, for exact
-checking).
+checking); eigenvalue_table builds them anew, as a process asks once.
 
 One order-3 case ("i1 < i2 = i3") circulates in print with a different
 closed form than the one exact computation gives; that row carries both
@@ -16,7 +16,6 @@ values and a discrepancy marker, and neither is silently adopted.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -143,15 +142,9 @@ def _pattern_row(pattern: tuple[int, ...]) -> TableRow:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _rows(m: int) -> tuple[TableRow, ...]:
-    """The rows of order m, built once: every row and value in them is immutable."""
+def eigenvalue_table(m: int) -> list[TableRow]:
+    """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern, built on every call."""
     if m not in _PATTERNS:
         raise ValueError("symbolic tables exist for m = 2 and m = 3 only")
     zero_rows = [TableRow(f"i1 > i{j + 1}", None) for j in range(1, m)]
-    return tuple(zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]])
-
-
-def eigenvalue_table(m: int) -> list[TableRow]:
-    """The zero rows i1 > ij for j = 2..m, then one row per nonzero rank pattern, as a new list."""
-    return list(_rows(m))
+    return zero_rows + [_pattern_row(pattern) for pattern in _PATTERNS[m]]

@@ -88,18 +88,14 @@ class IndexTuple(_IndexTupleFields):
             raise ValueError(f"cannot parse index tuple from {text!r}") from None
         return cls(entries, max(entries) if n is None else n)
 
-    def __str__(self) -> str:
-        return ",".join(str(i) for i in self.entries)
-
 
 class RelOrder(NamedTuple):
     """Relative ordering of the tuple's entries.
 
-    rho[j-1] is the rank of entry j among the ell distinct values
-    (1-based), and values[v-1] the actual value of rank v.
+    rho[j-1] is the rank of entry j among the ell = len(values) distinct
+    values (1-based), and values[v-1] the actual value of rank v.
     """
 
-    ell: int
     rho: tuple[int, ...]
     values: tuple[int, ...]
 
@@ -107,7 +103,7 @@ class RelOrder(NamedTuple):
 def relative_order(t: IndexTuple) -> RelOrder:
     distinct = sorted(set(t.entries))
     rank = {v: r for r, v in enumerate(distinct, start=1)}
-    return RelOrder(ell=len(distinct), rho=tuple(rank[i] for i in t.entries), values=tuple(distinct))
+    return RelOrder(rho=tuple(rank[i] for i in t.entries), values=tuple(distinct))
 
 
 def min_pair(values: Sequence[int]) -> tuple[int, int | None]:

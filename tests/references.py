@@ -4,9 +4,10 @@ No subcommand runs these, so they live here rather than in the package:
 the naive Casimir sum over every tuple, exact evaluation at a point, the
 general ring map (substitute), the rho-shift of a parameter and the
 oracle's value at a tuple through them, the oracle's top coefficient
-evaluated directly at a tuple, explicit power sums and their products,
-the per-case tables looked up and instantiated at concrete indices, the
-support walk that moves a jet-oracle factor into N, and the truncated
+evaluated directly at a tuple, powers of a polynomial, explicit power
+sums and their products, a closed form at a concrete rank, the per-case
+tables looked up and instantiated at concrete indices, the support walk
+that moves a jet-oracle factor into N, and the truncated
 (jet) algebra with every ring operation, against which the oracle's
 product, inverse and power kernels and its factor list are checked.
 Each is the direct definition, written without the shortcuts the package
@@ -20,7 +21,7 @@ from typing import Sequence
 from casimir_eigen import tables
 from casimir_eigen.casimir import CasimirRequest
 from casimir_eigen.jetoracle import JetMatrix, oracle_eigenvalue
-from casimir_eigen.ratpoly import MPoly, PowerSumPoly, alpha
+from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha
 from casimir_eigen.tables import FactoredValue, TableRow
 from casimir_eigen.tuplegraph import IndexTuple, RelOrder, elementary_eigenvalue, relative_order
 
@@ -98,19 +99,35 @@ def oracle_at(t: IndexTuple, shifted: bool = False) -> MPoly:
     return substitute(oracle_eigenvalue(order.rho), [parameter(v, t.n, shifted) for v in order.values])
 
 
+def power(p: MPoly, k: int) -> MPoly:
+    """p^k for k >= 0 by repeated squaring; the package itself never raises a polynomial to a power."""
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    result = MPoly.one(p.nvars)
+    while k:
+        if k & 1:
+            result = result * p
+        k >>= 1
+        if k:
+            p = p * p
+    return result
+
+
 def power_sum(k: int, nvars: int) -> MPoly:
-    """p_k = a1^k + ... + aN^k as an explicit polynomial."""
+    """p_k = a1^k + ... + aN^k as an explicit polynomial, one monomial a_i^k per variable."""
     if k < 1:
         raise ValueError("power sums need k >= 1")
-    out = MPoly.zero(nvars)
-    for i in range(nvars):
-        out = out + MPoly.variable(nvars, i) ** k
-    return out
+    return MPoly(nvars, {tuple(k if j == i else 0 for j in range(nvars)): 1 for i in range(nvars)})
+
+
+def closed_form_at(form: ClosedForm, n: int) -> PowerSumPoly:
+    """A closed form at a concrete rank n: each coefficient tuple (c0, c1, ...) summed as c0 + c1*n + ..."""
+    return PowerSumPoly({lam: sum(c * n**k for k, c in enumerate(cs)) for lam, cs in form.coeffs.items()})
 
 
 def expand(q: PowerSumPoly, nvars: int) -> MPoly:
     """Write a power-sum combination out as an explicit polynomial in a1..aN."""
-    out = MPoly.zero(nvars)
+    out = MPoly(nvars)
     for lam, coeff in q.coeffs.items():
         term = MPoly.const(nvars, coeff)
         for k in lam:
@@ -191,14 +208,14 @@ def evaluate_factored(value: FactoredValue, entries: Sequence[int], n: int) -> M
     )
     out = MPoly.const(n, value.sign)
     for form, mult in value.factors:
-        out = out * substitute(form, images) ** mult
+        out = out * power(substitute(form, images), mult)
     return out
 
 
 def evaluate_row(row: TableRow, entries: Sequence[int], n: int) -> MPoly:
     """A row's computed value at concrete indices and rank; the zero rows give 0."""
     if row.computed is None:
-        return MPoly.zero(n)
+        return MPoly(n)
     return evaluate_factored(row.computed, entries, n)
 
 

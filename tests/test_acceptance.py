@@ -24,7 +24,7 @@ from casimir_eigen.tables import eigenvalue_table
 from casimir_eigen.tuplegraph import IndexTuple
 from pathcheck import path_coefficient_check
 from polyjson import closed_form_from_obj
-from references import Jet, casimir_eigenvalue, classify, eval_at, evaluate_factored, evaluate_row, from_numerators
+from references import Jet, casimir_eigenvalue, classify, eval_at, evaluate_factored, evaluate_row, from_numerators, power
 
 EXPECTED_CLOSED_FORMS = {
     1: ClosedForm({}),
@@ -90,8 +90,8 @@ def test_criterion_2_worked_example(capsys):
 
 def test_criterion_3_order2_table(capsys):
     reference = {
-        "i1 > i2": lambda e, n: MPoly.zero(n),
-        "i1 = i2": lambda e, n: _beta(e[0], n) ** 2,
+        "i1 > i2": lambda e, n: MPoly(n),
+        "i1 = i2": lambda e, n: power(_beta(e[0], n), 2),
         "i1 < i2": lambda e, n: -alpha(e[0], n) + alpha(e[1], n) + e[0] - e[1],
     }
     code, out = _cli(capsys, "tables", "--m", "2", "--format", "json")
@@ -108,8 +108,8 @@ def test_criterion_3_order2_table(capsys):
 
 def test_criterion_4_order3_table(capsys):
     reference = {
-        "i1 > i2": lambda e, n: MPoly.zero(n),
-        "i1 > i3": lambda e, n: MPoly.zero(n),
+        "i1 > i2": lambda e, n: MPoly(n),
+        "i1 > i3": lambda e, n: MPoly(n),
         "i1 < i2 < i3": lambda e, n: alpha(e[0], n) - alpha(e[1], n) - e[0] + e[1],
         "i1 < i3 < i2": lambda e, n: alpha(e[0], n) - alpha(e[2], n) - e[0] + e[2],
         "i1 = i2 < i3": lambda e, n: _beta(e[0], n)
@@ -118,7 +118,7 @@ def test_criterion_4_order3_table(capsys):
         * (-alpha(e[0], n) + alpha(e[1], n) + e[0] - e[1]),
         # computed value; the printed variant is checked separately below
         "i1 < i2 = i3": lambda e, n: (_beta(e[0], n) - _beta(e[1], n)) * (1 - _beta(e[1], n)),
-        "i1 = i2 = i3": lambda e, n: _beta(e[0], n) ** 3,
+        "i1 = i2 = i3": lambda e, n: power(_beta(e[0], n), 3),
     }
     printed_variant = lambda e, n: (
         alpha(e[0], n)
@@ -150,7 +150,7 @@ def test_criterion_4_order3_table(capsys):
                 assert evaluate_factored(row.variant, entries, n) != evaluate_row(row, entries, n)
 
     # the computed rows must sum over {1,2,3}^3 at n=3 to p3 - (3/2) p2 + 3
-    total = MPoly.zero(3)
+    total = MPoly(3)
     for entries in itertools.product(range(1, 4), repeat=3):
         total = total + evaluate_row(classify(3, entries), entries, 3)
     assert to_power_sum(total) == PowerSumPoly({(3,): 1, (2,): F(-3, 2), (): 3})

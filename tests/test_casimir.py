@@ -25,7 +25,7 @@ from casimir_eigen.casimir import (
 )
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha, to_power_sum
 from casimir_eigen.tuplegraph import IndexTuple, SignConvention, elementary_eigenvalue, relative_order, specialise
-from references import casimir_eigenvalue, eval_at, expand, oracle_at
+from references import casimir_eigenvalue, closed_form_at, eval_at, expand, oracle_at
 
 # The expected closed forms, frozen as exact coefficient data:
 #   m=1: 0
@@ -76,7 +76,7 @@ class TestCasimirSum:
     def test_order_one_vanishes(self):
         for n in range(1, 9):
             request = CasimirRequest(m=1, n=n)
-            assert to_power_sum(casimir_eigenvalue(request)) == PowerSumPoly.zero()
+            assert to_power_sum(casimir_eigenvalue(request)) == PowerSumPoly()
 
     def test_order_two_rank_three(self):
         value = to_power_sum(casimir_eigenvalue(CasimirRequest(m=2, n=3)))
@@ -91,7 +91,7 @@ class TestCasimirSum:
         assert value == PowerSumPoly({(2,): 1, (): F(-1, 2)})
         # and in the monomial basis: a1^2 + a2^2 - 1/2
         raw = casimir_eigenvalue(CasimirRequest(m=2, n=2))
-        assert raw == alpha(1, 2) ** 2 + alpha(2, 2) ** 2 - F(1, 2)
+        assert raw == alpha(1, 2) * alpha(1, 2) + alpha(2, 2) * alpha(2, 2) - F(1, 2)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -177,13 +177,13 @@ class TestClosedForm:
             form = closed_form(m)
             for n in range(m, 2 * m + 3):
                 direct = to_power_sum(casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n)))
-                assert form.at(n) == direct
+                assert closed_form_at(form, n) == direct
 
     def test_order_five(self):
         form = closed_form(5)
         assert form == CLOSED_FORM_5
         assert str(form) == CLOSED_FORM_5_TEXT
-        assert form.at(5) == to_power_sum(casimir_eigenvalue(CasimirRequest(5, 5)))
+        assert closed_form_at(form, 5) == to_power_sum(casimir_eigenvalue(CasimirRequest(5, 5)))
 
     def test_order_six(self):
         assert str(closed_form(6)) == CLOSED_FORM_6_TEXT
@@ -195,7 +195,7 @@ class TestClosedForm:
     @staticmethod
     def order_two_at(n, a):
         """The order-2 eigenvalue at the parameters a, from the closed form and from the sum at rank n."""
-        return eval_at(expand(closed_form(2).at(n), n), a), eval_at(casimir_eigenvalue_patterned(CasimirRequest(2, n)), a)
+        return eval_at(expand(closed_form_at(closed_form(2), n), n), a), eval_at(casimir_eigenvalue_patterned(CasimirRequest(2, n)), a)
 
     def test_order_two_at_rank_two_is_minus_twice_s_one_minus_s(self):
         # a = (nu, -nu) and s = 1/2 + nu: the value is -2 * lambda with lambda = s(1 - s)
@@ -223,7 +223,7 @@ def test_signed_comparison_matches_the_product():
     for _ in range(300):
         nvars = rng.randint(1, 3)
         p = poly(nvars)
-        for q in (p, -p, 2 * p, poly(nvars), -p + MPoly.one(nvars), MPoly.zero(nvars), -poly(nvars + 1)):
+        for q in (p, -p, 2 * p, poly(nvars), -p + MPoly.one(nvars), MPoly(nvars), -poly(nvars + 1)):
             for flip in (1, -1):
                 assert _equals_signed(p, q, flip) == (flip * p == q), (p, q, flip)
 
@@ -381,7 +381,7 @@ class TestVerify:
 
     def test_broken_fast_path_is_reported(self, monkeypatch):
         sound = verify_tuples(3, 3, Exhaustive())
-        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign, order=None: MPoly.zero(t.n))
+        monkeypatch.setattr(casimir, "elementary_eigenvalue", lambda t, shifted, sign, order=None: MPoly(t.n))
         broken = verify_tuples(3, 3, Exhaustive())
         # zero verdicts come from the oracle alone; every nonzero tuple now fails
         assert broken.zero == sound.zero > 0

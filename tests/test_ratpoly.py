@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from fractionsolve import fraction_solve, matrix_rank
-from references import eval_at, expand, power_sum
+from references import closed_form_at, eval_at, expand, power, power_sum
 
 from casimir_eigen import ratpoly
 from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
@@ -39,7 +39,7 @@ def random_mpoly(rng, nvars, max_deg=3, max_terms=5):
 
 def symmetrise(p):
     n = p.nvars
-    out = MPoly.zero(n)
+    out = MPoly(n)
     for perm in itertools.permutations(range(n)):
         out = out + MPoly(n, {tuple(exps[i] for i in perm): c for exps, c in p.terms.items()})
     return out
@@ -49,7 +49,7 @@ def dense_to_power_sum(p):
     """Reference reduction: one row per monomial of every eliminated image, over p_2..p_n."""
     n = p.nvars
     if not p.terms:
-        return PowerSumPoly.zero()
+        return PowerSumPoly()
     degree = p.total_degree()
     basis = [lam for lam in _partitions(degree, min_part=2) if all(k <= n for k in lam)]
     target = eliminate_last_var(p)
@@ -78,7 +78,7 @@ def outcome(reduce, p):
 class TestArithmetic:
     def test_difference_of_squares(self):
         a1, a2 = alpha(1, 2), alpha(2, 2)
-        assert (a1 + a2) * (a1 - a2) == a1**2 - a2**2
+        assert (a1 + a2) * (a1 - a2) == a1 * a1 - a2 * a2
 
     def test_product_from_cycle_factors(self):
         # (-a1 + a2) * (-a5 + 1) expands to a1*a5 - a2*a5 - a1 + a2
@@ -96,15 +96,15 @@ class TestArithmetic:
     def test_mul_by_zero_annihilates(self):
         rng = random.Random(11)
         p = random_mpoly(rng, 3)
-        assert p * MPoly.zero(3) == MPoly.zero(3)
+        assert p * MPoly(3) == MPoly(3)
 
     def test_nvars_mismatch_rejected(self):
         with pytest.raises(ValueError):
             alpha(1, 2) + alpha(1, 3)
 
     def test_polynomials_in_different_rings_are_unequal(self):
-        assert MPoly.zero(2) != MPoly.zero(3)
-        assert MPoly.zero(2) not in [MPoly.zero(3)]
+        assert MPoly(2) != MPoly(3)
+        assert MPoly(2) not in [MPoly(3)]
         assert MPoly.const(2, 5) != MPoly.const(3, 5)
         assert alpha(1, 2) != alpha(1, 3)
 
@@ -128,15 +128,16 @@ class TestArithmetic:
     def test_pow_matches_repeated_mul(self):
         rng = random.Random(3)
         p = random_mpoly(rng, 2, max_deg=2, max_terms=3)
-        assert p**0 == MPoly.one(2)
-        assert p**3 == p * p * p
+        assert power(p, 0) == MPoly.one(2)
+        assert power(p, 3) == p * p * p
+        assert power(p, 6) == p * p * p * p * p * p
 
 
 class TestHash:
     def test_equal_polynomials_hash_equal(self):
         rng = random.Random(29)
         a1, a2 = alpha(1, 2), alpha(2, 2)
-        assert hash((a1 + a2) * (a1 - a2)) == hash(a1**2 - a2**2)
+        assert hash((a1 + a2) * (a1 - a2)) == hash(a1 * a1 - a2 * a2)
         for _ in range(40):
             p, q = random_mpoly(rng, 3), random_mpoly(rng, 3)
             assert (p + q) * (p - q) == p * p - q * q
@@ -152,7 +153,7 @@ class TestHash:
 
     def test_polynomials_work_as_dict_keys(self):
         x = alpha(1, 2)
-        table = {x + 1: "x+1", MPoly.const(2, F(1, 2)): "half", MPoly.zero(2): "zero"}
+        table = {x + 1: "x+1", MPoly.const(2, F(1, 2)): "half", MPoly(2): "zero"}
         assert table[alpha(1, 2) + MPoly.one(2)] == "x+1"
         assert table[MPoly(2, {(0, 0): F(2, 4)})] == "half"
         assert table[x - x] == "zero"
@@ -178,7 +179,7 @@ class TestConstructor:
 
 class TestEval:
     def test_exact_point(self):
-        p = alpha(1, 2) ** 2 + alpha(2, 2) ** 2 - F(1, 2)
+        p = alpha(1, 2) * alpha(1, 2) + alpha(2, 2) * alpha(2, 2) - F(1, 2)
         assert eval_at(p, [F(1, 2), F(-1, 2)]) == 0
 
     def test_constant(self):
@@ -202,7 +203,7 @@ class TestPowerSumReduction:
     def test_pairwise_products(self):
         # sum_{i<j} a_i a_j == -(1/2) p2 once p1 = 0 is imposed
         for n in (3, 4, 5):
-            s = MPoly.zero(n)
+            s = MPoly(n)
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 s = s + alpha(i, n) * alpha(j, n)
             assert to_power_sum(s) == PowerSumPoly({(2,): F(-1, 2)})
@@ -211,7 +212,7 @@ class TestPowerSumReduction:
         assert to_power_sum(power_sum(2, 4)) == PowerSumPoly({(2,): 1})
 
     def test_p1_reduces_to_zero(self):
-        assert to_power_sum(power_sum(1, 5)) == PowerSumPoly.zero()
+        assert to_power_sum(power_sum(1, 5)) == PowerSumPoly()
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(NotSymmetricError):
@@ -233,7 +234,7 @@ class TestPowerSumReduction:
                 sym = symmetrise(random_mpoly(rng, n, max_deg=2, max_terms=3))
                 q = to_power_sum(sym)
                 diff = expand(q, n) - sym
-                assert eliminate_last_var(diff) == MPoly.zero(n - 1)
+                assert eliminate_last_var(diff) == MPoly(n - 1)
 
     @pytest.mark.parametrize("sign", SignConvention)
     def test_casimir_sums_below_the_order_have_one_form(self, sign):
@@ -243,7 +244,7 @@ class TestPowerSumReduction:
                 p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, sign=sign))
                 q = to_power_sum(p)
                 assert all(k <= n for lam in q.coeffs for k in lam), (m, n, q)
-                assert eliminate_last_var(expand(q, n) - p) == MPoly.zero(n - 1), (m, n)
+                assert eliminate_last_var(expand(q, n) - p) == MPoly(n - 1), (m, n)
 
 
 class TestPartitionRows:
@@ -328,7 +329,7 @@ class TestPartitionRows:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_polynomial_solves_its_degree_zero_system(self, n):
-        assert to_power_sum(MPoly(n)) == PowerSumPoly.zero()
+        assert to_power_sum(MPoly(n)) == PowerSumPoly()
 
     def test_partition_generator(self):
         assert _partitions(4, min_part=2) == [(4,), (2, 2), (3,), (2,), ()]
@@ -400,7 +401,7 @@ class TestInterpolation:
         cf = interpolate_in_n(samples, 3)
         assert cf == ClosedForm({(2,): (F(1),), (): (0, F(1, 12), 0, F(-1, 12))})
         for n, q in samples:
-            assert cf.at(n) == q
+            assert closed_form_at(cf, n) == q
         assert str(cf) == "p2 - (n^3 - n)/12"
 
     def test_constant_samples(self):
@@ -437,7 +438,7 @@ class TestInterpolation:
                     support = rng.sample(partitions, rng.randint(1, len(partitions)))
                     expected = ClosedForm({lam: random_coeff_in_n(degree_bound) for lam in support})
                     ranks = sorted(rng.sample(range(2, 40), degree_bound + 1 + extra))
-                    samples = [(n, expected.at(n)) for n in ranks]
+                    samples = [(n, closed_form_at(expected, n)) for n in ranks]
                     assert interpolate_in_n(samples, degree_bound) == expected
                     if not extra:
                         continue  # d + 1 samples fit any values
@@ -452,12 +453,12 @@ class TestInterpolation:
 
 class TestFormatting:
     def test_zero(self):
-        assert str(MPoly.zero(3)) == "0"
-        assert str(PowerSumPoly.zero()) == "0"
+        assert str(MPoly(3)) == "0"
+        assert str(PowerSumPoly()) == "0"
         assert str(ClosedForm()) == "0"
 
     def test_mpoly_canonical_order(self):
-        p = alpha(1, 2) ** 2 + alpha(2, 2) ** 2 - F(1, 2)
+        p = alpha(1, 2) * alpha(1, 2) + alpha(2, 2) * alpha(2, 2) - F(1, 2)
         assert str(p) == "a1^2 + a2^2 - 1/2"
 
     def test_custom_names(self):

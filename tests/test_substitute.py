@@ -24,12 +24,12 @@ from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import MPoly, eliminate_last_var
 from casimir_eigen.tuplegraph import IndexTuple, relative_order, specialise
-from references import eval_at, parameter, substitute
+from references import eval_at, parameter, power, substitute
 
 
 def test_zero_maps_to_the_zero_of_the_images_ring():
-    image = MPoly.zero(2).translate(3, (1, 0), (0, 1), 2)
-    assert image == MPoly.zero(3) and image.nvars == 3
+    image = MPoly(2).translate(3, (1, 0), (0, 1), 2)
+    assert image == MPoly(3) and image.nvars == 3
 
 
 def test_constant_without_variables_is_unchanged():
@@ -55,7 +55,7 @@ def x(nvars, index):
 
 def eliminated_by_reference(p):
     head = [MPoly.variable(p.nvars - 1, i) for i in range(p.nvars - 1)]
-    return substitute(p, head + [-sum(head, MPoly.zero(p.nvars - 1))])
+    return substitute(p, head + [-sum(head, MPoly(p.nvars - 1))])
 
 
 @pytest.mark.parametrize(
@@ -65,8 +65,8 @@ def eliminated_by_reference(p):
         MPoly(1, {(2,): F(-1, 2)}),  # N = 1 without a constant term: zero in no variables
         MPoly(2, {(2, 3): F(1, 2), (0, 1): F(-3, 7), (1, 0): F(2)}),
         MPoly(3, {(1, 2, 4): F(5, 6), (0, 0, 3): F(-1, 10), (2, 1, 0): F(3, 4)}),
-        MPoly.zero(1),
-        MPoly.zero(3),
+        MPoly(1),
+        MPoly(3),
         MPoly.const(1, 4),
         MPoly.const(2, F(-7, 3)),
         MPoly(3, {(0, 0, 255): F(1), (3, 0, 250): F(1, 2)}),  # degree 255, the largest one packed per byte
@@ -188,7 +188,7 @@ if st is not None:
     def test_ring_results_are_valid(case, c):
         p, q, translation, _ = case
         scalar_results = (p + c, c + p, p - c, c - p, p * c, c * p)
-        for r in (p + q, p - q, p - p, p * q, -p, p**2, p.translate(*translation), *scalar_results):
+        for r in (p + q, p - q, p - p, p * q, -p, p * p, p.translate(*translation), *scalar_results):
             assert_valid_mpoly(r)
 
     @SETTINGS
@@ -207,13 +207,13 @@ if st is not None:
     def kernel_cases(draw):
         """(p, translation): p zero, constant or general, with any translation of its variables."""
         source = draw(st.integers(1, 3))
-        zero, constant = st.just(MPoly.zero(source)), coefficients.map(lambda c: MPoly.const(source, c))
+        zero, constant = st.just(MPoly(source)), coefficients.map(lambda c: MPoly.const(source, c))
         p = draw(st.one_of(zero, constant, mpolys(source, max_deg=4, max_terms=5)))
         return p, draw(translations(source))
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_cases())
-    @example((MPoly.zero(2), (2, (1, 0), (0, 1), 3)))
+    @example((MPoly(2), (2, (1, 0), (0, 1), 3)))
     @example((MPoly.const(2, F(5, 6)), (3, (2, 0), (4, -1), 3)))
     @example((MPoly(2, {(2, 0): F(1, 2), (0, 1): F(3, 4)}), (2, (1, 0), (0, 5), 6)))
     def test_matches_the_fraction_expansion(case):
@@ -224,11 +224,11 @@ if st is not None:
 
     def ring_expansion(p, images):
         """The textbook image: sum of c * prod(images[i]^e_i), built from MPoly ring operations."""
-        expected = MPoly.zero(images[0].nvars)
+        expected = MPoly(images[0].nvars)
         for exps, coeff in p.terms.items():
             term = MPoly.const(images[0].nvars, coeff)
             for img, e in zip(images, exps):
-                term = term * img**e
+                term = term * power(img, e)
             expected = expected + term
         return expected
 
@@ -316,12 +316,12 @@ if st is not None:
         ell = draw(st.integers(1, 4))
         n = draw(st.integers(ell, ell + 4))
         values = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=ell, max_size=ell, unique=True))))
-        poly = draw(st.one_of(st.just(MPoly.zero(ell)), coefficients.map(lambda c: MPoly.const(ell, c)), mpolys(ell)))
+        poly = draw(st.one_of(st.just(MPoly(ell)), coefficients.map(lambda c: MPoly.const(ell, c)), mpolys(ell)))
         return poly, values, n, draw(st.booleans())
 
     @settings(max_examples=200, deadline=None)
     @given(specialise_cases())
-    @example((MPoly.zero(2), (1, 3), 4, True))
+    @example((MPoly(2), (1, 3), 4, True))
     @example((MPoly.const(1, F(-5, 3)), (2,), 2, True))
     @example((P2, (1, 2), 2, True))  # a half-integer rho-shift
     @example((P2, (2, 5), 5, True))  # an integer rho-shift, one of them zero

@@ -20,7 +20,7 @@ from casimir_eigen.tuplegraph import (
     relative_order,
 )
 from pathcheck import enumerate_paths
-from references import parameter
+from references import parameter, power
 
 WORKED = IndexTuple.parse("1,9,2,5,5,9,6,8,4,5", n=10)
 
@@ -64,7 +64,7 @@ class TestIndexTuple:
 class TestRelativeOrder:
     def test_worked_tuple(self):
         ro = relative_order(WORKED)
-        assert ro.ell == 7
+        assert len(ro.values) == 7
         # distinct values sorted: 1,2,4,5,6,8,9 so value 5 has rank 4
         assert ro.values == (1, 2, 4, 5, 6, 8, 9)
         for pos, value in enumerate(WORKED.entries, start=1):
@@ -73,7 +73,7 @@ class TestRelativeOrder:
 
     def test_all_equal(self):
         ro = relative_order(IndexTuple((3, 3, 3), 3))
-        assert ro == (1, (1, 1, 1), (3,))
+        assert ro == ((1, 1, 1), (3,))
 
     def test_two_distinct(self):
         ro = relative_order(IndexTuple((7, 2), 7))
@@ -85,8 +85,8 @@ class TestRelativeOrder:
             m = rng.randint(1, 8)
             entries = tuple(rng.randint(1, 6) for _ in range(m))
             ro = relative_order(IndexTuple(entries, 6))
-            assert ro.values == tuple(sorted(set(entries))) and len(ro.values) == ro.ell
-            assert set(ro.rho) == set(range(1, ro.ell + 1))
+            assert ro.values == tuple(sorted(set(entries)))
+            assert set(ro.rho) == set(range(1, len(ro.values) + 1))
             for pos in range(1, m + 1):
                 assert ro.values[ro.rho[pos - 1] - 1] == entries[pos - 1]
 
@@ -175,12 +175,12 @@ class TestElementaryEigenvalue:
             assert elementary_eigenvalue(WORKED, sign=sign) == expected
 
     def test_zero_branch(self):
-        assert elementary_eigenvalue(IndexTuple((2, 1), 2)) == MPoly.zero(2)
-        assert elementary_eigenvalue(IndexTuple((2, 1), 2), shifted=True) == MPoly.zero(2)
+        assert elementary_eigenvalue(IndexTuple((2, 1), 2)) == MPoly(2)
+        assert elementary_eigenvalue(IndexTuple((2, 1), 2), shifted=True) == MPoly(2)
 
     def test_loop_shifted(self):
         t = IndexTuple((1, 1), 2)
-        expected = (alpha(1, 2) + F(3, 2) - 1) ** 2
+        expected = power(alpha(1, 2) + F(3, 2) - 1, 2)
         assert elementary_eigenvalue(t, shifted=True) == expected
 
     def test_single_entry_sign(self):
@@ -195,7 +195,7 @@ class TestElementaryEigenvalue:
             should_vanish = any(i < entries[0] for i in entries)
             for sign in SignConvention:
                 value = elementary_eigenvalue(t, sign=sign)
-                assert (value == MPoly.zero(3)) == should_vanish
+                assert (value == MPoly(3)) == should_vanish
 
     def test_degree_bounded_by_cycle_count(self):
         rng = random.Random(29)
@@ -238,7 +238,7 @@ def direct_eigenvalue(t, shifted, sign):
     """
     n = t.n
     if any(i < t.entries[0] for i in t.entries):
-        return MPoly.zero(n)
+        return MPoly(n)
     product = MPoly.one(n)
     for factor in proper_cycle_factors(t, lambda v: parameter(v, n, shifted)):
         product = product * factor
