@@ -26,9 +26,11 @@ zero oracle polynomial takes no ring map.
 verify_tuples imports the oracle when it starts, so the other
 subcommands never load it.
 
-Requests, selections and reports are typing.NamedTuple records; the ones
-that validate their fields (CasimirRequest, RandomSample) do it in the
-__new__ of a subclass of the bare record.
+The three entry points, casimir_eigenvalue_patterned, closed_form and
+verify_tuples, check their order and rank arguments when they start,
+with the same messages.  Selections and reports are typing.NamedTuple
+records; RandomSample validates its count in the __new__ of a subclass
+of the bare record.
 """
 
 from __future__ import annotations
@@ -66,30 +68,6 @@ def _check_order(m: int) -> None:
         raise ValueError(f"order m = {m} is {ABOVE_MACHINE_SIZE}")
 
 
-class _CasimirRequestFields(NamedTuple):
-    m: int
-    n: int
-    shifted: bool = True
-    sign: SignConvention = SignConvention.ALTERNATING
-
-
-class CasimirRequest(_CasimirRequestFields):
-    """What to compute: order m, rank n, shift and sign options."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CasimirRequest:
-        self = super().__new__(cls, *args, **kwargs)
-        _check_order(self.m)
-        _check_rank(self.n)
-        return self
-
-    @property
-    def outside_standard_range(self) -> bool:
-        """True when m > n; permitted experimentally but labeled in output."""
-        return self.m > self.n
-
-
 def _rank_patterns(m: int, max_ell: int) -> list[tuple[int, ...]]:
     """The nonzero rank tuples: surjections onto {1..ell}, ell <= max_ell, with first entry 1.
 
@@ -118,7 +96,7 @@ def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
     """(ell, P_ell) for ell = 1..max_ell: the sum of every nonzero rank pattern's product.
 
     P_ell is given by the (exponents, coefficient) terms of one polynomial
-    in the ell rank variables, taken as printed: each request applies its
+    in the ell rank variables, taken as printed: each call applies its
     sign convention when it relabels the terms, so both conventions share
     one entry.  Each pattern's product comes from pattern_product and is
     added in at once; none is kept.  Every proper-cycle factor is +-x plus
@@ -135,7 +113,9 @@ def _pattern_sums(m: int, max_ell: int) -> tuple[tuple[int, IntTerms], ...]:
     return tuple((ell, tuple((e, c) for e, c in acc[ell].items() if c)) for ell in range(1, max_ell + 1))
 
 
-def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
+def casimir_eigenvalue_patterned(
+    m: int, n: int, shifted: bool = True, sign: SignConvention = SignConvention.ALTERNATING
+) -> MPoly:
     """Sum of elementary eigenvalues over all of {1..n}^m, grouped by relative-order pattern.
 
     The nonzero patterns with ell distinct values sum to one integer
@@ -143,17 +123,17 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
     choice of ell values v_1 < ... < v_ell from 1..n contributes P_ell
     with rank k renamed to x_{v_k}, which only moves exponents: the sum is
     Gessel's monomial quasisymmetric sum.  It is taken in the parameters
-    x_v, signed by the request's convention, and the x_v are then replaced
-    once by their rho-shifts when req.shifted: one translate through the
-    rank map of the values 1..n, not specialise, whose memo would hash and
-    keep the whole sum.  Zero patterns (some rank below the first) are
-    never generated.
+    x_v, signed by ``sign``, and the x_v are then replaced once by their
+    rho-shifts when ``shifted``: one translate through the rank map of the
+    values 1..n, not specialise, whose memo would hash and keep the whole
+    sum.  Zero patterns (some rank below the first) are never generated.
     """
-    n, m = req.n, req.m
-    sign = req.sign.factor(m)
+    _check_order(m)
+    _check_rank(n)
+    factor = sign.factor(m)
     acc: dict[tuple[int, ...], int] = {}
     for ell, terms in _pattern_sums(m, min(m, n)):
-        padded = [(exps + (0,), sign * c) for exps, c in terms]
+        padded = [(exps + (0,), factor * c) for exps, c in terms]
         for values in itertools.combinations(range(n), ell):
             # position v takes the exponent of rank k when v = values[k], else the pad 0
             slots = [ell] * n
@@ -163,7 +143,7 @@ def casimir_eigenvalue_patterned(req: CasimirRequest) -> MPoly:
                 key = tuple(map(exps.__getitem__, slots))
                 acc[key] = acc.get(key, 0) + c
     total = MPoly._trusted(n, 1, acc)
-    if req.shifted:
+    if shifted:
         total = total.translate(n, *_rank_map(tuple(range(1, n + 1)), n, True))
     return total
 
@@ -178,10 +158,7 @@ def closed_form(m: int) -> ClosedForm:
     and checks every rank with the exact solver behind to_power_sum).
     """
     _check_order(m)
-    samples = []
-    for n in range(m, 2 * m + 3):
-        request = CasimirRequest(m=m, n=n)
-        samples.append((n, to_power_sum(casimir_eigenvalue_patterned(request))))
+    samples = [(n, to_power_sum(casimir_eigenvalue_patterned(m, n))) for n in range(m, 2 * m + 3)]
     return interpolate_in_n(samples, degree_bound=m + 1)
 
 

@@ -36,7 +36,6 @@ from fractions import Fraction
 
 from .casimir import (
     ABOVE_MACHINE_SIZE,
-    CasimirRequest,
     Exhaustive,
     RandomSample,
     VerifyReport,
@@ -157,20 +156,14 @@ def _cmd_elementary(args) -> int:
 
 
 def _cmd_casimir(args) -> int:
-    request = CasimirRequest(
-        m=args.m,
-        n=args.n,
-        shifted=not args.raw,
-        sign=SignConvention(args.sign),
-    )
-    value = casimir_eigenvalue_patterned(request)
-    note = "m > n lies outside the standard range 1 <= m <= n" if request.outside_standard_range else None
+    value = casimir_eigenvalue_patterned(args.m, args.n, not args.raw, SignConvention(args.sign))
+    note = "m > n lies outside the standard range 1 <= m <= n" if args.m > args.n else None
     reduced = to_power_sum(value) if args.basis == "power-sum" else None
     if args.json:
         obj = {
-            "m": request.m,
-            "n": request.n,
-            "shifted": request.shifted,
+            "m": args.m,
+            "n": args.n,
+            "shifted": not args.raw,
             "basis": args.basis,
             "eigenvalue": mpoly_to_obj(value) if reduced is None else power_sum_to_obj(reduced),
         }

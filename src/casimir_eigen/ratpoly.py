@@ -357,15 +357,15 @@ def eliminate_last_var(p: MPoly) -> MPoly:
     c * (-1)^k times each weight at h + v, on the integer numerators over
     the polynomial's own denominator.  An exponent vector packs into one
     int, a byte per variable, so h + v is one integer sum; that limits the
-    total degree to 255, and a higher degree raises ValueError.  No request
-    that finishes comes near it: the patterned sum at order 256 would
-    enumerate Fubini(256) patterns.  With N = 1 the image is the constant
-    p(0).
+    total degree to 255 when N > 1, and a higher degree raises ValueError.
+    No request with N > 1 that finishes comes near it: the patterned sum at
+    order 256 would enumerate Fubini(256) patterns.  With N = 1 nothing is
+    packed and the image is the constant p(0), at any degree.
     """
     if p.nvars == 0:
         return p
     m = p.nvars - 1
-    if (degree := p.total_degree()) > 255:
+    if m and (degree := p.total_degree()) > 255:
         raise ValueError(f"total degree {degree} is above 255, the most a byte per exponent holds")
     top = max((exps[m] for exps in p.nums), default=0)
     table = [[(0, 1)]] + [[] for _ in range(top)]  # entry t lists (packed v, weight) with sum(v) = t
@@ -451,18 +451,20 @@ def format_partition(lam: Partition) -> str:
     return "*".join(pieces)
 
 
-def _partitions(max_weight: int, min_part: int = 1, max_len: int | None = None) -> list[Partition]:
-    """Partitions with parts >= min_part, weight <= max_weight and at most max_len parts, plus ()."""
+def _partitions(
+    max_weight: int, min_part: int = 1, max_len: int | None = None, max_part: int | None = None
+) -> list[Partition]:
+    """Partitions with parts in min_part..max_part, weight <= max_weight and at most max_len parts, plus ()."""
     out: list[Partition] = [()]
 
-    def grow(remaining: int, max_part: int, acc: tuple[int, ...]) -> None:
+    def grow(remaining: int, top: int, acc: tuple[int, ...]) -> None:
         if len(acc) == max_len:
             return
-        for k in range(min(remaining, max_part), min_part - 1, -1):
+        for k in range(min(remaining, top), min_part - 1, -1):
             out.append(acc + (k,))
             grow(remaining - k, k, acc + (k,))
 
-    grow(max_weight, max_weight, ())
+    grow(max_weight, max_weight if max_part is None else max_part, ())
     return sorted(out, key=_term_order_key)
 
 
@@ -489,10 +491,11 @@ def _power_sum_columns(
     """
     nvars = rank + 1
     power_sum = {
-        k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (rank - i): 1 for i in range(nvars)}) for k in range(2, degree + 1)
+        k: MPoly(nvars, {(0,) * i + (k,) + (0,) * (rank - i): 1 for i in range(nvars)})
+        for k in range(2, min(degree, nvars) + 1)
     }
     lams = tuple(_partitions(degree, max_len=rank))
-    mus = tuple(mu for mu in _partitions(degree, min_part=2) if all(k <= nvars for k in mu))
+    mus = tuple(_partitions(degree, min_part=2, max_part=nvars))
     columns = []
     for mu in mus:
         product = functools.reduce(operator.mul, [power_sum[k] for k in mu], MPoly.one(nvars))

@@ -106,16 +106,6 @@ def relative_order(t: IndexTuple) -> RelOrder:
     return RelOrder(rho=tuple(rank[i] for i in t.entries), values=tuple(distinct))
 
 
-def min_pair(values: Sequence[int]) -> tuple[int, int | None]:
-    """First and second minimum of the value set; v2 is None for singletons."""
-    if not values:
-        raise ValueError("min_pair needs a non-empty sequence")
-    distinct = set(values)
-    v1 = min(distinct)
-    rest = distinct - {v1}
-    return v1, (min(rest) if rest else None)
-
-
 class CycleRecord(NamedTuple):
     """A cycle of I between consecutive occurrences of its base value.
 
@@ -137,29 +127,24 @@ def enumerate_cycles(t: IndexTuple) -> list[CycleRecord]:
 
     Non-consecutive occurrence pairs are never proper (the base value
     reappears in the interior), so this diagnostic listing is exactly the
-    cycle table one writes down when working a tuple by hand.
+    cycle table one writes down when working a tuple by hand.  One scan of
+    the closed tuple: each position p whose value recurs starts the cycle
+    that ends at its next occurrence q.  v1 and v2 are the two smallest
+    distinct values of the sub-list I[p..q], v2 None when it has one value.
+    The base does not recur inside, so the cycle is proper exactly when
+    the base is v1.
     """
     closed = t.closed()
-    positions: dict[int, list[int]] = {}
-    for pos, value in enumerate(closed, start=1):
-        positions.setdefault(value, []).append(pos)
     records = []
-    for value, plist in positions.items():
-        for p, q in zip(plist, plist[1:]):
-            sub = closed[p - 1 : q]
-            v1, v2 = min_pair(sub)
-            records.append(
-                CycleRecord(
-                    start_pos=p,
-                    end_pos=q,
-                    base=value,
-                    proper=all(x > value for x in sub[1:-1]),
-                    v1=v1,
-                    v2=v2,
-                    sublist=sub,
-                )
-            )
-    records.sort(key=lambda r: (r.start_pos, r.end_pos))
+    for p, base in enumerate(closed, start=1):
+        try:
+            q = closed.index(base, p) + 1
+        except ValueError:
+            continue  # no later occurrence
+        sub = closed[p - 1 : q]
+        distinct = sorted(set(sub))
+        v1, v2 = distinct[0], distinct[1] if len(distinct) > 1 else None
+        records.append(CycleRecord(start_pos=p, end_pos=q, base=base, proper=v1 == base, v1=v1, v2=v2, sublist=sub))
     return records
 
 

@@ -19,23 +19,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from casimir_eigen import tables
-from casimir_eigen.casimir import CasimirRequest
 from casimir_eigen.jetoracle import JetMatrix, oracle_eigenvalue
 from casimir_eigen.ratpoly import ClosedForm, MPoly, PowerSumPoly, alpha
 from casimir_eigen.tables import FactoredValue, TableRow
-from casimir_eigen.tuplegraph import IndexTuple, RelOrder, elementary_eigenvalue, relative_order
+from casimir_eigen.tuplegraph import IndexTuple, RelOrder, SignConvention, elementary_eigenvalue, relative_order
 
 
-def casimir_eigenvalue(req: CasimirRequest) -> MPoly:
+def casimir_eigenvalue(
+    m: int, n: int, shifted: bool = True, sign: SignConvention = SignConvention.ALTERNATING
+) -> MPoly:
     """Sum of elementary eigenvalues over all of {1..n}^m (the naive route)."""
     acc: dict[tuple[int, ...], Fraction] = {}
-    for entries in itertools.product(range(1, req.n + 1), repeat=req.m):
+    for entries in itertools.product(range(1, n + 1), repeat=m):
         if min(entries) < entries[0]:
             continue  # zero branch
-        value = elementary_eigenvalue(IndexTuple(entries, req.n), shifted=req.shifted, sign=req.sign)
+        value = elementary_eigenvalue(IndexTuple(entries, n), shifted=shifted, sign=sign)
         for exps, coeff in value.terms.items():
             acc[exps] = acc.get(exps, Fraction(0)) + coeff
-    return MPoly(req.n, acc)
+    return MPoly(n, acc)
 
 
 def eval_at(p: MPoly, point: Sequence[Fraction | int]) -> Fraction:

@@ -15,7 +15,6 @@ import pytest
 
 from casimir_eigen import jetoracle
 from casimir_eigen.casimir import (
-    CasimirRequest,
     casimir_eigenvalue_patterned,
 )
 from casimir_eigen.cli import main
@@ -201,7 +200,7 @@ def test_criterion_7_property_suites():
     # permutation symmetry at 100 seeded zero-sum points, 5 permutations each
     rng = random.Random(20240817)
     for m, n in [(2, 3), (3, 3), (3, 4), (4, 4)]:
-        value = casimir_eigenvalue(CasimirRequest(m=m, n=n))
+        value = casimir_eigenvalue(m, n)
         for _ in range(100):
             point = [F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(n - 1)]
             point.append(-sum(point, F(0)))
@@ -214,8 +213,7 @@ def test_criterion_7_property_suites():
     # patterned summation equals the naive sum for every m <= 3, n <= 5
     for m in range(1, 4):
         for n in range(1, 6):
-            request = CasimirRequest(m=m, n=n)
-            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
+            assert casimir_eigenvalue_patterned(m, n) == casimir_eigenvalue(m, n), (m, n)
 
     # jet ring laws of the reference algebra, and the oracle's power kernel at
     # integer exponents against repeated reference products, 1000 seeded jets

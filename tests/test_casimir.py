@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,6 @@ except ImportError:  # the property test below is then not collected
 
 from casimir_eigen import casimir, jetoracle
 from casimir_eigen.casimir import (
-    CasimirRequest,
     Exhaustive,
     RandomSample,
     _equals_signed,
@@ -75,35 +75,33 @@ CLOSED_FORM_5 = ClosedForm(
 class TestCasimirSum:
     def test_order_one_vanishes(self):
         for n in range(1, 9):
-            request = CasimirRequest(m=1, n=n)
-            assert to_power_sum(casimir_eigenvalue(request)) == PowerSumPoly()
+            assert to_power_sum(casimir_eigenvalue(1, n)) == PowerSumPoly()
 
     def test_order_two_rank_three(self):
-        value = to_power_sum(casimir_eigenvalue(CasimirRequest(m=2, n=3)))
+        value = to_power_sum(casimir_eigenvalue(2, 3))
         assert value == PowerSumPoly({(2,): 1, (): -2})
 
     def test_order_three_rank_three(self):
-        value = to_power_sum(casimir_eigenvalue(CasimirRequest(m=3, n=3)))
+        value = to_power_sum(casimir_eigenvalue(3, 3))
         assert value == PowerSumPoly({(3,): 1, (2,): F(-3, 2), (): 3})
 
     def test_order_two_rank_two(self):
-        value = to_power_sum(casimir_eigenvalue(CasimirRequest(m=2, n=2)))
+        value = to_power_sum(casimir_eigenvalue(2, 2))
         assert value == PowerSumPoly({(2,): 1, (): F(-1, 2)})
         # and in the monomial basis: a1^2 + a2^2 - 1/2
-        raw = casimir_eigenvalue(CasimirRequest(m=2, n=2))
+        raw = casimir_eigenvalue(2, 2)
         assert raw == alpha(1, 2) * alpha(1, 2) + alpha(2, 2) * alpha(2, 2) - F(1, 2)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
-            CasimirRequest(m=0, n=3)
+            casimir_eigenvalue_patterned(0, 3)
         with pytest.raises(ValueError):
-            CasimirRequest(m=2, n=0)
-        assert CasimirRequest(m=5, n=3).outside_standard_range
+            casimir_eigenvalue_patterned(2, 0)
 
     def test_permutation_symmetry_at_zero_sum_points(self):
         rng = random.Random(101)
         for m, n in [(2, 3), (3, 3), (3, 4), (4, 4)]:
-            value = casimir_eigenvalue(CasimirRequest(m=m, n=n))
+            value = casimir_eigenvalue(m, n)
             for _ in range(25):
                 point = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n - 1)]
                 point.append(-sum(point, F(0)))
@@ -114,27 +112,57 @@ class TestCasimirSum:
                     assert eval_at(value, perm) == reference
 
 
+# Each entry point called at (m, n); closed_form has no rank.
+ENTRY_POINTS = {
+    "casimir_eigenvalue_patterned": casimir_eigenvalue_patterned,
+    "closed_form": lambda m, n: closed_form(m),
+    "verify_tuples": lambda m, n: verify_tuples(m, n, Exhaustive()),
+}
+ORDER_TOO_LARGE = f"order m = {sys.maxsize + 1} is above the machine-size bound 2^{sys.maxsize.bit_length()} - 1"
+
+
+@pytest.mark.parametrize(
+    ("entry", "m", "n", "message"),
+    [
+        *(
+            (entry, m, n, message)
+            for entry in ENTRY_POINTS
+            for m, n, message in [
+                (0, 3, "order m must be >= 1"),
+                (-4, 0, "order m must be >= 1"),  # the order is checked before the rank
+                (sys.maxsize + 1, 3, ORDER_TOO_LARGE),
+                (sys.maxsize + 1, -1, ORDER_TOO_LARGE),
+            ]
+        ),
+        ("casimir_eigenvalue_patterned", 2, 0, "rank n must be >= 1"),
+        ("verify_tuples", 2, -3, "rank n must be >= 1"),
+    ],
+)
+def test_entry_points_refuse_the_same_arguments(entry, m, n, message):
+    with pytest.raises(ValueError) as excinfo:
+        ENTRY_POINTS[entry](m, n)
+    assert str(excinfo.value) == message
+
+
 class TestPatterned:
     def test_matches_naive(self):
         # m <= 4 at every n <= 5, then (5,5) and (5,3), which lies outside m <= n
         for m, n in [(m, n) for m in range(1, 5) for n in range(1, 6)] + [(5, 5), (5, 3)]:
-            request = CasimirRequest(m=m, n=n)
-            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
+            assert casimir_eigenvalue_patterned(m, n) == casimir_eigenvalue(m, n), (m, n)
         # raw parameters under the alternating sign, at odd m where the sign matters
         for m, n in [(3, 4), (5, 4)]:
-            request = CasimirRequest(m=m, n=n, shifted=False, sign=SignConvention.ALTERNATING)
-            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request), (m, n)
+            args = (m, n, False, SignConvention.ALTERNATING)
+            assert casimir_eigenvalue_patterned(*args) == casimir_eigenvalue(*args), (m, n)
 
     def test_matches_naive_unshifted_and_literal(self):
         for m, n in [(2, 3), (3, 4)]:
-            request = CasimirRequest(m=m, n=n, shifted=False, sign=SignConvention.LITERAL)
-            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+            args = (m, n, False, SignConvention.LITERAL)
+            assert casimir_eigenvalue_patterned(*args) == casimir_eigenvalue(*args)
 
     @pytest.mark.parametrize("shifted", [True, False])
     @pytest.mark.parametrize("sign", list(SignConvention))
     def test_matches_naive_order_five_rank_six(self, shifted, sign):
-        request = CasimirRequest(m=5, n=6, shifted=shifted, sign=sign)
-        assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+        assert casimir_eigenvalue_patterned(5, 6, shifted, sign) == casimir_eigenvalue(5, 6, shifted, sign)
 
     if st is not None:
 
@@ -146,15 +174,14 @@ class TestPatterned:
             sign=st.sampled_from(list(SignConvention)),
         )
         def test_matches_naive_property(self, m, n, shifted, sign):
-            request = CasimirRequest(m=m, n=n, shifted=shifted, sign=sign)
-            assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+            assert casimir_eigenvalue_patterned(m, n, shifted, sign) == casimir_eigenvalue(m, n, shifted, sign)
 
     def test_both_signs_share_one_pattern_sum(self):
         # the sign is applied per request, so at odd m the literal and the
         # alternating request read one cached sum and come out as negatives
         casimir._pattern_sums.cache_clear()
         literal, alternating = (
-            casimir_eigenvalue_patterned(CasimirRequest(m=3, n=4, sign=sign))
+            casimir_eigenvalue_patterned(3, 4, sign=sign)
             for sign in (SignConvention.LITERAL, SignConvention.ALTERNATING)
         )
         assert casimir._pattern_sums.cache_info().currsize == 1
@@ -163,8 +190,7 @@ class TestPatterned:
     def test_descending_pairs_are_skipped_as_one_pattern(self):
         # the (2,1) rank pattern covers all n(n-1)/2 descending pairs at once;
         # the resulting sum still matches, so nothing is lost by skipping them
-        request = CasimirRequest(m=2, n=4)
-        assert casimir_eigenvalue_patterned(request) == casimir_eigenvalue(request)
+        assert casimir_eigenvalue_patterned(2, 4) == casimir_eigenvalue(2, 4)
 
 
 class TestClosedForm:
@@ -176,14 +202,14 @@ class TestClosedForm:
         for m in (2, 3):
             form = closed_form(m)
             for n in range(m, 2 * m + 3):
-                direct = to_power_sum(casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n)))
+                direct = to_power_sum(casimir_eigenvalue_patterned(m, n))
                 assert closed_form_at(form, n) == direct
 
     def test_order_five(self):
         form = closed_form(5)
         assert form == CLOSED_FORM_5
         assert str(form) == CLOSED_FORM_5_TEXT
-        assert closed_form_at(form, 5) == to_power_sum(casimir_eigenvalue(CasimirRequest(5, 5)))
+        assert closed_form_at(form, 5) == to_power_sum(casimir_eigenvalue(5, 5))
 
     def test_order_six(self):
         assert str(closed_form(6)) == CLOSED_FORM_6_TEXT
@@ -195,7 +221,7 @@ class TestClosedForm:
     @staticmethod
     def order_two_at(n, a):
         """The order-2 eigenvalue at the parameters a, from the closed form and from the sum at rank n."""
-        return eval_at(expand(closed_form_at(closed_form(2), n), n), a), eval_at(casimir_eigenvalue_patterned(CasimirRequest(2, n)), a)
+        return eval_at(expand(closed_form_at(closed_form(2), n), n), a), eval_at(casimir_eigenvalue_patterned(2, n), a)
 
     def test_order_two_at_rank_two_is_minus_twice_s_one_minus_s(self):
         # a = (nu, -nu) and s = 1/2 + nu: the value is -2 * lambda with lambda = s(1 - s)

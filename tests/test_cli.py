@@ -81,6 +81,8 @@ class TestCasimir:
     def test_outside_range_note(self, capsys):
         _, out = run_cli(capsys, "casimir", "--m", "3", "--n", "2", "--basis", "power-sum")
         assert "outside the standard range" in out
+        _, out = run_cli(capsys, "casimir", "--m", "3", "--n", "3", "--basis", "power-sum")
+        assert "note" not in out
 
     def test_power_sum_unique_below_order_text(self, capsys):
         # below the order the form is the one in p2..pn, so it needs no label
@@ -115,6 +117,24 @@ class TestCasimir:
         assert out.splitlines()[0] == (
             "eigenvalue: 1/16*p2^5 + 35/32*p2^4 + 45/32*p2^3 - 21/64*p2^2 - 75/256*p2 - 9/512"
         )
+
+    @pytest.mark.parametrize("m", [60, 300])
+    def test_power_sum_at_rank_one(self, capsys, m):
+        # at n = 1 the hyperplane is the point a1 = 0: the columns have no part above 1 and the
+        # elimination packs no exponent, so the answer is 0 at orders above 255 too
+        note = "m > n lies outside the standard range 1 <= m <= n"
+        argv = ["casimir", "--m", str(m), "--n", "1", "--basis", "power-sum"]
+        assert run_cli(capsys, *argv) == (0, f"eigenvalue: 0\nnote: {note}\n")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "m": m,
+            "n": 1,
+            "shifted": True,
+            "basis": "power-sum",
+            "eigenvalue": {"partitions": []},
+            "note": note,
+        }
 
     def test_raw_power_sum_has_no_form_exits_2(self, capsys):
         # the unshifted sum is not symmetric modulo p1, so it has no power-sum form

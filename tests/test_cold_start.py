@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import casimir_eigen
-from casimir_eigen.casimir import CasimirRequest, Exhaustive, RandomSample, verify_tuples
+from casimir_eigen.casimir import Exhaustive, RandomSample, verify_tuples
 from casimir_eigen.tuplegraph import IndexTuple, enumerate_cycles, relative_order
 from pathcheck import path_coefficient_check
 
@@ -177,7 +177,6 @@ def _records():
         t,
         relative_order(t),
         enumerate_cycles(t)[0],
-        CasimirRequest(m=2, n=3),
         Exhaustive(),
         RandomSample(5, 1),
         path_coefficient_check(IndexTuple((1, 2), 2)),

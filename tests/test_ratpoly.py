@@ -9,7 +9,7 @@ from fractionsolve import fraction_solve, matrix_rank
 from references import closed_form_at, eval_at, expand, power, power_sum
 
 from casimir_eigen import ratpoly
-from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
+from casimir_eigen.casimir import casimir_eigenvalue_patterned
 from casimir_eigen.ratpoly import (
     ClosedForm,
     InterpolationInconsistentError,
@@ -241,7 +241,7 @@ class TestPowerSumReduction:
         # p2..pn are free generators on the hyperplane, so the form stays in them when n < m
         for m in range(1, 7):
             for n in range(1, m):
-                p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, sign=sign))
+                p = casimir_eigenvalue_patterned(m, n, sign=sign)
                 q = to_power_sum(p)
                 assert all(k <= n for lam in q.coeffs for k in lam), (m, n, q)
                 assert eliminate_last_var(expand(q, n) - p) == MPoly(n - 1), (m, n)
@@ -253,7 +253,7 @@ class TestPartitionRows:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_casimir_sums_match_the_dense_solver(self, m):
         for n, sign, shifted in itertools.product(range(1, 8), SignConvention, (True, False)):
-            p = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, shifted=shifted, sign=sign))
+            p = casimir_eigenvalue_patterned(m, n, shifted, sign)
             assert outcome(to_power_sum, p) == outcome(dense_to_power_sum, p), (n, sign, shifted)
 
     def test_random_polynomials_match_the_dense_solver(self):
@@ -336,6 +336,11 @@ class TestPartitionRows:
         assert len(_partitions(4)) == 12
         assert _partitions(3, max_len=1) == [(3,), (2,), (1,), ()]
         assert _partitions(3, max_len=0) == [()]
+        assert _partitions(6, min_part=2, max_part=3) == [(3, 3), (2, 2, 2), (3, 2), (2, 2), (3,), (2,), ()]
+        assert _partitions(900, min_part=2, max_part=1) == [()]
+        for weight, top in itertools.product(range(8), range(1, 9)):
+            bounded = [lam for lam in _partitions(weight, min_part=2) if all(k <= top for k in lam)]
+            assert _partitions(weight, min_part=2, max_part=top) == bounded
 
 
 class TestSolveLinear:

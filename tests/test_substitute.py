@@ -20,7 +20,7 @@ try:
 except ImportError:  # the property tests below are then not collected
     st = None
 
-from casimir_eigen.casimir import CasimirRequest, casimir_eigenvalue_patterned
+from casimir_eigen.casimir import casimir_eigenvalue_patterned
 from casimir_eigen.jetoracle import oracle_eigenvalue
 from casimir_eigen.ratpoly import MPoly, eliminate_last_var
 from casimir_eigen.tuplegraph import IndexTuple, relative_order, specialise
@@ -70,6 +70,7 @@ def eliminated_by_reference(p):
         MPoly.const(1, 4),
         MPoly.const(2, F(-7, 3)),
         MPoly(3, {(0, 0, 255): F(1), (3, 0, 250): F(1, 2)}),  # degree 255, the largest one packed per byte
+        MPoly(1, {(900,): F(1), (0,): F(-2)}),  # N = 1 packs no exponent, so no degree bound applies
     ],
 )
 def test_elimination_edge_cases_match_the_fraction_expansion(p):
@@ -90,13 +91,13 @@ def test_elimination_of_one_variable_is_the_constant_term():
 def test_rho_shift_of_a_casimir_sum():
     """The shifted sum is the plain one at the rho-shifted parameters, at even and odd n."""
     for m, n in [*((m, n) for m in range(1, 5) for n in (4, 5)), (5, 8)]:
-        total = casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n, shifted=False))
+        total = casimir_eigenvalue_patterned(m, n, shifted=False)
         images = [parameter(v, n, True) for v in range(1, n + 1)]
-        assert casimir_eigenvalue_patterned(CasimirRequest(m=m, n=n)) == substitute(total, images), (m, n)
+        assert casimir_eigenvalue_patterned(m, n) == substitute(total, images), (m, n)
 
 
 def test_elimination_of_a_shifted_casimir_sum():
-    total = casimir_eigenvalue_patterned(CasimirRequest(m=4, n=10))
+    total = casimir_eigenvalue_patterned(4, 10)
     assert eliminate_last_var(total) == eliminated_by_reference(total)
 
 

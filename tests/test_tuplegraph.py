@@ -14,7 +14,6 @@ from casimir_eigen.tuplegraph import (
     elementary_eigenvalue,
     enumerate_cycles,
     enumerate_proper_cycles,
-    min_pair,
     pattern_product,
     proper_cycle_factors,
     relative_order,
@@ -91,19 +90,25 @@ class TestRelativeOrder:
                 assert ro.values[ro.rho[pos - 1] - 1] == entries[pos - 1]
 
 
+def cycle_with_sublist(t, sublist):
+    (record,) = [r for r in enumerate_cycles(t) if r.sublist == sublist]
+    return record
+
+
 class TestMinPair:
+    """The first and second minimum (v1, v2) of a cycle's sub-list, read from its record."""
+
     def test_second_minimum(self):
-        assert min_pair((9, 2, 5, 5, 9)) == (2, 5)
+        record = cycle_with_sublist(WORKED, (9, 2, 5, 5, 9))
+        assert (record.base, record.v1, record.v2) == (9, 2, 5)
 
     def test_singleton_value_set(self):
-        assert min_pair((5, 5)) == (5, None)
+        record = cycle_with_sublist(WORKED, (5, 5))
+        assert (record.base, record.v1, record.v2) == (5, 5, None)
 
     def test_full_worked_cycle(self):
-        assert min_pair((1, 9, 2, 5, 5, 9, 6, 8, 4, 5, 1)) == (1, 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_pair(())
+        record = cycle_with_sublist(WORKED, (1, 9, 2, 5, 5, 9, 6, 8, 4, 5, 1))
+        assert (record.base, record.v1, record.v2) == (1, 1, 2)
 
 
 class TestCycles:
@@ -130,6 +135,26 @@ class TestCycles:
     def test_single_repeat(self):
         (cycle,) = enumerate_proper_cycles(IndexTuple((1, 2), 2))
         assert (cycle.start_pos, cycle.end_pos, cycle.v1, cycle.v2) == (1, 3, 1, 2)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_records_match_the_definition(self, m):
+        # every tuple with n <= 4: one record per non-final position whose value recurs,
+        # from it to the next occurrence, proper iff every interior value is above the base
+        for n in range(1, 5):
+            for entries in itertools.product(range(1, n + 1), repeat=m):
+                t = IndexTuple(entries, n)
+                closed, records = t.closed(), enumerate_cycles(t)
+                starts = [p for p in range(1, m + 1) if closed[p - 1] in closed[p:]]
+                assert [r.start_pos for r in records] == starts, entries
+                for r in records:
+                    p, q = r.start_pos, r.end_pos
+                    assert p < q and closed[p - 1] == closed[q - 1] == r.base, (entries, r)
+                    interior = closed[p : q - 1]
+                    assert r.base not in interior, (entries, r)
+                    assert r.sublist == closed[p - 1 : q]
+                    assert r.proper == all(x > r.base for x in interior), (entries, r)
+                    distinct = sorted(set(r.sublist))
+                    assert (r.v1, r.v2) == (distinct[0], distinct[1] if len(distinct) > 1 else None)
 
     def test_proper_cycle_invariants(self):
         rng = random.Random(13)
